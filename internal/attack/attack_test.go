@@ -317,3 +317,39 @@ func ExampleRTF_Run() {
 	fmt.Println(ev.MeanPSNR() > 100) // undefended: essentially verbatim
 	// Output: true
 }
+
+// TestVictimGradientsMatchFullChain pins that the RTF victim's uploaded
+// malicious-layer gradients, which Sequential.Backward now computes without
+// the first layer's input gradient, are bit-identical to the full per-layer
+// backward chain.
+func TestVictimGradientsMatchFullChain(t *testing.T) {
+	ds := data.NewSynthCustom("chain", 4, 1, 8, 8, 64, 3)
+	rng := nn.RandSource(42, 1)
+	rtf, err := NewRTF(ImageDims{C: 1, H: 8, W: 8}, ds.NumClasses(), 32, ds, rng, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := rtf.BuildVictim(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := data.RandomBatch(ds, rng, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, gb, _ := victim.Gradients(batch)
+
+	victim.Net.ZeroGrad()
+	_, g := nn.SoftmaxCrossEntropy{}.Compute(victim.Net.Forward(batch.Flatten(), true), batch.Labels)
+	for i := len(victim.Net.Layers) - 1; i >= 0; i-- {
+		g = victim.Net.Layers[i].Backward(g)
+	}
+	for _, pair := range [][2]*tensor.Tensor{{gw, victim.Mal.Weight.G}, {gb, victim.Mal.Bias.G}} {
+		got, want := pair[0].Data(), pair[1].Data()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("malicious gradient [%d] = %v, full chain gives %v", i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -166,8 +166,8 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 		grads = net.Gradients()
 	}
 	// The decoded model is round-local: its parameters were cloned out of the
-	// spec and the upload gradients cloned out of it, so its buffers can feed
-	// the next cohort member instead of the collector.
+	// spec into arena buffers and the upload gradients cloned out of it, so
+	// its buffers go back to the arena for the next cohort member's decode.
 	for _, p := range net.Params() {
 		p.W.Release()
 		p.G.Release()

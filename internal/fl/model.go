@@ -152,6 +152,13 @@ func encodeLayer(l nn.Layer) (LayerSpec, error) {
 }
 
 // DecodeModel reconstructs a runnable network from its wire description.
+//
+// Fully-connected parameters and their gradients are drawn from the tensor
+// arena (nn.NewLinearFrom), so a decoded model is cheap to build once per
+// client round. A caller that owns the model for exactly one round, as
+// LocalClient does, releases every parameter's W and G when it is done, and
+// the next client's decode reuses those buffers; any other caller may just
+// drop the model for the collector.
 func DecodeModel(spec ModelSpec) (*nn.Sequential, error) {
 	layers, err := decodeLayers(spec.Layers)
 	if err != nil {

@@ -74,10 +74,31 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	b, h, w := c.lastInDims[0], c.lastInDims[2], c.lastInDims[3]
+	gRows := c.paramGrads(gradOut)
+	// ∂L/∂cols = gRows · Wmat → scatter back with Col2Im.
+	wmat := c.Weight.W.MustReshape(c.OutC, c.InC*c.K*c.K)
+	gCols := tensor.MatMul(gRows, wmat)
+	gRows.Release()
+	dx := tensor.Col2Im(gCols, b, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
+	gCols.Release()
+	return dx
+}
+
+// backwardParams is Backward without the input gradient, which skips the
+// MatMul and Col2Im that produce it.
+func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) {
+	c.paramGrads(gradOut).Release()
+}
+
+// paramGrads accumulates the weight and bias gradients, releases the im2col
+// workspace, and returns gradOut rearranged to [B·OH·OW, outC] rows for the
+// input-gradient product. The rows are pooled; the caller releases them.
+func (c *Conv2D) paramGrads(gradOut *tensor.Tensor) *tensor.Tensor {
 	if c.lastCols == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train)", c.name))
 	}
-	b, h, w := c.lastInDims[0], c.lastInDims[2], c.lastInDims[3]
+	b := c.lastInDims[0]
 	oh, ow := c.lastOut[0], c.lastOut[1]
 	if gradOut.Dims() != 4 || gradOut.Dim(0) != b || gradOut.Dim(1) != c.OutC || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
 		panic(fmt.Sprintf("nn: %s Backward shape %v, want [%d,%d,%d,%d]", c.name, gradOut.Shape(), b, c.OutC, oh, ow))
@@ -99,6 +120,8 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gw := tensor.MatMulTransA(gRows, c.lastCols)
 	c.Weight.G.AddInPlace(gw.MustReshape(c.OutC, c.InC, c.K, c.K))
 	gw.Release()
+	c.lastCols.Release()
+	c.lastCols = nil
 	// ∂L/∂b = column sums of gRows
 	gb := c.Bias.G.Data()
 	for r := 0; r < gRows.Dim(0); r++ {
@@ -107,15 +130,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			gb[oc] += row[oc]
 		}
 	}
-	// ∂L/∂cols = gRows · Wmat → scatter back with Col2Im.
-	wmat := c.Weight.W.MustReshape(c.OutC, c.InC*c.K*c.K)
-	gCols := tensor.MatMul(gRows, wmat)
-	gRows.Release()
-	dx := tensor.Col2Im(gCols, b, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
-	gCols.Release()
-	c.lastCols.Release()
-	c.lastCols = nil
-	return dx
+	return gRows
 }
 
 // Params returns weight and bias.

@@ -38,7 +38,10 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 }
 
 // NewLinearFrom constructs a fully-connected layer with explicit weights and
-// biases; used by the attacks to plant malicious parameters.
+// biases; used by the attacks to plant malicious parameters and by model
+// decoding. The parameter copies and gradients come from the tensor arena: an
+// owner done with the layer may Release them, and one that never does leaves
+// them to the collector.
 func NewLinearFrom(name string, w *tensor.Tensor, b *tensor.Tensor) (*Linear, error) {
 	if w.Dims() != 2 {
 		return nil, fmt.Errorf("nn: linear weight must be 2-D, got %v", w.Shape())
@@ -49,8 +52,8 @@ func NewLinearFrom(name string, w *tensor.Tensor, b *tensor.Tensor) (*Linear, er
 	}
 	return &Linear{
 		In: in, Out: out,
-		Weight: &Param{Name: name + ".weight", W: w.Clone(), G: tensor.New(out, in)},
-		Bias:   &Param{Name: name + ".bias", W: b.Clone(), G: tensor.New(out)},
+		Weight: &Param{Name: name + ".weight", W: w.ClonePooled(), G: tensor.NewPooled(out, in)},
+		Bias:   &Param{Name: name + ".bias", W: b.ClonePooled(), G: tensor.NewPooled(out)},
 		name:   name,
 	}, nil
 }
@@ -80,6 +83,13 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates ∂L/∂W = gᵀ·x and ∂L/∂b = Σ_B g, returning ∂L/∂x = g·W.
 func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(gradOut)
+	return tensor.MatMul(gradOut, l.Weight.W) // [B,in]
+}
+
+// backwardParams is Backward without the input gradient: it accumulates
+// ∂L/∂W and ∂L/∂b and releases the cached activation.
+func (l *Linear) backwardParams(gradOut *tensor.Tensor) {
 	if l.lastX == nil {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward(train)", l.name))
 	}
@@ -96,7 +106,6 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			gb[j] += row[j]
 		}
 	}
-	return tensor.MatMul(gradOut, l.Weight.W) // [B,in]
 }
 
 // Params returns weight and bias.

@@ -11,6 +11,14 @@
 // Layers are stateful: Forward caches the activations Backward needs, so a
 // single layer instance must not be shared across concurrent passes. Networks
 // are cheap to clone for parallel workers via Sequential.Clone.
+//
+// Training backprop never computes the gradient with respect to the network
+// input: nothing that trains a network reads it, and for the wide first layer
+// the attacks plant it is the largest product in the backward pass.
+// Sequential.Backward therefore runs only the parameter half of the first
+// layer's backward pass when that layer is a Linear or Conv2D. CheckGradients,
+// which does check the input gradient, walks the per-layer Backward chain
+// itself.
 package nn
 
 import (
@@ -70,13 +78,28 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward propagates gradOut through all layers in reverse and returns the
-// gradient with respect to the network input.
-func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+// paramBackwarder is a layer whose Backward is backwardParams followed by
+// the input-gradient product.
+type paramBackwarder interface {
+	backwardParams(gradOut *tensor.Tensor)
+}
+
+// Backward propagates gradOut through all layers in reverse, accumulating
+// every parameter gradient. The gradient with respect to the network input is
+// never needed for training, so it is not computed: a first layer with a
+// parameter-only backward (Linear, Conv2D) runs just that half.
+func (s *Sequential) Backward(gradOut *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
-	return gradOut
+	if first, ok := s.Layers[0].(paramBackwarder); ok {
+		first.backwardParams(gradOut)
+		return
+	}
+	s.Layers[0].Backward(gradOut)
 }
 
 // Params returns all learnable parameters in layer order.

@@ -84,7 +84,10 @@
 //	SampleIndices → Lease(round, indices) → train/observe → aggregate → Release
 //
 // Lease materializes the cohort in index order; Release runs after the
-// server step. Instantiated clients stay resident across rounds — their
+// server step and records the cohort in ascending index order, and the
+// round's report is collected from that cohort alone, since no other client
+// has an outcome for the round. Instantiated clients stay resident across
+// rounds — their
 // training rng and stateful defense pipelines (e.g. dpsgd) must continue,
 // and residency is bounded by rounds × cohort, not population — while the
 // heavy per-round buffers recycle through the internal/tensor pool: decoded

@@ -200,7 +200,9 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	}
 	server.AfterRound = func(round int, stats fl.RoundStats) {
 		recordHeapPeak()
-		rr := collectRound(round, stats, vp.residents(), sc.DeadlineMS)
+		// Only the round's cohort has an outcome for it, so collecting just
+		// the released cohort is exact and O(cohort), not O(residents).
+		rr := collectRound(round, stats, vp.cohort, sc.DeadlineMS)
 		rr.AttackActive = sc.Attack.Active(round)
 		if round == sc.Rounds-1 || (sc.EvalEvery > 0 && (round+1)%sc.EvalEvery == 0) {
 			rr.Evaluated = true
@@ -315,18 +317,18 @@ func (s *scheduledAttack) Observe(round int, u fl.Update) {
 }
 
 // collectRound assembles one RoundReport from the server stats and the
-// population's per-round outcome records (iterated in client-index order,
-// so the result is scheduling-independent).
-func collectRound(round int, stats fl.RoundStats, population []*simClient, deadlineMS float64) RoundReport {
+// round cohort's outcome records (iterated in client-index order, so the
+// result is scheduling-independent).
+func collectRound(round int, stats fl.RoundStats, cohort []*simClient, deadlineMS float64) RoundReport {
 	rr := RoundReport{
 		Round:    round,
 		MeanLoss: stats.MeanLoss,
 		GradNorm: stats.GradNorm,
 	}
-	for _, c := range population {
+	for _, c := range cohort {
 		o, ok := c.outcomes[round]
 		if !ok {
-			continue // not selected this round
+			continue // canceled before HandleRound ran (see below)
 		}
 		rr.Selected++
 		switch {

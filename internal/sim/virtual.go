@@ -95,6 +95,9 @@ type virtualPopulation struct {
 	// resident holds every client instantiated so far, keyed by index. All
 	// access is on the server goroutine (Lease/Release run there).
 	resident map[int]*simClient
+	// cohort is the last released round's cohort in ascending index order:
+	// the only clients with an outcome for that round.
+	cohort []*simClient
 }
 
 var _ fl.VirtualRoster = (*virtualPopulation)(nil)
@@ -151,9 +154,16 @@ func (vp *virtualPopulation) Lease(round int, indices []int) ([]fl.Client, error
 
 // Release ends the cohort's round. Clients stay resident — their training
 // rng and defense pipelines must resume where they stopped if resampled —
-// so this only returns when the lease bookkeeping is done; the round's heavy
-// buffers were already recycled by the client and server release paths.
-func (vp *virtualPopulation) Release(int, []fl.Client) {}
+// and the round's heavy buffers were already recycled by the client and
+// server release paths. What remains is recording the cohort, in ascending
+// index order, for the engine's round collection.
+func (vp *virtualPopulation) Release(_ int, cohort []fl.Client) {
+	vp.cohort = vp.cohort[:0]
+	for _, c := range cohort {
+		vp.cohort = append(vp.cohort, c.(*simClient))
+	}
+	sort.Slice(vp.cohort, func(a, b int) bool { return vp.cohort[a].index < vp.cohort[b].index })
+}
 
 // instantiate builds the real simClient for one descriptor, drawing from the
 // same keyed streams in the same way the eager population loop did, so a
@@ -189,14 +199,16 @@ func (vp *virtualPopulation) instantiate(d virtualClient) (*simClient, error) {
 		deadlineMS:   sc.DeadlineMS,
 		realTime:     sc.RealTime,
 		attackActive: vp.attackActive,
-		outcomes:     make(map[int]*roundOutcome, sc.Rounds),
+		// No size hint: a cross-device client is sampled about once, so a
+		// map sized for every round would dominate its retained bytes.
+		outcomes: make(map[int]*roundOutcome),
 	}, nil
 }
 
 // residents returns every instantiated client in ascending index order — the
-// iteration order the eager engine's population slice gave collectRound and
-// scoreAttack. Clients never sampled have no outcomes and would contribute
-// nothing, so iterating residents only is an exact optimization.
+// iteration order the eager engine's population slice gave scoreAttack.
+// Clients never sampled have no outcomes and would contribute nothing, so
+// iterating residents only is an exact optimization.
 func (vp *virtualPopulation) residents() []*simClient {
 	out := make([]*simClient, 0, len(vp.resident))
 	for _, c := range vp.resident {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/data"
@@ -90,6 +91,11 @@ func TestVirtualLeaseSemantics(t *testing.T) {
 		}
 	}
 	vp.Release(0, first)
+	// Release records the cohort in ascending index order for round
+	// collection.
+	if len(vp.cohort) != 3 || vp.cohort[0].index != 7 || vp.cohort[1].index != 42 || vp.cohort[2].index != 999 {
+		t.Errorf("released cohort not recorded in index order")
+	}
 
 	second, err := vp.Lease(1, []int{7, 13})
 	if err != nil {
@@ -137,5 +143,48 @@ func TestCostModelWorkers(t *testing.T) {
 	huge := costModelWorkers(1024, 50_000_000)
 	if huge > small {
 		t.Errorf("cap grew with model size: %d → %d", small, huge)
+	}
+}
+
+// residentBytesPerClient leases 256 clients of a scenario with the given round
+// count and returns the live heap they retain per client.
+func residentBytesPerClient(t *testing.T, rounds int) float64 {
+	t.Helper()
+	sc := scaleScenario()
+	sc.Clients, sc.Dataset.Samples, sc.Rounds = 1000, 3000, rounds
+	d := sc.Dataset
+	ds := data.NewSynthCustom("resident", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
+	parts, err := data.PartitionLazy(data.IID{}, ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := newVirtualPopulation(sc, ds, parts)
+	indices := make([]int, 256)
+	for i := range indices {
+		indices[i] = 3 * i
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := vp.Lease(0, indices); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(vp)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(indices))
+}
+
+// TestResidentClientBytesIndependentOfRounds pins that an instantiated
+// client's retained state does not scale with the scenario's round count. A
+// cross-device client is sampled about once, so state sized for every round
+// made the resident heap grow superlinearly with run length.
+func TestResidentClientBytesIndependentOfRounds(t *testing.T) {
+	short := residentBytesPerClient(t, 2)
+	long := residentBytesPerClient(t, 4096)
+	t.Logf("retained bytes per resident client: %.0f at 2 rounds, %.0f at 4096", short, long)
+	if long > 1.25*short+512 {
+		t.Errorf("a resident client retains %.0f B at 4096 rounds vs %.0f B at 2: per-client state grows with Rounds", long, short)
 	}
 }

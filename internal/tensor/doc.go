@@ -57,7 +57,8 @@
 //
 // pool.go maintains size-bucketed sync.Pools of float64 slices (capacity
 // 2^b, smallest pooled class 8 KiB). NewPooled draws a zeroed tensor from
-// the arena; Release hands the backing array back and clears the tensor so
+// the arena, ClonePooled an unzeroed one that its copy overwrites in full;
+// Release hands the backing array back and clears the tensor so
 // stale use panics instead of aliasing recycled memory. Kernel outputs and
 // the conv lowering workspaces are arena-backed: a Conv2D's im2col matrix
 // lives from Forward(train) to the end of the matching Backward, gradient

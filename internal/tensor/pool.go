@@ -16,7 +16,8 @@ import (
 //
 // Buckets hold slices with capacity 2^b ≤ cap < 2^(b+1); a Get reslices a
 // recycled array to the requested length and zeroes it, so a pooled tensor is
-// indistinguishable from a New one.
+// indistinguishable from a New one. Clones skip the zero fill, since the copy
+// overwrites every element anyway.
 
 // minPoolBucket is the smallest pooled capacity class (2^10 floats = 8 KiB);
 // smaller buffers are cheaper to allocate than to pool.
@@ -38,22 +39,29 @@ var (
 // getBuf returns a zeroed []float64 of length n, reusing a pooled array when
 // one is available.
 func getBuf(n int) []float64 {
+	s, recycled := getRawBuf(n)
+	if recycled {
+		clear(s)
+	}
+	return s
+}
+
+// getRawBuf is getBuf without the zero fill: a recycled array keeps its stale
+// contents, so the caller must overwrite all n elements. recycled reports
+// whether the array came from the arena (a freshly allocated one is zero).
+func getRawBuf(n int) (s []float64, recycled bool) {
 	if n == 0 {
-		return nil
+		return nil, false
 	}
 	b := bits.Len(uint(n - 1)) // bucket whose arrays have cap ≥ n
 	if b >= minPoolBucket {
 		if v := bufPools[b].Get(); v != nil {
 			obsPoolHit.Inc()
-			s := v.([]float64)[:n]
-			for i := range s {
-				s[i] = 0
-			}
-			return s
+			return v.([]float64)[:n], true
 		}
 		obsPoolMiss.Inc()
 	}
-	return make([]float64, n, 1<<b)
+	return make([]float64, n, 1<<b), false
 }
 
 // putBuf recycles a buffer into its size bucket. The caller must not retain
@@ -82,9 +90,9 @@ func NewPooled(shape ...int) *Tensor {
 // controls (upload payloads, per-round snapshots) so they can be handed back
 // with Release instead of feeding the collector.
 func (t *Tensor) ClonePooled() *Tensor {
-	c := &Tensor{shape: append([]int(nil), t.shape...), data: getBuf(len(t.data))}
-	copy(c.data, t.data)
-	return c
+	data, _ := getRawBuf(len(t.data))
+	copy(data, t.data)
+	return &Tensor{shape: append([]int(nil), t.shape...), data: data}
 }
 
 // Release returns t's backing array to the workspace arena and clears t so
