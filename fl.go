@@ -29,7 +29,8 @@ type (
 	FLHistory = fl.History
 	// FLUpdate is a client's uploaded gradient payload.
 	FLUpdate = fl.Update
-	// FLRoster abstracts how the server reaches its clients.
+	// FLRoster is the population the server samples client indices from
+	// and leases each round's cohort from.
 	FLRoster = fl.Roster
 	// FLAggregator folds one round's client updates into the applied
 	// gradient (streaming Add/Finalize; see fl.Aggregator for the
@@ -249,13 +250,13 @@ func ShardDataset(ds Dataset, n int, rng *rand.Rand) ([]Dataset, error) {
 // partitioning policy — data.IID, data.Dirichlet{Alpha} label skew,
 // data.Quantity{Sigma} size skew, or anything NewPartitioner resolves.
 func PartitionDataset(ds Dataset, n int, p Partitioner, rng *rand.Rand) ([]Dataset, error) {
-	parts, err := p.Partition(ds, n, rng)
+	parts, err := p.PartitionLazy(ds, n, rng)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Dataset, len(parts))
-	for i, idx := range parts {
-		out[i] = data.NewSubset(ds, idx, fmt.Sprintf("%s-shard-%d", ds.Name(), i))
+	out := make([]Dataset, n)
+	for i := range out {
+		out[i] = data.NewSubset(ds, parts.Shard(i), fmt.Sprintf("%s-shard-%d", ds.Name(), i))
 	}
 	return out, nil
 }

@@ -2,9 +2,12 @@ package data
 
 import (
 	"fmt"
+	"math"
+	mrand "math/rand"
 	rand "math/rand/v2"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // lazyCases crosses every built-in policy with ragged population sizes,
@@ -26,8 +29,8 @@ var lazyCases = []struct {
 
 // TestLazyShardMatchesEager is the differential proof behind the
 // lazy-materialization engine: for every policy and every shard k,
-// Shard(k) must equal the eager Partition(...)[k] element for element,
-// with ShardLen and Stats agreeing — including populations where the
+// Shard(k) must equal the eager oracle's shard k element for element, with
+// ShardLen and Stats agreeing — including populations where the
 // empty-shard rebalance rewrites donor shards.
 func TestLazyShardMatchesEager(t *testing.T) {
 	for _, tc := range lazyCases {
@@ -38,34 +41,26 @@ func TestLazyShardMatchesEager(t *testing.T) {
 					t.Fatal(err)
 				}
 				ds := NewSynthCustom("lazy-diff", 10, 1, 4, 4, tc.samples, 7)
-				eager, err := p.Partition(ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
+				eager, err := eagerPartition(p, ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				lazy, err := PartitionLazy(p, ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
+				lazy, err := p.PartitionLazy(ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if lazy.Name() != p.Name() || lazy.Shards() != n {
 					t.Fatalf("lazy identity = (%q, %d), want (%q, %d)", lazy.Name(), lazy.Shards(), p.Name(), n)
 				}
-				rebalanced := false
-				eMin, eMax, eTotal := tc.samples, 0, 0
-				for k := range eager {
-					if got := lazy.Shard(k); !reflect.DeepEqual(got, eager[k]) {
-						t.Fatalf("shard %d diverged:\n lazy: %v\neager: %v", k, got, eager[k])
-					}
-					if got := lazy.ShardLen(k); got != len(eager[k]) {
-						t.Fatalf("ShardLen(%d) = %d, want %d", k, got, len(eager[k]))
-					}
-					if len(eager[k]) == 1 {
-						rebalanced = true // possible donation target; not conclusive alone
-					}
-					eMin = min(eMin, len(eager[k]))
-					eMax = max(eMax, len(eager[k]))
-					eTotal += len(eager[k])
+				if err := matchEager(lazy, eager); err != nil {
+					t.Fatal(err)
 				}
-				_ = rebalanced
+				eMin, eMax, eTotal := tc.samples, 0, 0
+				for _, shard := range eager {
+					eMin = min(eMin, len(shard))
+					eMax = max(eMax, len(shard))
+					eTotal += len(shard)
+				}
 				gotMin, gotMax, gotMean := lazy.Stats()
 				if gotMin != eMin || gotMax != eMax || gotMean != float64(eTotal)/float64(n) {
 					t.Fatalf("Stats() = (%d, %d, %g), want (%d, %d, %g)",
@@ -73,6 +68,82 @@ func TestLazyShardMatchesEager(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// matchEager reports the first shard where lazy's Shard or ShardLen differs
+// from the eager oracle's result.
+func matchEager(lazy *LazyPartition, eager [][]int) error {
+	if lazy.Shards() != len(eager) {
+		return fmt.Errorf("lazy has %d shards, eager %d", lazy.Shards(), len(eager))
+	}
+	for k := range eager {
+		if got := lazy.Shard(k); !reflect.DeepEqual(got, eager[k]) {
+			return fmt.Errorf("shard %d diverged:\n lazy: %v\neager: %v", k, got, eager[k])
+		}
+		if got := lazy.ShardLen(k); got != len(eager[k]) {
+			return fmt.Errorf("ShardLen(%d) = %d, want %d", k, got, len(eager[k]))
+		}
+	}
+	return nil
+}
+
+// partitionCase is one generated input of the partition property: a dataset
+// shape, a population size, and a policy with its parameter.
+type partitionCase struct {
+	samples, classes, n int
+	p                   Partitioner
+	seed                uint64
+}
+
+// genPartitionCase draws a case from r: up to 120 samples over 1–10
+// classes, any population size the dataset admits, and parameters spanning
+// heavy skew (tiny alpha, large sigma) to near-IID.
+func genPartitionCase(r *rand.Rand) partitionCase {
+	c := partitionCase{samples: 1 + r.IntN(120), classes: 1 + r.IntN(10), seed: r.Uint64()}
+	c.n = 1 + r.IntN(c.samples)
+	switch r.IntN(3) {
+	case 0:
+		c.p = IID{}
+	case 1:
+		c.p = Dirichlet{Alpha: math.Exp(r.Float64()*12 - 7)} // ≈ 0.001 … 150
+	default:
+		c.p = Quantity{Sigma: r.Float64() * 4}
+	}
+	return c
+}
+
+// TestLazyPartitionProperty checks, over generated (samples, n, policy,
+// parameter, seed), that every Shard(k) equals the eager oracle element for
+// element and that the shards are non-empty, disjoint and cover every
+// sample.
+func TestLazyPartitionProperty(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 400, Rand: mrand.New(mrand.NewSource(20240601))}
+	err := quick.Check(func(seed uint64) bool {
+		c := genPartitionCase(rand.New(rand.NewPCG(seed, 0x9e3779b9)))
+		ds := NewSynthCustom("lazy-prop", c.classes, 1, 4, 4, c.samples, c.seed)
+		lazy, err := c.p.PartitionLazy(ds, c.n, rand.New(rand.NewPCG(c.seed, 1)))
+		if err != nil {
+			t.Logf("%+v: %v", c, err)
+			return false
+		}
+		eager, err := eagerPartition(c.p, ds, c.n, rand.New(rand.NewPCG(c.seed, 1)))
+		if err != nil {
+			t.Logf("%+v: eager: %v", c, err)
+			return false
+		}
+		if err := matchEager(lazy, eager); err != nil {
+			t.Logf("%+v: %v", c, err)
+			return false
+		}
+		if err := coverError(ds, eager, c.n); err != nil {
+			t.Logf("%+v: %v", c, err)
+			return false
+		}
+		return true
+	}, cfg)
+	if err != nil {
+		t.Error(err)
 	}
 }
 
@@ -88,7 +159,7 @@ func TestLazyRebalanceActuallyExercised(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds := NewSynthCustom("lazy-diff", 10, 1, 4, 4, tc.samples, 7)
-			lazy, err := PartitionLazy(p, ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
+			lazy, err := p.PartitionLazy(ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,34 +173,6 @@ func TestLazyRebalanceActuallyExercised(t *testing.T) {
 	}
 }
 
-// eagerOnly hides the LazyPartitioner refinement so the fallback path of the
-// package-level PartitionLazy is reachable.
-type eagerOnly struct{ IID }
-
-func (e eagerOnly) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
-	return e.IID.Partition(ds, n, rng)
-}
-
-// TestLazyFallbackMaterializesEagerly pins the compatibility path: a
-// partitioner without PartitionLazy is materialized eagerly and wrapped,
-// with identical shards.
-func TestLazyFallbackMaterializesEagerly(t *testing.T) {
-	ds := NewSynthCustom("lazy-fallback", 10, 1, 4, 4, 23, 7)
-	eager, err := eagerOnly{}.Partition(ds, 5, rand.New(rand.NewPCG(3, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := PartitionLazy(eagerOnly{}, ds, 5, rand.New(rand.NewPCG(3, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range eager {
-		if got := lazy.Shard(k); !reflect.DeepEqual(got, eager[k]) {
-			t.Fatalf("fallback shard %d = %v, want %v", k, got, eager[k])
-		}
-	}
-}
-
 // TestIIDShardPrefixStability pins the keyed-stream property the virtual
 // engine's determinism rests on: the permutation underlying IID depends only
 // on (dataset, seed), never on the client count, so growing the population
@@ -138,7 +181,7 @@ func TestLazyFallbackMaterializesEagerly(t *testing.T) {
 func TestIIDShardPrefixStability(t *testing.T) {
 	ds := NewSynthCustom("lazy-prefix", 10, 1, 4, 4, 60, 7)
 	flatten := func(n int) []int {
-		lazy, err := PartitionLazy(IID{}, ds, n, rand.New(rand.NewPCG(11, 0x5c3a)))
+		lazy, err := IID{}.PartitionLazy(ds, n, rand.New(rand.NewPCG(11, 0x5c3a)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,22 +199,34 @@ func TestIIDShardPrefixStability(t *testing.T) {
 	}
 }
 
-// TestLazyPartitionErrors mirrors the eager validation: bad arguments fail
-// identically through the lazy entry point.
+// TestLazyPartitionErrors: bad arguments and degenerate parameters fail
+// instead of producing empty or mislabelled populations.
 func TestLazyPartitionErrors(t *testing.T) {
 	ds := NewSynthCustom("lazy-err", 10, 1, 4, 4, 5, 7)
 	rng := func() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
-	if _, err := PartitionLazy(IID{}, ds, 0, rng()); err == nil {
-		t.Error("n=0 should fail")
+	for _, tc := range []struct {
+		name string
+		p    Partitioner
+		n    int
+	}{
+		{"n=0", IID{}, 0},
+		{"n > len", IID{}, 6},
+		{"negative alpha", Dirichlet{Alpha: -1}, 2},
+		{"NaN alpha", Dirichlet{Alpha: math.NaN()}, 2},
+		{"infinite alpha", Dirichlet{Alpha: math.Inf(1)}, 2},
+		{"negative sigma", Quantity{Sigma: -1}, 2},
+		{"NaN sigma", Quantity{Sigma: math.NaN()}, 2},
+		{"infinite sigma", Quantity{Sigma: math.Inf(1)}, 2},
+		{"overflowing sigma", Quantity{Sigma: 1e308}, 2},
+	} {
+		if _, err := tc.p.PartitionLazy(ds, tc.n, rng()); err == nil {
+			t.Errorf("%s: %s over %d clients should fail", tc.name, tc.p.Name(), tc.n)
+		}
 	}
-	if _, err := PartitionLazy(IID{}, ds, 6, rng()); err == nil {
-		t.Error("n > len should fail")
-	}
-	if _, err := PartitionLazy(Dirichlet{Alpha: -1}, ds, 2, rng()); err == nil {
-		t.Error("negative alpha should fail")
-	}
-	if _, err := PartitionLazy(Quantity{Sigma: -1}, ds, 2, rng()); err == nil {
-		t.Error("negative sigma should fail")
+	for _, spec := range []string{"quantity:Inf", "dirichlet:NaN", "dirichlet:Inf", "quantity:NaN"} {
+		if _, err := NewPartitioner(spec); err == nil {
+			t.Errorf("NewPartitioner(%q) accepted a non-finite parameter", spec)
+		}
 	}
 }
 

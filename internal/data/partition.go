@@ -23,8 +23,10 @@ import (
 type Partitioner interface {
 	// Name labels the policy for logs and reports (e.g. "dirichlet:0.1").
 	Name() string
-	// Partition returns n index shards over ds.
-	Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error)
+	// PartitionLazy makes every keyed draw of the partition over ds up
+	// front and returns it in deferred form: client k's shard is
+	// materialized only when Shard(k) is called.
+	PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error)
 }
 
 // NewPartitioner resolves a partitioning policy from its textual spec:
@@ -57,19 +59,21 @@ func NewPartitioner(spec string) (Partitioner, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a <= 0 {
-			return nil, fmt.Errorf("data: dirichlet alpha must be > 0, got %g", a)
+		d := Dirichlet{Alpha: a}
+		if err := d.validate(); err != nil {
+			return nil, err
 		}
-		return Dirichlet{Alpha: a}, nil
+		return d, nil
 	case "quantity":
 		s, err := parse(0.5)
 		if err != nil {
 			return nil, err
 		}
-		if s < 0 {
-			return nil, fmt.Errorf("data: quantity sigma must be ≥ 0, got %g", s)
+		q := Quantity{Sigma: s}
+		if err := q.validate(); err != nil {
+			return nil, err
 		}
-		return Quantity{Sigma: s}, nil
+		return q, nil
 	default:
 		return nil, fmt.Errorf("data: unknown partitioner %q (want iid, dirichlet[:alpha], quantity[:sigma])", spec)
 	}
@@ -99,24 +103,28 @@ var _ Partitioner = IID{}
 // Name returns "iid".
 func (IID) Name() string { return "iid" }
 
-// Partition permutes the index space and slices it into near-equal shards.
-func (IID) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
+// PartitionLazy permutes the index space once and slices the permutation
+// into near-equal shards by offsets.
+func (IID) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
 	if err := checkPartitionArgs(ds, n); err != nil {
 		return nil, err
 	}
-	perm := rng.Perm(ds.Len())
+	pool := toInt32(rng.Perm(ds.Len()))
 	per, rem := ds.Len()/n, ds.Len()%n
-	out := make([][]int, n)
-	off := 0
-	for i := range out {
+	offsets := make([]int32, n+1)
+	lens := make([]int32, n)
+	for k := 0; k < n; k++ {
 		size := per
-		if i < rem {
+		if k < rem {
 			size++
 		}
-		out[i] = append([]int(nil), perm[off:off+size]...)
-		off += size
+		lens[k] = int32(size)
+		offsets[k+1] = offsets[k] + int32(size)
 	}
-	return out, nil
+	return &LazyPartition{
+		name: IID{}.Name(), n: n,
+		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
+	}, nil
 }
 
 // Dirichlet is the standard label-skew partitioner of the non-IID FL
@@ -133,30 +141,41 @@ var _ Partitioner = Dirichlet{}
 // Name returns "dirichlet:<alpha>".
 func (d Dirichlet) Name() string { return fmt.Sprintf("dirichlet:%g", d.Alpha) }
 
-// Partition splits each class's samples by Dirichlet-drawn proportions, then
-// rebalances so every client ends up with at least one sample.
-func (d Dirichlet) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
+// validate rejects an alpha that is not a finite positive number.
+func (d Dirichlet) validate() error {
+	if math.IsNaN(d.Alpha) || math.IsInf(d.Alpha, 0) || d.Alpha <= 0 {
+		return fmt.Errorf("data: dirichlet alpha must be finite and > 0, got %g", d.Alpha)
+	}
+	return nil
+}
+
+// PartitionLazy splits each class's shuffled samples by Dirichlet-drawn
+// proportions, keeping one pool and offset row per class, then rebalances
+// so every client ends up with at least one sample.
+func (d Dirichlet) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
 	if err := checkPartitionArgs(ds, n); err != nil {
 		return nil, err
 	}
-	if d.Alpha <= 0 {
-		return nil, fmt.Errorf("data: dirichlet alpha must be > 0, got %g", d.Alpha)
+	if err := d.validate(); err != nil {
+		return nil, err
 	}
 	byClass, order := classIndex(ds)
-	out := make([][]int, n)
+	lp := &LazyPartition{name: d.Name(), n: n, lens: make([]int32, n)}
 	for _, y := range order {
 		idx := byClass[y]
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		props := dirichletDraw(rng, d.Alpha, n)
 		counts := apportion(props, len(idx))
-		off := 0
+		offsets := make([]int32, n+1)
 		for c, k := range counts {
-			out[c] = append(out[c], idx[off:off+k]...)
-			off += k
+			offsets[c+1] = offsets[c] + int32(k)
+			lp.lens[c] += int32(k)
 		}
+		lp.pools = append(lp.pools, toInt32(idx))
+		lp.offsets = append(lp.offsets, offsets)
 	}
-	rebalanceEmpty(out)
-	return out, nil
+	lp.rebalance()
+	return lp, nil
 }
 
 // Quantity is the size-skew partitioner: shard sizes are proportional to
@@ -171,14 +190,24 @@ var _ Partitioner = Quantity{}
 // Name returns "quantity:<sigma>".
 func (q Quantity) Name() string { return fmt.Sprintf("quantity:%g", q.Sigma) }
 
-// Partition draws per-client log-normal weights, apportions the index space
-// by them, and slices a random permutation accordingly.
-func (q Quantity) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
+// validate rejects a sigma that is not a finite non-negative number.
+func (q Quantity) validate() error {
+	if math.IsNaN(q.Sigma) || math.IsInf(q.Sigma, 0) || q.Sigma < 0 {
+		return fmt.Errorf("data: quantity sigma must be finite and ≥ 0, got %g", q.Sigma)
+	}
+	return nil
+}
+
+// PartitionLazy draws per-client log-normal weights, apportions the index
+// space by them, and slices a random permutation accordingly. A sigma large
+// enough for the weights to overflow (or all underflow) is an error: their
+// proportions would be undefined.
+func (q Quantity) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
 	if err := checkPartitionArgs(ds, n); err != nil {
 		return nil, err
 	}
-	if q.Sigma < 0 {
-		return nil, fmt.Errorf("data: quantity sigma must be ≥ 0, got %g", q.Sigma)
+	if err := q.validate(); err != nil {
+		return nil, err
 	}
 	weights := make([]float64, n)
 	total := 0.0
@@ -186,20 +215,27 @@ func (q Quantity) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) 
 		weights[i] = math.Exp(rng.NormFloat64() * q.Sigma)
 		total += weights[i]
 	}
+	if math.IsInf(total, 0) || total == 0 {
+		return nil, fmt.Errorf("data: quantity sigma %g: log-normal weight total %g is out of float64 range", q.Sigma, total)
+	}
 	props := make([]float64, n)
 	for i, w := range weights {
 		props[i] = w / total
 	}
 	counts := apportion(props, ds.Len())
-	perm := rng.Perm(ds.Len())
-	out := make([][]int, n)
-	off := 0
-	for i, k := range counts {
-		out[i] = append([]int(nil), perm[off:off+k]...)
-		off += k
+	pool := toInt32(rng.Perm(ds.Len()))
+	offsets := make([]int32, n+1)
+	lens := make([]int32, n)
+	for k, c := range counts {
+		lens[k] = int32(c)
+		offsets[k+1] = offsets[k] + int32(c)
 	}
-	rebalanceEmpty(out)
-	return out, nil
+	lp := &LazyPartition{
+		name: q.Name(), n: n,
+		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
+	}
+	lp.rebalance()
+	return lp, nil
 }
 
 // dirichletDraw samples a probability vector from Dirichlet(alpha·1ₙ) via
@@ -273,27 +309,4 @@ func apportion(props []float64, total int) []int {
 		counts[fracs[k%len(fracs)].i]++
 	}
 	return counts
-}
-
-// rebalanceEmpty moves one sample from the currently largest shard into each
-// empty shard, so every client can train. Deterministic: the donor is the
-// lowest-indexed largest shard, and the moved sample is its last element.
-func rebalanceEmpty(parts [][]int) {
-	for i := range parts {
-		if len(parts[i]) > 0 {
-			continue
-		}
-		donor, best := -1, 1
-		for j := range parts {
-			if len(parts[j]) > best {
-				donor, best = j, len(parts[j])
-			}
-		}
-		if donor < 0 {
-			continue // nothing to donate; caller guaranteed len ≥ n, unreachable
-		}
-		last := len(parts[donor]) - 1
-		parts[i] = append(parts[i], parts[donor][last])
-		parts[donor] = parts[donor][:last]
-	}
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	rand "math/rand/v2"
 	"reflect"
@@ -11,38 +12,62 @@ func partitionTestDataset() Dataset {
 	return NewSynthCustom("part", 10, 1, 8, 8, 400, 7)
 }
 
+// partitionShards partitions ds under p and materializes every shard.
+func partitionShards(p Partitioner, ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
+	lp, err := p.PartitionLazy(ds, n, rng)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int, lp.Shards())
+	for k := range out {
+		out[k] = lp.Shard(k)
+	}
+	return out, nil
+}
+
 // checkCover asserts the shards are non-empty, disjoint, and cover every
 // index exactly once.
 func checkCover(t *testing.T, ds Dataset, parts [][]int, n int) {
 	t.Helper()
-	if len(parts) != n {
-		t.Fatalf("got %d shards, want %d", len(parts), n)
+	if err := coverError(ds, parts, n); err != nil {
+		t.Fatal(err)
 	}
-	seen := make(map[int]bool, ds.Len())
+}
+
+// coverError reports the first way parts fails to be n non-empty, disjoint
+// shards covering every index of ds exactly once.
+func coverError(ds Dataset, parts [][]int, n int) error {
+	if len(parts) != n {
+		return fmt.Errorf("got %d shards, want %d", len(parts), n)
+	}
+	seen := make([]bool, ds.Len())
+	covered := 0
 	for i, p := range parts {
 		if len(p) == 0 {
-			t.Fatalf("shard %d is empty", i)
+			return fmt.Errorf("shard %d is empty", i)
 		}
 		for _, idx := range p {
 			if idx < 0 || idx >= ds.Len() {
-				t.Fatalf("shard %d holds out-of-range index %d", i, idx)
+				return fmt.Errorf("shard %d holds out-of-range index %d", i, idx)
 			}
 			if seen[idx] {
-				t.Fatalf("index %d assigned twice", idx)
+				return fmt.Errorf("index %d assigned twice", idx)
 			}
 			seen[idx] = true
+			covered++
 		}
 	}
-	if len(seen) != ds.Len() {
-		t.Fatalf("%d of %d indices covered", len(seen), ds.Len())
+	if covered != ds.Len() {
+		return fmt.Errorf("%d of %d indices covered", covered, ds.Len())
 	}
+	return nil
 }
 
 func TestPartitionersDisjointCoverage(t *testing.T) {
 	ds := partitionTestDataset()
 	for _, p := range []Partitioner{IID{}, Dirichlet{Alpha: 0.1}, Dirichlet{Alpha: 100}, Quantity{Sigma: 1}} {
 		for _, n := range []int{1, 3, 17, 64} {
-			parts, err := p.Partition(ds, n, rand.New(rand.NewPCG(1, 2)))
+			parts, err := partitionShards(p, ds, n, rand.New(rand.NewPCG(1, 2)))
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", p.Name(), n, err)
 			}
@@ -58,18 +83,18 @@ func TestPartitionerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := p.Partition(ds, 12, rand.New(rand.NewPCG(5, 6)))
+		a, err := partitionShards(p, ds, 12, rand.New(rand.NewPCG(5, 6)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.Partition(ds, 12, rand.New(rand.NewPCG(5, 6)))
+		b, err := partitionShards(p, ds, 12, rand.New(rand.NewPCG(5, 6)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed produced different partitions", spec)
 		}
-		c, err := p.Partition(ds, 12, rand.New(rand.NewPCG(5, 7)))
+		c, err := partitionShards(p, ds, 12, rand.New(rand.NewPCG(5, 7)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +129,7 @@ func maxClassShare(ds Dataset, parts [][]int) float64 {
 func TestDirichletSkewScalesWithAlpha(t *testing.T) {
 	ds := partitionTestDataset()
 	share := func(alpha float64) float64 {
-		parts, err := Dirichlet{Alpha: alpha}.Partition(ds, 10, rand.New(rand.NewPCG(3, 4)))
+		parts, err := partitionShards(Dirichlet{Alpha: alpha}, ds, 10, rand.New(rand.NewPCG(3, 4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +152,7 @@ func TestDirichletSkewScalesWithAlpha(t *testing.T) {
 func TestQuantitySkewScalesWithSigma(t *testing.T) {
 	ds := partitionTestDataset()
 	spread := func(sigma float64) float64 {
-		parts, err := Quantity{Sigma: sigma}.Partition(ds, 10, rand.New(rand.NewPCG(8, 9)))
+		parts, err := partitionShards(Quantity{Sigma: sigma}, ds, 10, rand.New(rand.NewPCG(8, 9)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,10 +175,10 @@ func TestPartitionErrors(t *testing.T) {
 	ds := NewSynthCustom("tiny", 2, 1, 4, 4, 5, 1)
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, p := range []Partitioner{IID{}, Dirichlet{Alpha: 1}, Quantity{Sigma: 1}} {
-		if _, err := p.Partition(ds, 6, rng); err == nil {
+		if _, err := partitionShards(p, ds, 6, rng); err == nil {
 			t.Errorf("%s: expected error for more clients than samples", p.Name())
 		}
-		if _, err := p.Partition(ds, 0, rng); err == nil {
+		if _, err := partitionShards(p, ds, 0, rng); err == nil {
 			t.Errorf("%s: expected error for zero clients", p.Name())
 		}
 	}
@@ -174,7 +199,8 @@ func TestNewPartitionerSpecs(t *testing.T) {
 			t.Errorf("%s: Name() = %s, want %s", spec, p.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "zipf", "dirichlet:x", "dirichlet:-1", "quantity:-2", "iid:3"} {
+	for _, bad := range []string{"", "zipf", "dirichlet:x", "dirichlet:-1", "quantity:-2", "iid:3",
+		"dirichlet:NaN", "dirichlet:Inf", "quantity:NaN", "quantity:Inf", "quantity:-Inf"} {
 		if _, err := NewPartitioner(bad); err == nil {
 			t.Errorf("NewPartitioner(%q): expected error", bad)
 		}

@@ -194,8 +194,9 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestMemoryRosterConcurrentAccess hammers Add and Clients from many
-// goroutines (the TCP accept loop registers mid-round in real deployments).
+// TestMemoryRosterConcurrentAccess hammers Add, NumClients and Lease from
+// many goroutines (the TCP accept loop registers mid-round in real
+// deployments).
 func TestMemoryRosterConcurrentAccess(t *testing.T) {
 	roster := NewMemoryRoster()
 	var wg sync.WaitGroup
@@ -204,11 +205,14 @@ func TestMemoryRosterConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			roster.Add(&failingClient{id: fmt.Sprintf("g%d", i)})
-			_ = roster.Clients()
+			n := roster.NumClients()
+			if _, err := roster.Lease(0, []int{n - 1}); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
-	if n := len(roster.Clients()); n != 16 {
+	if n := roster.NumClients(); n != 16 {
 		t.Errorf("roster has %d clients, want 16", n)
 	}
 }

@@ -5,32 +5,21 @@ import (
 	rand "math/rand/v2"
 )
 
-// ClientSampler picks which of the connected clients participate in a round.
+// ClientSampler picks which of the roster's clients participate in a round.
 // Assign to Server.Sampler; nil reproduces the historical behavior (uniform
 // without replacement), so existing runs stay bit-identical.
 //
-// Sample is called once per round on the server goroutine with the server's
-// own deterministic rng; implementations must draw all randomness from that
-// rng (and nothing else) to keep runs reproducible across worker counts.
+// SampleIndices is called once per round on the server goroutine with the
+// server's own deterministic rng; implementations must draw all randomness
+// from that rng (and nothing else) to keep runs reproducible across worker
+// counts.
 type ClientSampler interface {
 	// Name labels the sampling strategy for logs and reports.
 	Name() string
-	// Sample returns m clients drawn from clients (0 ≥ m or m > len means
-	// all, in an implementation-chosen order).
-	Sample(round int, clients []Client, m int, rng *rand.Rand) []Client
-}
-
-// IndexSampler is the virtual-population refinement of ClientSampler: it
-// draws client *indices* from [0, n) so the caller never has to materialize
-// the roster being sampled from. size reports client i's local sample count
-// (nil, or a 0 return, weighs the client as 1). Both built-in samplers
-// implement it, and their Sample methods delegate to it, so the index and
-// client forms consume identical rng streams — the property that keeps a
-// virtual-roster run byte-identical to an eager one.
-type IndexSampler interface {
-	ClientSampler
 	// SampleIndices returns m distinct indices drawn from [0, n)
-	// (m ≤ 0 or m > n means all, in an implementation-chosen order).
+	// (m ≤ 0 or m > n means all, in an implementation-chosen order). size
+	// reports client i's local sample count; nil, or a 0 return, weighs the
+	// client as 1.
 	SampleIndices(round, n, m int, size func(i int) int, rng *rand.Rand) []int
 }
 
@@ -39,17 +28,6 @@ type IndexSampler interface {
 // selection (clients that don't implement it weigh as 1 sample).
 type SizedClient interface {
 	NumSamples() int
-}
-
-// clientSize adapts a materialized roster to the size callback of
-// SampleIndices.
-func clientSize(clients []Client) func(int) int {
-	return func(i int) int {
-		if sc, ok := clients[i].(SizedClient); ok {
-			return sc.NumSamples()
-		}
-		return 0
-	}
 }
 
 // NewSamplerByName resolves a sampling strategy: "uniform" (each client
@@ -78,16 +56,6 @@ var _ ClientSampler = UniformSampler{}
 // Name returns "uniform".
 func (UniformSampler) Name() string { return "uniform" }
 
-// Sample permutes the roster and takes the first m entries.
-func (u UniformSampler) Sample(round int, clients []Client, m int, rng *rand.Rand) []Client {
-	indices := u.SampleIndices(round, len(clients), m, nil, rng)
-	selected := make([]Client, 0, len(indices))
-	for _, idx := range indices {
-		selected = append(selected, clients[idx])
-	}
-	return selected
-}
-
 // SampleIndices permutes [0, n) and takes the first m entries.
 func (UniformSampler) SampleIndices(_, n, m int, _ func(int) int, rng *rand.Rand) []int {
 	if m <= 0 || m > n {
@@ -107,16 +75,6 @@ var _ ClientSampler = SizeWeightedSampler{}
 
 // Name returns "size".
 func (SizeWeightedSampler) Name() string { return "size" }
-
-// Sample performs successive weighted draws without replacement.
-func (s SizeWeightedSampler) Sample(round int, clients []Client, m int, rng *rand.Rand) []Client {
-	indices := s.SampleIndices(round, len(clients), m, clientSize(clients), rng)
-	selected := make([]Client, 0, len(indices))
-	for _, idx := range indices {
-		selected = append(selected, clients[idx])
-	}
-	return selected
-}
 
 // SampleIndices performs successive weighted draws without replacement over
 // [0, n), weighing index i by size(i) when positive and 1 otherwise.
@@ -157,8 +115,3 @@ func (SizeWeightedSampler) SampleIndices(_, n, m int, size func(int) int, rng *r
 	}
 	return selected
 }
-
-var (
-	_ IndexSampler = UniformSampler{}
-	_ IndexSampler = SizeWeightedSampler{}
-)

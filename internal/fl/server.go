@@ -40,11 +40,44 @@ type UpdateObserver interface {
 	Observe(round int, u Update)
 }
 
-// Roster abstracts how the server reaches its clients (in-memory or TCP).
+// Roster is the server's view of an FL population: each round the server
+// samples client *indices* over [0, NumClients()) and only the sampled
+// cohort is leased. MemoryRoster and TCPServer hold every client resident;
+// a simulated cross-device population (millions of enrolled devices, a few
+// hundred sampled per round, the regime the OASIS paper assumes)
+// instantiates only the cohort, so it never costs O(population) memory.
+//
+// Lifecycle per round, all on the server goroutine:
+//
+//	n       := NumClients()
+//	indices := sampler.SampleIndices(round, n, m, NumSamples, rng)
+//	cohort  := Lease(round, indices)     // instantiate, in index order
+//	...dispatch / observe / aggregate / apply step...
+//	Release(round, cohort)               // after the step; buffers may be recycled
+//
+// Indices refer to the population as NumClients saw it: a roster whose
+// membership changes concurrently (clients registering mid-round) must keep
+// NumSamples and Lease consistent with the size it last returned. Lease
+// must return one Client per index, in the given order — the server
+// preserves that order for dispatch, observation, and aggregation, which is
+// what keeps a run reproducible under a fixed seed. Release is the bookend:
+// implementations return pooled buffers there, or keep clients resident
+// when cross-round state (training rng position, stateful defenses) must
+// survive — a later Lease of the same index must observe the state a
+// resident client would have.
 type Roster interface {
-	// Clients returns the currently connected clients. Implementations must
-	// be safe to call while a previous round's workers are still draining.
-	Clients() []Client
+	// NumClients returns the population size.
+	NumClients() int
+	// NumSamples reports client i's local dataset size for size-weighted
+	// sampling (0 means "weigh as one sample"). Must not instantiate the
+	// client.
+	NumSamples(i int) int
+	// Lease instantiates the cohort for the given round, one Client per
+	// index, in index-argument order.
+	Lease(round int, indices []int) ([]Client, error)
+	// Release ends the cohort's round. The server calls it exactly once per
+	// successful Lease, after the aggregated step has been applied.
+	Release(round int, clients []Client)
 }
 
 // ServerConfig parametrizes the FL run.
@@ -124,13 +157,6 @@ type Server struct {
 	Roster   Roster
 	Modifier ModelModifier
 	Observer UpdateObserver
-	// Virtual, when set, replaces Roster as the population source: clients
-	// are sampled by index over [0, NumClients()) and only the round's
-	// cohort is instantiated (leased before dispatch, released after the
-	// step is applied). Requires the Sampler to implement IndexSampler; the
-	// built-in samplers do, with rng streams identical to their Sample
-	// methods, so a virtual run reproduces a materialized one bit for bit.
-	Virtual VirtualRoster
 	// Sampler picks each round's participants; nil keeps the historical
 	// uniform-without-replacement draw bit for bit.
 	Sampler ClientSampler
@@ -201,10 +227,8 @@ func (s *Server) fireAfterRound(ctx context.Context, round int, stats RoundStats
 	return nil
 }
 
-// selectRound draws the round's participants, from the materialized Roster
-// or — when Virtual is set — by index over the virtual population, leasing
-// only the sampled cohort. Both paths run the identical sampler rng
-// operations on the server goroutine.
+// selectRound draws the round's participants by index and leases only the
+// sampled cohort. All sampler rng operations run on the server goroutine.
 func (s *Server) selectRound(round int) ([]Client, error) {
 	sampler := s.Sampler
 	if sampler == nil {
@@ -212,43 +236,24 @@ func (s *Server) selectRound(round int) ([]Client, error) {
 		// the default selection stays bit-identical to older releases.
 		sampler = UniformSampler{}
 	}
-	if s.Virtual == nil {
-		clients := s.Roster.Clients()
-		if len(clients) == 0 {
-			return nil, fmt.Errorf("fl: round %d: no clients connected", round)
-		}
-		m := s.Config.ClientsPerRound
-		if m <= 0 || m > len(clients) {
-			m = len(clients)
-		}
-		selected := sampler.Sample(round, clients, m, s.rng)
-		if len(selected) == 0 {
-			return nil, fmt.Errorf("fl: round %d: sampler %s selected no clients", round, sampler.Name())
-		}
-		return selected, nil
-	}
-	n := s.Virtual.NumClients()
+	n := s.Roster.NumClients()
 	if n == 0 {
 		return nil, fmt.Errorf("fl: round %d: no clients connected", round)
-	}
-	is, ok := sampler.(IndexSampler)
-	if !ok {
-		return nil, fmt.Errorf("fl: round %d: sampler %s cannot drive a virtual roster (no SampleIndices)", round, sampler.Name())
 	}
 	m := s.Config.ClientsPerRound
 	if m <= 0 || m > n {
 		m = n
 	}
-	indices := is.SampleIndices(round, n, m, s.Virtual.NumSamples, s.rng)
+	indices := sampler.SampleIndices(round, n, m, s.Roster.NumSamples, s.rng)
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("fl: round %d: sampler %s selected no clients", round, sampler.Name())
 	}
-	selected, err := s.Virtual.Lease(round, indices)
+	selected, err := s.Roster.Lease(round, indices)
 	if err != nil {
 		return nil, fmt.Errorf("fl: round %d: leasing cohort: %w", round, err)
 	}
 	if len(selected) != len(indices) {
-		return nil, fmt.Errorf("fl: round %d: virtual roster leased %d clients for %d indices", round, len(selected), len(indices))
+		return nil, fmt.Errorf("fl: round %d: roster leased %d clients for %d indices", round, len(selected), len(indices))
 	}
 	return selected, nil
 }
@@ -268,11 +273,9 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	if err != nil {
 		return RoundStats{}, err
 	}
-	if s.Virtual != nil {
-		// The cohort's release runs after Finalize and the applied step, so
-		// leased state lives exactly as long as the round that sampled it.
-		defer s.Virtual.Release(round, selected)
-	}
+	// The cohort's release runs after Finalize and the applied step, so
+	// leased state lives exactly as long as the round that sampled it.
+	defer s.Roster.Release(round, selected)
 
 	spec, err := EncodeModel(s.Model)
 	if err != nil {

@@ -61,6 +61,10 @@ type TCPServer struct {
 	mu      sync.Mutex
 	clients map[string]*remoteClient
 	closed  bool
+	// frozen is the ID-sorted roster taken by the last NumClients call;
+	// NumSamples and Lease index into it, so a client connecting mid-round
+	// cannot shift the indices the sampler drew.
+	frozen resident
 }
 
 var _ Roster = (*TCPServer)(nil)
@@ -119,12 +123,13 @@ func (s *TCPServer) handshake(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// Clients returns the currently registered remote clients, sorted by
-// client ID. The roster feeds Server.selectRound's sampler, so its order
-// must be a function of the population, not of map iteration or of the
-// order in which connections happened to arrive — otherwise the same
-// sampler rng draws would select different clients on every run.
-func (s *TCPServer) Clients() []Client {
+// NumClients freezes the currently registered remote clients, sorted by
+// client ID, as this round's roster and returns its size. The roster feeds
+// Server.selectRound's sampler, so its order must be a function of the
+// population, not of map iteration or of the order in which connections
+// happened to arrive — otherwise the same sampler rng draws would select
+// different clients on every run.
+func (s *TCPServer) NumClients() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.clients))
@@ -132,12 +137,29 @@ func (s *TCPServer) Clients() []Client {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]Client, 0, len(ids))
+	s.frozen = make(resident, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, s.clients[id])
+		s.frozen = append(s.frozen, s.clients[id])
 	}
-	return out
+	return len(s.frozen)
 }
+
+// NumSamples reports frozen client i's size when it is a SizedClient.
+func (s *TCPServer) NumSamples(i int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frozen.numSamples(i)
+}
+
+// Lease returns the frozen roster's clients at the given indices.
+func (s *TCPServer) Lease(_ int, indices []int) ([]Client, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frozen.lease(indices)
+}
+
+// Release does nothing: connected clients stay resident.
+func (*TCPServer) Release(int, []Client) {}
 
 // WaitForClients blocks until at least n clients are connected or ctx ends.
 func (s *TCPServer) WaitForClients(ctx context.Context, n int) error {

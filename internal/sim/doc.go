@@ -76,9 +76,9 @@
 // The engine never allocates O(population) training state. Each client
 // exists first as a cheap descriptor — index, defended/straggler membership
 // (sorted-index sets drawn once per scenario, O(count) retained), and a
-// shard length resolved from a lazy partition (data.PartitionLazy computes
-// any Shard(k) on demand from the same keyed stream the eager partitioner
-// consumes, so lazy and eager shards are element-identical). A client is
+// shard length resolved from a lazy partition (a data.Partitioner makes
+// its keyed draws once, up front, and data.LazyPartition then computes any
+// Shard(k) on demand without touching the other shards). A client is
 // instantiated only when a round's cohort leases it:
 //
 //	SampleIndices → Lease(round, indices) → train/observe → aggregate → Release

@@ -107,7 +107,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts, err := data.PartitionLazy(partitioner, trainDS, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
+	parts, err := partitioner.PartitionLazy(trainDS, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +161,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		// fires for genuinely wedged clients, never for simulated delays.
 		cfg.RoundDeadline = time.Duration(4*sc.DeadlineMS) * time.Millisecond
 	}
-	server := fl.NewServer(cfg, model, nil)
-	server.Virtual = vp
+	server := fl.NewServer(cfg, model, vp)
 	server.Sampler, err = fl.NewSamplerByName(sc.Sampling)
 	if err != nil {
 		return nil, err

@@ -61,6 +61,14 @@ func TestScenarioValidationCorpus(t *testing.T) {
 		{"defense-pipeline-trailing-bar", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "oasis:MR|"} }, "segment 2 is empty"},
 		{"defense-pipeline-only-bar", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "|"} }, "segment 1 is empty"},
 		{"defense-pipeline-bad-tail", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "oasis:MR|dpsgd:1"} }, "segment 2"},
+		{"partition-quantity-inf", func(s *Scenario) { s.Partition = "quantity:Inf" }, "sigma must be finite"},
+		{"partition-quantity-nan", func(s *Scenario) { s.Partition = "quantity:NaN" }, "sigma must be finite"},
+		{"partition-dirichlet-inf", func(s *Scenario) { s.Partition = "dirichlet:Inf" }, "alpha must be finite"},
+		{"partition-dirichlet-nan", func(s *Scenario) { s.Partition = "dirichlet:NaN" }, "alpha must be finite"},
+		// A finite sigma is a valid spec; whether its weights overflow
+		// depends on the draws, so the run itself fails (see
+		// TestRunRejectsOverflowingQuantity).
+		{"partition-quantity-1e308", func(s *Scenario) { s.Partition = "quantity:1e308" }, ""},
 		{"no-clients", func(s *Scenario) { s.Clients = 0 }, "clients must be > 0"},
 		{"negative-rounds", func(s *Scenario) { s.Rounds = -1 }, "rounds must be > 0"},
 	}
@@ -78,6 +86,24 @@ func TestScenarioValidationCorpus(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRunRejectsOverflowingQuantity: a quantity sigma whose log-normal
+// weights overflow used to give every client an empty shard while the run
+// still completed; it must fail before any round runs.
+func TestRunRejectsOverflowingQuantity(t *testing.T) {
+	sc, ok := Preset("smoke")
+	if !ok {
+		t.Fatal("smoke preset not registered")
+	}
+	sc.Partition = "quantity:1e308"
+	report, err := Run(sc, Options{Quick: true})
+	if err == nil {
+		t.Fatalf("run succeeded with %d rounds", len(report.Rounds))
+	}
+	if !strings.Contains(err.Error(), "out of float64 range") {
+		t.Errorf("error %q does not name the overflow", err)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestReliabilityDrawsPrefixStable(t *testing.T) {
 		sc.Dataset.Samples = clients * 4
 		d := sc.Dataset
 		ds := data.NewSynthCustom("prefix", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
-		parts, err := data.PartitionLazy(data.IID{}, ds, clients, nn.RandSource(sc.Seed, saltPartition))
+		parts, err := data.IID{}.PartitionLazy(ds, clients, nn.RandSource(sc.Seed, saltPartition))
 		if err != nil {
 			t.Fatal(err)
 		}

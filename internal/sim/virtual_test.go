@@ -68,7 +68,7 @@ func TestVirtualLeaseSemantics(t *testing.T) {
 	sc.Dataset.Samples = 3000
 	d := sc.Dataset
 	ds := data.NewSynthCustom("lease", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
-	parts, err := data.PartitionLazy(data.IID{}, ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
+	parts, err := data.IID{}.PartitionLazy(ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func residentBytesPerClient(t *testing.T, rounds int) float64 {
 	sc.Clients, sc.Dataset.Samples, sc.Rounds = 1000, 3000, rounds
 	d := sc.Dataset
 	ds := data.NewSynthCustom("resident", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
-	parts, err := data.PartitionLazy(data.IID{}, ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
+	parts, err := data.IID{}.PartitionLazy(ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,28 +201,6 @@ func AttachDefense(c *FLLocalClient, d ClientDefense) {
 	c.GradDef = defense.GradAdapter{D: d}
 }
 
-// Baseline defenses (§V comparisons), kept as thin shims over the registry
-// kinds "dpsgd", "prune", and "ats".
-type (
-	// DPSGDDefense clips and noises gradients (Abadi et al.).
-	DPSGDDefense = defense.DPSGD
-	// PruningDefense zeroes small-magnitude gradients.
-	PruningDefense = defense.Pruning
-	// ATSDefense is the replacement defense of Gao et al. [41].
-	ATSDefense = defense.ATS
-)
-
-// NewDPSGD builds the DP baseline defense.
-func NewDPSGD(clip, sigma float64, rng *rand.Rand) (*DPSGDDefense, error) {
-	return defense.NewDPSGD(clip, sigma, rng)
-}
-
-// NewPruning builds the gradient-sparsification baseline defense.
-func NewPruning(keep float64) (*PruningDefense, error) { return defense.NewPruning(keep) }
-
-// NewATS builds the transformation-replacement baseline defense.
-func NewATS(p Policy, rng *rand.Rand) (*ATSDefense, error) { return defense.NewATS(p, rng) }
-
 // Experiment access.
 type (
 	// ExperimentConfig scales and seeds an experiment run.

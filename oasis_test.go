@@ -173,23 +173,6 @@ func TestTrainCentralizedFacade(t *testing.T) {
 	}
 }
 
-func TestBaselineDefenseConstructors(t *testing.T) {
-	rng := NewRand(4, 4)
-	if _, err := NewDPSGD(1, 0.1, rng); err != nil {
-		t.Error(err)
-	}
-	if _, err := NewPruning(0.5); err != nil {
-		t.Error(err)
-	}
-	def, err := NewDefense("MR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewATS(def.Policy, rng); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDefensePipelineFacade(t *testing.T) {
 	pl, err := NewDefensePipeline("oasis:MR|dpsgd:1,0.1", NewRand(5, 5))
 	if err != nil {
