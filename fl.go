@@ -10,7 +10,6 @@ import (
 	"github.com/oasisfl/oasis/internal/dist"
 	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 	"github.com/oasisfl/oasis/internal/sim"
 )
 
@@ -261,55 +260,22 @@ func PartitionDataset(ds Dataset, n int, p Partitioner, rng *rand.Rand) ([]Datas
 	return out, nil
 }
 
-// TrainCentralized runs plain centralized training (used by Table I and the
-// examples): epochs over trainSet with Adam, returning test accuracy.
+// TrainCentralized trains model on trainSet for the given epochs with Adam
+// (lr 1e-3), shuffling with rng and applying def (nil for none) to every
+// batch, and returns its accuracy on testSet.
 func TrainCentralized(model *Model, trainSet, testSet Dataset, def *Defense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
-	optimizer := opt.NewAdam(1e-3, 1e-4)
-	loss := nn.SoftmaxCrossEntropy{}
-	n := trainSet.Len()
-	for ep := 0; ep < epochs; ep++ {
-		perm := rng.Perm(n)
-		for off := 0; off+batchSize <= n; off += batchSize {
-			batch, err := data.TakeBatch(trainSet, perm[off:off+batchSize])
-			if err != nil {
-				return 0, err
-			}
-			if def != nil {
-				batch, err = def.Apply(batch)
-				if err != nil {
-					return 0, err
-				}
-			}
-			model.ZeroGrad()
-			logits := model.Forward(batch.Tensor4D(), true)
-			_, g := loss.Compute(logits, batch.Labels)
-			model.Backward(g)
-			optimizer.Step(model.Params())
-		}
+	var pre fl.BatchPreprocessor
+	if def != nil {
+		pre = def
+	}
+	if _, err := fl.TrainCentralized(model, trainSet, pre, nil, epochs, batchSize, rng); err != nil {
+		return 0, err
 	}
 	return EvaluateAccuracy(model, testSet, batchSize)
 }
 
-// EvaluateAccuracy computes classification accuracy over a dataset in
-// inference mode.
+// EvaluateAccuracy computes classification accuracy over a non-empty dataset
+// in inference mode.
 func EvaluateAccuracy(model *Model, testSet Dataset, batchSize int) (float64, error) {
-	correct, total := 0.0, 0
-	for off := 0; off < testSet.Len(); off += batchSize {
-		end := min(off+batchSize, testSet.Len())
-		idx := make([]int, 0, end-off)
-		for i := off; i < end; i++ {
-			idx = append(idx, i)
-		}
-		batch, err := data.TakeBatch(testSet, idx)
-		if err != nil {
-			return 0, err
-		}
-		logits := model.Forward(batch.Tensor4D(), false)
-		correct += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
-		total += batch.Size()
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return correct / float64(total), nil
+	return fl.EvaluateAccuracy(model, testSet, batchSize)
 }

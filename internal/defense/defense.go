@@ -28,10 +28,11 @@ type DPSGD struct {
 
 var _ GradientDefense = (*DPSGD)(nil)
 
-// NewDPSGD constructs the defense; clip and sigma must be positive.
+// NewDPSGD constructs the defense; clip must be finite and positive, sigma
+// finite and non-negative.
 func NewDPSGD(clip, sigma float64, rng *rand.Rand) (*DPSGD, error) {
-	if clip <= 0 || sigma < 0 {
-		return nil, fmt.Errorf("defense: DPSGD needs clip > 0 and sigma ≥ 0, got clip=%g sigma=%g", clip, sigma)
+	if math.IsNaN(clip) || math.IsInf(clip, 0) || clip <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0 {
+		return nil, fmt.Errorf("defense: DPSGD needs finite clip > 0 and finite sigma ≥ 0, got clip=%g sigma=%g", clip, sigma)
 	}
 	return &DPSGD{Clip: clip, Sigma: sigma, Rng: rng}, nil
 }
@@ -70,7 +71,7 @@ var _ GradientDefense = (*Pruning)(nil)
 
 // NewPruning constructs the defense; keep must be in (0, 1].
 func NewPruning(keep float64) (*Pruning, error) {
-	if keep <= 0 || keep > 1 {
+	if math.IsNaN(keep) || keep <= 0 || keep > 1 {
 		return nil, fmt.Errorf("defense: pruning keep fraction %g outside (0,1]", keep)
 	}
 	return &Pruning{Keep: keep}, nil

@@ -85,6 +85,11 @@ func TestRegistryMalformedSpecs(t *testing.T) {
 		{"prune:nope", "prune:<keep>"},
 		{"prune:0", "outside (0,1]"},
 		{"prune:1.5", "outside (0,1]"},
+		{"prune:NaN", "outside (0,1]"},
+		{"dpsgd:1,NaN", "finite sigma"},
+		{"dpsgd:NaN,1", "finite clip"},
+		{"dpsgd:Inf,1", "finite clip"},
+		{"dpsgd:1,Inf", "finite sigma"},
 		{"ats:bogus", "unknown policy"},
 		{"ats:WO", "needs a transformation policy"},
 		{"oasis:MR|", "segment 2 is empty"},

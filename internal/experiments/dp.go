@@ -7,9 +7,9 @@ import (
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/defense"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
@@ -78,7 +78,19 @@ func DPTradeoff(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc, err := trainWithDP(trainSet, testSet, clip, sigma, epochs, rng)
+		// Initialization and batch order are pinned so σ is the only
+		// variable across rows.
+		net := nn.NewResNetLite(nn.ResNetLiteConfig{InChannels: c, NumClasses: trainSet.NumClasses(), Width: 4}, nn.RandSource(0xdb0, 7))
+		var gd fl.GradientDefense
+		if sigma > 0 {
+			if gd, err = defense.NewDPSGD(clip, sigma, rng); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := fl.TrainCentralized(net, trainSet, nil, gd, epochs, 24, nn.RandSource(0xdb1, 8)); err != nil {
+			return nil, err
+		}
+		acc, err := fl.EvaluateAccuracy(net, testSet, 24)
 		if err != nil {
 			return nil, err
 		}
@@ -123,48 +135,4 @@ func dpAttackPSNR(ds data.Dataset, rtf *attack.RTF, victim *attack.Victim, clip,
 		best = append(best, ev.PerOriginalBest...)
 	}
 	return metrics.Mean(best), nil
-}
-
-// trainWithDP trains a compact CNN with DPSGD-perturbed gradients and
-// returns test accuracy. Initialization and batch order are pinned so σ is
-// the only variable across rows.
-func trainWithDP(trainSet, testSet data.Dataset, clip, sigma float64, epochs int, rng *rand.Rand) (float64, error) {
-	c, _, _ := trainSet.Shape()
-	initRng := nn.RandSource(0xdb0, 7)
-	net := nn.NewResNetLite(nn.ResNetLiteConfig{InChannels: c, NumClasses: trainSet.NumClasses(), Width: 4}, initRng)
-	optimizer := opt.NewAdam(1e-3, 1e-4)
-	loss := nn.SoftmaxCrossEntropy{}
-	batchSize := 24
-	var dp *defense.DPSGD
-	if sigma > 0 {
-		var err error
-		dp, err = defense.NewDPSGD(clip, sigma, rng)
-		if err != nil {
-			return 0, err
-		}
-	}
-	n := trainSet.Len()
-	trainRng := nn.RandSource(0xdb1, 8)
-	for ep := 0; ep < epochs; ep++ {
-		perm := trainRng.Perm(n)
-		for off := 0; off+batchSize <= n; off += batchSize {
-			batch, err := data.TakeBatch(trainSet, perm[off:off+batchSize])
-			if err != nil {
-				return 0, err
-			}
-			net.ZeroGrad()
-			logits := net.Forward(batch.Tensor4D(), true)
-			_, g := loss.Compute(logits, batch.Labels)
-			net.Backward(g)
-			if dp != nil {
-				grads := make([]*tensor.Tensor, 0, len(net.Params()))
-				for _, p := range net.Params() {
-					grads = append(grads, p.G)
-				}
-				dp.Apply(grads)
-			}
-			optimizer.Step(net.Params())
-		}
-	}
-	return evaluateAccuracy(net, testSet, batchSize)
 }

@@ -6,7 +6,7 @@
 //
 // Absolute values differ from the paper — the substrate is a pure-Go
 // simulator over synthetic datasets, not a GPU testbed over ImageNet (see
-// DESIGN.md) — but the comparative shape is reproduced and asserted by the
+// README, "Running the paper experiments") — but the comparative shape is reproduced and asserted by the
 // test suite: who wins, the ordering of transforms, and where single
 // transforms fail.
 package experiments
@@ -166,42 +166,4 @@ func datasets(cfg Config) []evalSet {
 		sets[1].cahPairs = [][2]int{{8, 150}}
 	}
 	return sets
-}
-
-// policyPSNRStats pools PSNR samples per policy and renders box-plot rows.
-type policyPSNRStats struct {
-	order []string
-	pools map[string][]float64
-}
-
-func newPolicyPSNRStats() *policyPSNRStats {
-	return &policyPSNRStats{pools: make(map[string][]float64)}
-}
-
-func (p *policyPSNRStats) add(policy string, psnrs []float64) {
-	if _, ok := p.pools[policy]; !ok {
-		p.order = append(p.order, policy)
-	}
-	p.pools[policy] = append(p.pools[policy], psnrs...)
-}
-
-func (p *policyPSNRStats) rows(t *metrics.Table, prefix ...string) {
-	for _, name := range p.order {
-		s := metrics.Summarize(p.pools[name])
-		cells := append([]string(nil), prefix...)
-		cells = append(cells, name,
-			fmt.Sprintf("%d", s.N),
-			fmt.Sprintf("%.2f", s.Mean),
-			fmt.Sprintf("%.2f", s.Median),
-			fmt.Sprintf("%.2f", s.Q1),
-			fmt.Sprintf("%.2f", s.Q3),
-			fmt.Sprintf("%.2f", s.Min),
-			fmt.Sprintf("%.2f", s.Max),
-		)
-		t.AddRow(cells...)
-	}
-}
-
-func (p *policyPSNRStats) mean(policy string) float64 {
-	return metrics.Mean(p.pools[policy])
 }

@@ -53,10 +53,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; smoke tier covers the scenario preset")
 	}
-	res, err := Fig5(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "fig5")
 	for _, ds := range []string{"synth-imagenet", "synth-cifar100"} {
 		wo := meanFor(t, res, ds, "WO")
 		mr := meanFor(t, res, ds, "MR")
@@ -81,10 +78,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; smoke tier covers the scenario preset")
 	}
-	res, err := Fig6(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "fig6")
 	for _, ds := range []string{"synth-imagenet", "synth-cifar100"} {
 		wo := meanFor(t, res, ds, "WO")
 		mrsh := meanFor(t, res, ds, "MR+SH")
@@ -104,10 +98,7 @@ func TestFig13Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; smoke tier covers the scenario preset")
 	}
-	res, err := Fig13(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "fig13")
 	for _, ds := range []string{"synth-imagenet-100c", "synth-cifar100"} {
 		wo := meanFor(t, res, ds, "WO")
 		for _, pol := range []string{"MR", "mR", "SH", "HFlip", "VFlip"} {
@@ -119,10 +110,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	res, err := Fig14(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "fig14")
 	var ats, oasisMean float64
 	var atsVerbatim, oasisVerbatim int
 	for _, row := range res.Tables[0].Rows {
@@ -156,10 +144,7 @@ func TestFig3GridMonotoneInBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; smoke tier covers the scenario preset")
 	}
-	res, err := Fig3(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "fig3")
 	// Quick grid rows: B=8 and B=32; PSNR must not increase with B for
 	// every neuron column (paper Fig. 3 trend).
 	for _, tb := range res.Tables {
@@ -183,10 +168,7 @@ func TestTable1Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; smoke tier covers the scenario preset")
 	}
-	res, err := Table1(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "table1")
 	if len(res.Tables) != 1 || len(res.Tables[0].Rows) == 0 {
 		t.Fatal("table1 produced no rows")
 	}
@@ -202,10 +184,7 @@ func TestTable1Runs(t *testing.T) {
 }
 
 func TestProp1Shape(t *testing.T) {
-	res, err := Prop1(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "prop1")
 	cells := map[string][]string{}
 	for _, row := range res.Tables[0].Rows {
 		cells[row[0]+"/"+row[1]] = row
@@ -238,10 +217,7 @@ func TestDPTradeoffShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; smoke tier covers the scenario preset")
 	}
-	res, err := DPTradeoff(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "dp")
 	rows := res.Tables[0].Rows
 	if len(rows) < 2 {
 		t.Fatal("dp table too short")
@@ -272,10 +248,7 @@ func TestDPTradeoffShape(t *testing.T) {
 }
 
 func TestPreserveMeanAblationShape(t *testing.T) {
-	res, err := PreserveMean(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "pm")
 	rows := map[string][]string{}
 	for _, row := range res.Tables[0].Rows {
 		rows[row[0]+"/"+row[1]] = row
@@ -376,10 +349,7 @@ func TestRobustShape(t *testing.T) {
 // TestScenarioExperiment runs the registry's scenario entry (the smoke
 // preset in quick mode) and checks its summary table shape.
 func TestScenarioExperiment(t *testing.T) {
-	res, err := ScenarioSim(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResult(t, "scenario")
 	if len(res.Tables) < 2 {
 		t.Fatalf("want summary + per-round tables, got %d", len(res.Tables))
 	}

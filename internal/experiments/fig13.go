@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
@@ -12,10 +13,10 @@ import (
 // Fig13 reproduces the gradient-inversion attack on linear models (§IV-D):
 // a single-layer logistic model, batches with unique labels, B ∈ {8, 64},
 // per transformation. The B=64 unique-label requirement needs ≥ 64 classes;
-// the 10-class synthetic ImageNet is therefore paired with a 100-class
-// variant at the same resolution for this experiment (substitution recorded
-// in EXPERIMENTS.md — the paper's full ImageNet has 1000 classes, so unique
-// labels were free).
+// the 10-class synthetic ImageNet is therefore replaced by a 100-class
+// variant at the same resolution for this experiment (see README, "Running
+// the paper experiments" — the paper's full ImageNet has 1000 classes, so
+// unique labels were free).
 func Fig13(cfg Config) (*Result, error) {
 	imnet := data.NewSynthCustom("synth-imagenet-100c", 100, 3, 64, 64, 4096, cfg.Seed)
 	cifar := data.NewSynthCIFAR100(cfg.Seed)
@@ -33,26 +34,14 @@ func Fig13(cfg Config) (*Result, error) {
 		dims := attack.ImageDims{C: c, H: h, W: w}
 		atk := attack.NewLinearInversion(dims, ds.NumClasses())
 		for _, b := range batchSizes {
-			stats := newPolicyPSNRStats()
-			for _, polName := range fig5Policies {
+			prefix := []string{ds.Name(), fmt.Sprintf("%d", b), fmt.Sprintf("%d", ds.NumClasses())}
+			err := policyBoxRows(t, prefix, fig5Policies, func(polName string) (trialLoop, *rand.Rand, error) {
 				rng := nn.RandSource(cfg.Seed^hashLabel("fig13"+polName), uint64(b))
-				for tr := 0; tr < trials; tr++ {
-					batch, err := data.UniqueLabelBatch(ds, rng, b)
-					if err != nil {
-						return nil, err
-					}
-					client, err := applyPolicy(batch, polName)
-					if err != nil {
-						return nil, err
-					}
-					ev, _, err := atk.Run(client, batch.Images, rng)
-					if err != nil {
-						return nil, err
-					}
-					stats.add(polName, ev.PSNRs)
-				}
+				return trialLoop{atk: atk, ds: ds, batch: b, trials: trials, draw: data.UniqueLabelBatch}, rng, nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			stats.rows(t, ds.Name(), fmt.Sprintf("%d", b), fmt.Sprintf("%d", ds.NumClasses()))
 			cfg.logf("fig13 %s B=%d done", ds.Name(), b)
 		}
 	}

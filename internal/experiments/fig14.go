@@ -42,57 +42,35 @@ func Fig14(cfg Config) (*Result, error) {
 		"defense", "mean_psnr_dB", "max_psnr_dB", "verbatim_recoveries")
 	res := &Result{ID: "fig14"}
 
-	type variant struct {
-		name  string
-		apply func(*data.Batch) (*data.Batch, []*imaging.Image, error)
+	mr, err := policyDefense("MR")
+	if err != nil {
+		return nil, err
 	}
-	variants := []variant{
+	variants := []struct {
+		name   string
+		defend defendFunc
+	}{
 		{"ats(MR)", func(batch *data.Batch) (*data.Batch, []*imaging.Image, error) {
 			// ATS trains on the replaced images; those are the secrets.
 			replaced := ats.Apply(batch)
 			return replaced, replaced.Images, nil
 		}},
-		{"oasis(MR)", func(batch *data.Batch) (*data.Batch, []*imaging.Image, error) {
-			expanded, err := applyPolicy(batch, "MR")
-			if err != nil {
-				return nil, nil, err
-			}
-			return expanded, batch.Images, nil
-		}},
+		{"oasis(MR)", oasisDefense(mr)},
 	}
 
 	var atsRecons []*imaging.Image
 	var atsTraining []*imaging.Image
 	for _, v := range variants {
-		var psnrs []float64
-		verbatim := 0
-		for tr := 0; tr < trials; tr++ {
-			batch, err := data.RandomBatch(ds, rng, b)
-			if err != nil {
-				return nil, err
-			}
-			client, secrets, err := v.apply(batch)
-			if err != nil {
-				return nil, err
-			}
-			ev, recons, err := rtf.Run(client, secrets, rng)
-			if err != nil {
-				return nil, err
-			}
-			psnrs = append(psnrs, ev.PSNRs...)
-			for _, p := range ev.PerOriginalBest {
-				if p > 100 {
-					verbatim++
-				}
-			}
-			if v.name == "ats(MR)" && tr == 0 {
-				atsRecons = recons
-				atsTraining = secrets
-			}
+		run, err := trialLoop{atk: rtf, ds: ds, batch: b, trials: trials, defend: v.defend}.run(rng)
+		if err != nil {
+			return nil, err
 		}
-		s := metrics.Summarize(psnrs)
-		t.AddRowf(v.name, s.Mean, s.Max, verbatim)
-		cfg.logf("fig14 %s mean=%.2f max=%.2f verbatim=%d", v.name, s.Mean, s.Max, verbatim)
+		if v.name == "ats(MR)" {
+			atsRecons, atsTraining = run.recons, run.originals
+		}
+		s := metrics.Summarize(run.ev.PSNRs)
+		t.AddRowf(v.name, s.Mean, s.Max, verbatim(run.ev))
+		cfg.logf("fig14 %s mean=%.2f max=%.2f verbatim=%d", v.name, s.Mean, s.Max, verbatim(run.ev))
 	}
 	res.Tables = append(res.Tables, t)
 

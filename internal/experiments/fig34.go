@@ -5,8 +5,6 @@ import (
 	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/attack"
-	"github.com/oasisfl/oasis/internal/data"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
 )
@@ -27,16 +25,14 @@ func gridSizes(cfg Config) (batches, neurons []int, trials int) {
 
 // Fig3 sweeps the RTF attack.
 func Fig3(cfg Config) (*Result, error) {
-	return gridExperiment(cfg, "fig3", "RTF", func(set evalSet, n int, rng *rand.Rand) (gridAttack, error) {
-		probeSize := 256
-		if cfg.Quick {
-			probeSize = 64
-		}
-		rtf, err := attack.NewRTF(set.dims, set.ds.NumClasses(), n, set.ds, rng, probeSize)
-		if err != nil {
-			return nil, err
-		}
-		return rtf, nil
+	probeSize := 256
+	if cfg.Quick {
+		probeSize = 64
+	}
+	return gridExperiment(cfg, 3, "RTF", 0xf16_3, func(set evalSet, _ int) (gridBuilder, error) {
+		return func(n int, rng *rand.Rand) (trialAttack, error) {
+			return attack.NewRTF(set.dims, set.ds.NumClasses(), n, set.ds, rng, probeSize)
+		}, nil
 	})
 }
 
@@ -49,72 +45,54 @@ const cahAnticipatedBatch = 16
 // Fig4 sweeps the CAH attack. Calibration is hoisted: one max-width trap
 // layer per dataset is sliced per neuron count and reused across batch sizes.
 func Fig4(cfg Config) (*Result, error) {
-	batches, neurons, trials := gridSizes(cfg)
-	maxN := neurons[len(neurons)-1]
 	probeSize := 128
 	if cfg.Quick {
 		probeSize = 48
 	}
-	res := &Result{ID: "fig4"}
-	for _, set := range datasets(cfg) {
-		t := metrics.NewTable(
-			fmt.Sprintf("Figure 4 (%s): CAH avg PSNR, rows = batch size, cols = attacked neurons", set.ds.Name()),
-			append([]string{"B\\n"}, intHeaders(neurons)...)...)
+	return gridExperiment(cfg, 4, "CAH", 0xf16_4, func(set evalSet, maxN int) (gridBuilder, error) {
 		calRng := nn.RandSource(cfg.Seed^0xf16_4, hashLabel(set.ds.Name()))
 		base, err := attack.NewCAH(set.dims, set.ds.NumClasses(), maxN, set.ds, calRng, probeSize, cahAnticipatedBatch)
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range batches {
-			rng := nn.RandSource(cfg.Seed^0xf16_4, uint64(b))
-			row := []string{fmt.Sprintf("%d", b)}
-			for _, n := range neurons {
-				cah, err := base.Slice(n)
-				if err != nil {
-					return nil, err
-				}
-				mean, err := gridCell(set, cah, b, trials, rng)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.2f", mean))
-			}
-			t.AddRow(row...)
-			cfg.logf("fig4 %s B=%d done", set.ds.Name(), b)
-		}
-		res.Tables = append(res.Tables, t)
-		if err := res.saveCSV(cfg, fmt.Sprintf("fig4_%s.csv", set.ds.Name()), t); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		return func(n int, _ *rand.Rand) (trialAttack, error) { return base.Slice(n) }, nil
+	})
 }
 
-// gridAttack is the common surface of RTF and CAH used by the sweep.
-type gridAttack interface {
-	Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (attack.Evaluation, []*imaging.Image, error)
-}
+// gridBuilder builds the grid's attack for n attacked neurons, drawing any
+// calibration from the batch size's generator.
+type gridBuilder func(n int, rng *rand.Rand) (trialAttack, error)
 
-func gridExperiment(cfg Config, id, label string, build func(set evalSet, n int, rng *rand.Rand) (gridAttack, error)) (*Result, error) {
+// gridExperiment renders one Figure fig table per dataset: the mean PSNR of
+// undefended reconstructions per batch size (rows) and attacked-neuron count
+// (columns). prepare runs once per dataset, given the widest neuron count,
+// and returns the cell builder; every batch size draws from its own
+// generator keyed by salt.
+func gridExperiment(cfg Config, fig int, label string, salt uint64, prepare func(set evalSet, maxN int) (gridBuilder, error)) (*Result, error) {
 	batches, neurons, trials := gridSizes(cfg)
+	id := fmt.Sprintf("fig%d", fig)
 	res := &Result{ID: id}
 	for _, set := range datasets(cfg) {
 		t := metrics.NewTable(
-			fmt.Sprintf("Figure 3 (%s): %s avg PSNR, rows = batch size, cols = attacked neurons", set.ds.Name(), label),
+			fmt.Sprintf("Figure %d (%s): %s avg PSNR, rows = batch size, cols = attacked neurons", fig, set.ds.Name(), label),
 			append([]string{"B\\n"}, intHeaders(neurons)...)...)
+		build, err := prepare(set, neurons[len(neurons)-1])
+		if err != nil {
+			return nil, err
+		}
 		for _, b := range batches {
-			rng := nn.RandSource(cfg.Seed^0xf16_3, uint64(b))
+			rng := nn.RandSource(cfg.Seed^salt, uint64(b))
 			row := []string{fmt.Sprintf("%d", b)}
 			for _, n := range neurons {
-				atk, err := build(set, n, rng)
+				atk, err := build(n, rng)
 				if err != nil {
 					return nil, err
 				}
-				mean, err := gridCell(set, atk, b, trials, rng)
+				run, err := trialLoop{atk: atk, ds: set.ds, batch: b, trials: trials}.run(rng)
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, fmt.Sprintf("%.2f", mean))
+				row = append(row, fmt.Sprintf("%.2f", run.ev.MeanPSNR()))
 			}
 			t.AddRow(row...)
 			cfg.logf("%s %s B=%d done", id, set.ds.Name(), b)
@@ -125,29 +103,6 @@ func gridExperiment(cfg Config, id, label string, build func(set evalSet, n int,
 		}
 	}
 	return res, nil
-}
-
-// gridCell measures the mean PSNR of undefended reconstructions over trials.
-func gridCell(set evalSet, atk gridAttack, batchSize, trials int, rng *rand.Rand) (float64, error) {
-	total, count := 0.0, 0
-	for tr := 0; tr < trials; tr++ {
-		batch, err := data.RandomBatch(set.ds, rng, batchSize)
-		if err != nil {
-			return 0, err
-		}
-		ev, _, err := atk.Run(batch, batch.Images, rng)
-		if err != nil {
-			return 0, err
-		}
-		for _, p := range ev.PSNRs {
-			total += p
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, nil
-	}
-	return total / float64(count), nil
 }
 
 func intHeaders(ns []int) []string {

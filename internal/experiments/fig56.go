@@ -4,10 +4,6 @@ import (
 	"fmt"
 	rand "math/rand/v2"
 
-	"github.com/oasisfl/oasis/internal/attack"
-	"github.com/oasisfl/oasis/internal/augment"
-	"github.com/oasisfl/oasis/internal/core"
-	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
 )
@@ -17,9 +13,6 @@ var fig5Policies = []string{"WO", "MR", "mR", "SH", "HFlip", "VFlip"}
 
 // fig6Policies are the transformations of Figure 6 (CAH).
 var fig6Policies = []string{"WO", "SH", "MR", "MR+SH"}
-
-// psnrBoxHeader is the column layout of the box-plot tables.
-var psnrBoxHeader = []string{"dataset", "B", "n", "policy", "count", "mean", "median", "q1", "q3", "min", "max"}
 
 // Fig5 measures RTF reconstruction quality per transformation at the
 // per-dataset optimal (B, n) pairs from Figure 3.
@@ -41,7 +34,7 @@ func transformExperiment(cfg Config, id string, policies []string, useCAH bool) 
 	if cfg.Quick {
 		trials, probe = 1, 64
 	}
-	t := metrics.NewTable(figTitle(id, useCAH), psnrBoxHeader...)
+	t := metrics.NewTable(figTitle(useCAH), psnrBoxHeader...)
 	for _, set := range datasets(cfg) {
 		pairs := set.rtfPairs
 		if useCAH {
@@ -52,31 +45,16 @@ func transformExperiment(cfg Config, id string, policies []string, useCAH bool) 
 		}
 		for _, pair := range pairs {
 			b, n := pair[0], pair[1]
-			stats := newPolicyPSNRStats()
-			for _, polName := range policies {
+			prefix := []string{set.ds.Name(), fmt.Sprintf("%d", b), fmt.Sprintf("%d", n)}
+			err := policyBoxRows(t, prefix, policies, func(polName string) (trialLoop, *rand.Rand, error) {
 				rng := nn.RandSource(cfg.Seed^hashLabel(id+polName), uint64(b*10000+n))
-				atk, err := buildAttack(set, n, b, useCAH, probe, rng)
-				if err != nil {
-					return nil, err
-				}
-				for tr := 0; tr < trials; tr++ {
-					batch, err := data.RandomBatch(set.ds, rng, b)
-					if err != nil {
-						return nil, err
-					}
-					client, err := applyPolicy(batch, polName)
-					if err != nil {
-						return nil, err
-					}
-					ev, _, err := atk.Run(client, batch.Images, rng)
-					if err != nil {
-						return nil, err
-					}
-					stats.add(polName, ev.PSNRs)
-				}
-				cfg.logf("%s %s (B=%d,n=%d) %s mean=%.2f", id, set.ds.Name(), b, n, polName, stats.mean(polName))
+				atk, err := buildAttack(set, n, useCAH, probe, rng)
+				return trialLoop{atk: atk, ds: set.ds, batch: b, trials: trials}, rng, err
+			})
+			if err != nil {
+				return nil, err
 			}
-			stats.rows(t, set.ds.Name(), fmt.Sprintf("%d", b), fmt.Sprintf("%d", n))
+			cfg.logf("%s %s (B=%d,n=%d) done", id, set.ds.Name(), b, n)
 		}
 	}
 	res.Tables = append(res.Tables, t)
@@ -86,42 +64,9 @@ func transformExperiment(cfg Config, id string, policies []string, useCAH bool) 
 	return res, nil
 }
 
-func figTitle(id string, useCAH bool) string {
+func figTitle(useCAH bool) string {
 	if useCAH {
 		return "Figure 6: PSNR of CAH reconstructions per transformation (green-triangle mean = 'mean' column)"
 	}
 	return "Figure 5: PSNR of RTF reconstructions per transformation (green-triangle mean = 'mean' column)"
-}
-
-// buildAttack constructs the calibrated attack for one table cell. CAH traps
-// are calibrated for the attacker's fixed anticipated batch regardless of
-// the victim's true batch size (see cahAnticipatedBatch).
-func buildAttack(set evalSet, n, _ int, useCAH bool, probe int, rng *rand.Rand) (gridAttack, error) {
-	if useCAH {
-		return attack.NewCAH(set.dims, set.ds.NumClasses(), n, set.ds, rng, probe, cahAnticipatedBatch)
-	}
-	return attack.NewRTF(set.dims, set.ds.NumClasses(), n, set.ds, rng, probe)
-}
-
-// applyPolicy expands the batch under the named OASIS policy ("WO" passes
-// the batch through untouched).
-func applyPolicy(batch *data.Batch, polName string) (*data.Batch, error) {
-	pol, err := augment.ByName(polName)
-	if err != nil {
-		return nil, err
-	}
-	if pol == nil {
-		return batch, nil
-	}
-	return core.New(pol).Apply(batch)
-}
-
-// hashLabel derives a stable seed perturbation from a label.
-func hashLabel(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

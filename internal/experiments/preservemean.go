@@ -4,20 +4,18 @@ import (
 	"fmt"
 
 	"github.com/oasisfl/oasis/internal/attack"
-	"github.com/oasisfl/oasis/internal/augment"
-	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
 // PreserveMean ablates this implementation's one deliberate design choice on
-// top of the paper (DESIGN.md §1): OASIS restores each transformed copy's
-// mean pixel value. The paper's §IV-B mechanism — transforms must "impose
-// minimal change" to the scalar quantity RTF's neurons measure — only binds
-// geometric transforms that vacate pixels (shearing, minor rotation) if the
-// photometric statistic is restored. The ablation runs RTF against SH and mR
-// with restoration on and off:
+// top of the paper (see README, "Running the paper experiments"): OASIS
+// restores each transformed copy's mean pixel value. The paper's §IV-B
+// mechanism — transforms must "impose minimal change" to the scalar quantity
+// RTF's neurons measure — only binds geometric transforms that vacate pixels
+// (shearing, minor rotation) if the photometric statistic is restored. The
+// ablation runs RTF against SH and mR with restoration on and off:
 //
 //   - ON: transformed copies share their source's brightness bin, every bin
 //     inverts to a blend, no verbatim recoveries;
@@ -44,44 +42,22 @@ func PreserveMean(cfg Config) (*Result, error) {
 		"policy", "preserve_mean", "mean_psnr_dB", "max_psnr_dB", "verbatim_recoveries")
 	res := &Result{ID: "pm"}
 	for _, polName := range []string{"SH", "mR", "MR"} {
-		pol, err := augment.ByName(polName)
-		if err != nil {
-			return nil, err
-		}
 		for _, preserve := range []bool{true, false} {
-			def := core.New(pol)
-			def.PreserveMean = preserve
-			var psnrs []float64
-			maxPSNR := 0.0
-			verbatim := 0
-			for tr := 0; tr < trials; tr++ {
-				batch, err := data.RandomBatch(ds, rng, b)
-				if err != nil {
-					return nil, err
-				}
-				defended, err := def.Apply(batch)
-				if err != nil {
-					return nil, err
-				}
-				ev, _, err := rtf.Run(defended, batch.Images, rng)
-				if err != nil {
-					return nil, err
-				}
-				psnrs = append(psnrs, ev.PSNRs...)
-				if m := ev.MaxPSNR(); m > maxPSNR {
-					maxPSNR = m
-				}
-				for _, p := range ev.PerOriginalBest {
-					if p > 100 {
-						verbatim++
-					}
-				}
+			def, err := policyDefense(polName)
+			if err != nil {
+				return nil, err
 			}
+			def.PreserveMean = preserve
+			run, err := trialLoop{atk: rtf, ds: ds, batch: b, trials: trials, defend: oasisDefense(def)}.run(rng)
+			if err != nil {
+				return nil, err
+			}
+			mean := metrics.Mean(run.ev.PSNRs)
 			t.AddRow(polName, fmt.Sprintf("%v", preserve),
-				fmt.Sprintf("%.2f", metrics.Mean(psnrs)),
-				fmt.Sprintf("%.2f", maxPSNR),
-				fmt.Sprintf("%d", verbatim))
-			cfg.logf("pm %s preserve=%v mean=%.2f verbatim=%d", polName, preserve, metrics.Mean(psnrs), verbatim)
+				fmt.Sprintf("%.2f", mean),
+				fmt.Sprintf("%.2f", run.ev.MaxPSNR()),
+				fmt.Sprintf("%d", verbatim(run.ev)))
+			cfg.logf("pm %s preserve=%v mean=%.2f verbatim=%d", polName, preserve, mean, verbatim(run.ev))
 		}
 	}
 	res.Tables = append(res.Tables, t)

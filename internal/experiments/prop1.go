@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/oasisfl/oasis/internal/attack"
-	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/metrics"
@@ -62,15 +61,12 @@ func Prop1(cfg Config) (*Result, error) {
 
 	for _, layer := range layers {
 		for _, polName := range policies {
-			var def *core.Defense
-			if polName == "WO" {
+			def, err := policyDefense(polName)
+			if err != nil {
+				return nil, err
+			}
+			if def == nil {
 				def = &core.Defense{} // nil policy: analyze the raw batch
-			} else {
-				p, err := augment.ByName(polName)
-				if err != nil {
-					return nil, err
-				}
-				def = core.New(p)
 			}
 			agg := core.Prop1Report{Policy: polName}
 			for tr := 0; tr < trials; tr++ {

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-	rand "math/rand/v2"
-
-	"github.com/oasisfl/oasis/internal/augment"
-	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 )
 
 // Table1 reproduces the model-utility comparison: a residual classifier is
@@ -18,7 +13,8 @@ import (
 // on ImageNet/CIFAR100 with Adam (lr 1e-3); this runner trains ResNet-lite
 // on reduced-resolution synthetic variants with the same optimizer family —
 // the comparison of interest (OASIS ≈ WO accuracy) is preserved because all
-// rows share dataset, architecture and budget. See DESIGN.md.
+// rows share dataset, architecture and budget. See README, "Running the
+// paper experiments".
 func Table1(cfg Config) (*Result, error) {
 	type setCfg struct {
 		ds     data.Dataset
@@ -71,7 +67,19 @@ func Table1(cfg Config) (*Result, error) {
 				InChannels: c, NumClasses: sc.ds.NumClasses(), Width: sc.width,
 			}, initRng)
 			trRng := nn.RandSource(cfg.Seed^0x7ab1e2f, hashLabel(sc.ds.Name()))
-			acc, loss, err := trainAndEvaluate(net, trainSet, testSet, polName, sc.epochs, sc.batch, trRng)
+			def, err := policyDefense(polName)
+			if err != nil {
+				return nil, err
+			}
+			var pre fl.BatchPreprocessor
+			if def != nil {
+				pre = def
+			}
+			loss, err := fl.TrainCentralized(net, trainSet, pre, nil, sc.epochs, sc.batch, trRng)
+			if err != nil {
+				return nil, err
+			}
+			acc, err := fl.EvaluateAccuracy(net, testSet, sc.batch)
 			if err != nil {
 				return nil, err
 			}
@@ -84,81 +92,4 @@ func Table1(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// trainAndEvaluate runs the fixed training budget and returns test accuracy
-// and the final epoch's mean training loss.
-func trainAndEvaluate(net *nn.Sequential, trainSet, testSet data.Dataset, polName string, epochs, batchSize int, rng *rand.Rand) (float64, float64, error) {
-	pol, err := policyFor(polName)
-	if err != nil {
-		return 0, 0, err
-	}
-	optimizer := opt.NewAdam(1e-3, 1e-4) // paper: Adam, lr 1e-3, weight decay
-	loss := nn.SoftmaxCrossEntropy{}
-	lastLoss := 0.0
-	n := trainSet.Len()
-	for ep := 0; ep < epochs; ep++ {
-		perm := rng.Perm(n)
-		epochLoss, steps := 0.0, 0
-		for off := 0; off+batchSize <= n; off += batchSize {
-			batch, err := data.TakeBatch(trainSet, perm[off:off+batchSize])
-			if err != nil {
-				return 0, 0, err
-			}
-			if pol != nil {
-				batch, err = pol.Apply(batch)
-				if err != nil {
-					return 0, 0, err
-				}
-			}
-			net.ZeroGrad()
-			logits := net.Forward(batch.Tensor4D(), true)
-			l, g := loss.Compute(logits, batch.Labels)
-			net.Backward(g)
-			optimizer.Step(net.Params())
-			epochLoss += l
-			steps++
-		}
-		if steps > 0 {
-			lastLoss = epochLoss / float64(steps)
-		}
-	}
-	acc, err := evaluateAccuracy(net, testSet, batchSize)
-	return acc, lastLoss, err
-}
-
-// policyFor resolves a label into an OASIS defense (nil for WO).
-func policyFor(polName string) (*core.Defense, error) {
-	if polName == "WO" {
-		return nil, nil
-	}
-	p, err := augment.ByName(polName)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(p), nil
-}
-
-// evaluateAccuracy computes mean accuracy over the full test set in
-// inference mode.
-func evaluateAccuracy(net *nn.Sequential, testSet data.Dataset, batchSize int) (float64, error) {
-	correctWeighted, total := 0.0, 0
-	for off := 0; off < testSet.Len(); off += batchSize {
-		end := min(off+batchSize, testSet.Len())
-		idx := make([]int, 0, end-off)
-		for i := off; i < end; i++ {
-			idx = append(idx, i)
-		}
-		batch, err := data.TakeBatch(testSet, idx)
-		if err != nil {
-			return 0, err
-		}
-		logits := net.Forward(batch.Tensor4D(), false)
-		correctWeighted += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
-		total += batch.Size()
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("experiments: empty test set %s", testSet.Name())
-	}
-	return correctWeighted / float64(total), nil
 }

@@ -42,27 +42,23 @@ func Visual(cfg Config) (*Result, error) {
 	t := metrics.NewTable("Figures 7-12: visual reconstructions", "figure", "attack", "policy", "mean_psnr_dB", "artifact")
 	for _, f := range figures {
 		rng := nn.RandSource(cfg.Seed^hashLabel(f.fig), 5)
-		atk, err := buildAttack(evalSet{ds: ds, dims: dims}, neurons, numImages, f.useCAH, 128, rng)
+		atk, err := buildAttack(evalSet{ds: ds, dims: dims}, neurons, f.useCAH, 128, rng)
 		if err != nil {
 			return nil, err
 		}
-		batch, err := data.RandomBatch(ds, rng, numImages)
+		def, err := policyDefense(f.policy)
 		if err != nil {
 			return nil, err
 		}
-		client, err := applyPolicy(batch, f.policy)
-		if err != nil {
-			return nil, err
-		}
-		ev, recons, err := atk.Run(client, batch.Images, rng)
+		run, err := trialLoop{atk: atk, ds: ds, batch: numImages, trials: 1, defend: oasisDefense(def)}.run(rng)
 		if err != nil {
 			return nil, err
 		}
 		artifact := ""
 		if cfg.OutDir != "" {
 			tiles := make([]*imaging.Image, 0, 2*numImages)
-			for _, orig := range batch.Images {
-				tiles = append(tiles, orig.Clone().Clamp(), bestReconFor(orig, recons))
+			for _, orig := range run.originals {
+				tiles = append(tiles, orig.Clone().Clamp(), bestReconFor(orig, run.recons))
 			}
 			m, err := imaging.Montage(tiles, 2)
 			if err != nil {
@@ -78,8 +74,8 @@ func Visual(cfg Config) (*Result, error) {
 		if f.useCAH {
 			name = "CAH"
 		}
-		t.AddRowf(f.fig, name, f.policy, ev.MeanPSNR(), artifact)
-		cfg.logf("visual %s (%s/%s) mean PSNR %.2f", f.fig, name, f.policy, ev.MeanPSNR())
+		t.AddRowf(f.fig, name, f.policy, run.ev.MeanPSNR(), artifact)
+		cfg.logf("visual %s (%s/%s) mean PSNR %.2f", f.fig, name, f.policy, run.ev.MeanPSNR())
 	}
 	res.Tables = append(res.Tables, t)
 	if err := res.saveCSV(cfg, "visual.csv", t); err != nil {

@@ -186,7 +186,7 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 
 // localStep draws one defended batch and runs forward/backward, leaving the
 // gradients accumulated on the network parameters.
-func (c *LocalClient) localStep(net *nn.Sequential, inputKind string) (loss float64, batchSize int, err error) {
+func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, batchSize int, err error) {
 	batch, err := data.RandomBatch(c.Shard, c.Rng, min(c.BatchSize, c.Shard.Len()))
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
@@ -197,14 +197,9 @@ func (c *LocalClient) localStep(net *nn.Sequential, inputKind string) (loss floa
 			return 0, 0, fmt.Errorf("fl: client %s defense: %w", c.Name, err)
 		}
 	}
-	var x *tensor.Tensor
-	switch inputKind {
-	case "flat":
-		x = batch.Flatten()
-	case "image", "":
-		x = batch.Tensor4D()
-	default:
-		return 0, 0, fmt.Errorf("fl: client %s: unknown input kind %q", c.Name, inputKind)
+	x, err := batchInput(batch, kind)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
 	net.ZeroGrad()
 	logits := net.Forward(x, true)

@@ -30,6 +30,7 @@ package fl
 import (
 	"fmt"
 
+	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/nn"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
@@ -80,13 +81,30 @@ func EncodeModel(net *nn.Sequential) (ModelSpec, error) {
 	if err != nil {
 		return ModelSpec{}, err
 	}
-	kind := "image"
+	return ModelSpec{Layers: specs, InputKind: inputKind(net)}, nil
+}
+
+// inputKind is the first-layer rule behind ModelSpec.InputKind: a network
+// whose first layer is Linear takes flat input, any other takes images.
+func inputKind(net *nn.Sequential) string {
 	if len(net.Layers) > 0 {
 		if _, ok := net.Layers[0].(*nn.Linear); ok {
-			kind = "flat"
+			return "flat"
 		}
 	}
-	return ModelSpec{Layers: specs, InputKind: kind}, nil
+	return "image"
+}
+
+// batchInput shapes a batch for a model of the given InputKind.
+func batchInput(b *data.Batch, kind string) (*tensor.Tensor, error) {
+	switch kind {
+	case "flat":
+		return b.Flatten(), nil
+	case "image", "":
+		return b.Tensor4D(), nil
+	default:
+		return nil, fmt.Errorf("unknown input kind %q", kind)
+	}
 }
 
 func encodeLayers(layers []nn.Layer) ([]LayerSpec, error) {

@@ -87,7 +87,7 @@ func (r *Residual) Clone() Layer {
 func (r *Residual) Name() string { return r.name }
 
 // ResNetLiteConfig sizes the small residual classifier used in place of the
-// paper's ResNet-18 (see DESIGN.md substitution table).
+// paper's ResNet-18 (see README, "Running the paper experiments").
 type ResNetLiteConfig struct {
 	InChannels int // input image channels
 	NumClasses int

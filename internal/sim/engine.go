@@ -16,7 +16,6 @@ import (
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
 	"github.com/oasisfl/oasis/internal/obs"
-	"github.com/oasisfl/oasis/internal/tensor"
 )
 
 // Options tunes how a scenario executes without changing what it describes.
@@ -126,7 +125,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	}
 	vp := newVirtualPopulation(sc, trainDS, parts)
 
-	model, flatInput, err := buildModel(sc, trainDS)
+	model, err := buildModel(sc, trainDS)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +205,9 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		if round == sc.Rounds-1 || (sc.EvalEvery > 0 && (round+1)%sc.EvalEvery == 0) {
 			rr.Evaluated = true
 			_, evSpan := obs.Start(ctx, "sim.eval", obs.Int("round", round))
-			rr.Accuracy = evalAccuracy(model, testDS, flatInput, 32)
+			// Normalize gives every scenario a non-empty test set, so the
+			// evaluator cannot fail here.
+			rr.Accuracy, _ = fl.EvaluateAccuracy(model, testDS, 32)
 			evSpan.End()
 		}
 		report.Rounds = append(report.Rounds, rr)
@@ -232,9 +233,8 @@ func attackMark(active bool) string {
 	return ""
 }
 
-// buildModel constructs the scenario's global model and reports whether it
-// consumes flattened input.
-func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, bool, error) {
+// buildModel constructs the scenario's global model.
+func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, error) {
 	rng := nn.RandSource(sc.Seed+4, 0x30de1)
 	c, h, w := ds.Shape()
 	switch sc.Model.Kind {
@@ -243,13 +243,13 @@ func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, bool, error) {
 			nn.NewLinear("fc1", c*h*w, sc.Model.Hidden, rng),
 			nn.NewReLU("relu1"),
 			nn.NewLinear("fc2", sc.Model.Hidden, ds.NumClasses(), rng),
-		), true, nil
+		), nil
 	case "resnet":
 		return nn.NewResNetLite(nn.ResNetLiteConfig{
 			InChannels: c, NumClasses: ds.NumClasses(), Width: sc.Model.Hidden,
-		}, rng), false, nil
+		}, rng), nil
 	default:
-		return nil, false, fmt.Errorf("sim: unknown model kind %q", sc.Model.Kind)
+		return nil, fmt.Errorf("sim: unknown model kind %q", sc.Model.Kind)
 	}
 }
 
@@ -428,34 +428,4 @@ func shardStats(parts *data.LazyPartition) ShardStats {
 	}
 	mn, mx, mean := parts.Stats()
 	return ShardStats{Min: mn, Max: mx, Mean: mean}
-}
-
-// evalAccuracy measures held-out classification accuracy in inference mode.
-func evalAccuracy(model *nn.Sequential, ds data.Dataset, flat bool, batchSize int) float64 {
-	correct, total := 0.0, 0
-	for off := 0; off < ds.Len(); off += batchSize {
-		end := min(off+batchSize, ds.Len())
-		idx := make([]int, 0, end-off)
-		for i := off; i < end; i++ {
-			idx = append(idx, i)
-		}
-		batch, err := data.TakeBatch(ds, idx)
-		if err != nil {
-			return 0
-		}
-		var logits = model.Forward(batchInput(batch, flat), false)
-		correct += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
-		total += batch.Size()
-	}
-	if total == 0 {
-		return 0
-	}
-	return correct / float64(total)
-}
-
-func batchInput(b *data.Batch, flat bool) *tensor.Tensor {
-	if flat {
-		return b.Flatten()
-	}
-	return b.Tensor4D()
 }

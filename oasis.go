@@ -25,8 +25,8 @@
 //	ev, _, _ := atk.Run(defended, batch.Images, rng)
 //	fmt.Printf("mean PSNR %.1f dB\n", ev.MeanPSNR()) // ~17 dB: unrecognizable
 //
-// See examples/ for complete programs, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-vs-measured results.
+// See examples/ for complete programs and the README section "Running the
+// paper experiments" for how the reproduction departs from the paper.
 package oasis
 
 import (

@@ -173,6 +173,36 @@ func TestTrainCentralizedFacade(t *testing.T) {
 	}
 }
 
+// TestTrainCentralizedMLP trains and evaluates a flat-input model: a Linear
+// first layer must be fed [B, C·H·W] rows, as in a federated round.
+func TestTrainCentralizedMLP(t *testing.T) {
+	ds := NewSynthDataset("train-mlp", 4, 1, 8, 8, 256, 3)
+	rng := NewRand(4, 4)
+	shards, err := ShardDataset(ds, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := NewMLP(ds, 32, rng)
+	before, err := EvaluateAccuracy(model, shards[1], 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before < 0 || before > 1 {
+		t.Errorf("untrained accuracy %.2f outside [0, 1]", before)
+	}
+	def, err := NewDefense("HFlip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := TrainCentralized(model, shards[0], shards[1], def, 20, 16, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc <= 0.25 { // must beat random (4 classes)
+		t.Errorf("accuracy %.2f not above chance", acc)
+	}
+}
+
 func TestDefensePipelineFacade(t *testing.T) {
 	pl, err := NewDefensePipeline("oasis:MR|dpsgd:1,0.1", NewRand(5, 5))
 	if err != nil {
