@@ -228,8 +228,11 @@ func (s *Server) fireAfterRound(ctx context.Context, round int, stats RoundStats
 }
 
 // selectRound draws the round's participants by index and leases only the
-// sampled cohort. All sampler rng operations run on the server goroutine.
-func (s *Server) selectRound(round int) ([]Client, error) {
+// sampled cohort. All sampler rng operations run on the server goroutine;
+// the fl.sample span times the draw and the lease together.
+func (s *Server) selectRound(ctx context.Context, round int) ([]Client, error) {
+	_, sp := obs.Start(ctx, "fl.sample", obs.Int("round", round))
+	defer sp.End()
 	sampler := s.Sampler
 	if sampler == nil {
 		// UniformSampler performs exactly the historical rng operations, so
@@ -269,7 +272,7 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	ctx, sp := obs.Start(ctx, "fl.round", obs.Int("round", round))
 	defer sp.End()
 	obsRounds.Inc()
-	selected, err := s.selectRound(round)
+	selected, err := s.selectRound(ctx, round)
 	if err != nil {
 		return RoundStats{}, err
 	}

@@ -10,13 +10,15 @@ import (
 )
 
 // goldenPresets are the scenarios whose quick-mode report JSON is pinned
-// byte-for-byte in testdata/. The files were generated by the eager
-// materializing engine before the virtual-client rewrite, so they are the
-// proof that lazy cohort materialization changed memory behavior and nothing
-// else. Regenerate (only when a report-schema change is intentional) with:
+// byte-for-byte in testdata/. All but cross-device-1M were generated by the
+// eager materializing engine before the virtual-client rewrite, so they are
+// the proof that lazy cohort materialization changed memory behavior and
+// nothing else; cross-device-1M pins the million-client cohort sampling
+// path, which no eager engine could run. Regenerate (only when a
+// report-schema change is intentional) with:
 //
 //	OASIS_REGEN_GOLDEN=1 go test ./internal/sim -run TestReportGoldenBytes
-var goldenPresets = []string{"smoke", "cross-device-1k", "flaky-hospital", "adversarial-burst"}
+var goldenPresets = []string{"smoke", "cross-device-1k", "flaky-hospital", "adversarial-burst", "cross-device-1M"}
 
 func goldenPath(preset string) string {
 	return filepath.Join("testdata", "golden-"+preset+"-report.json")
