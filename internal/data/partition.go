@@ -109,7 +109,7 @@ func (IID) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, err
 	if err := checkPartitionArgs(ds, n); err != nil {
 		return nil, err
 	}
-	pool := toInt32(rng.Perm(ds.Len()))
+	pool := shuffledIndices(rng, ds.Len())
 	per, rem := ds.Len()/n, ds.Len()%n
 	offsets := make([]int32, n+1)
 	lens := make([]int32, n)
@@ -223,7 +223,7 @@ func (q Quantity) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartiti
 		props[i] = w / total
 	}
 	counts := apportion(props, ds.Len())
-	pool := toInt32(rng.Perm(ds.Len()))
+	pool := shuffledIndices(rng, ds.Len())
 	offsets := make([]int32, n+1)
 	lens := make([]int32, n)
 	for k, c := range counts {

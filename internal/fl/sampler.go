@@ -3,6 +3,8 @@ package fl
 import (
 	"fmt"
 	rand "math/rand/v2"
+
+	"github.com/oasisfl/oasis/internal/data"
 )
 
 // ClientSampler picks which of the roster's clients participate in a round.
@@ -48,7 +50,10 @@ func NewSamplerByName(name string) (ClientSampler, error) {
 func SamplerNames() []string { return []string{"uniform", "size"} }
 
 // UniformSampler draws m clients uniformly without replacement — exactly the
-// policy the server applies when no Sampler is set.
+// policy the server applies when no Sampler is set. A draw is bit-identical
+// to rng.Perm(n)[:m] and advances rng the same way, but costs O(n) rng draws
+// over a pooled int32 scratch and allocates only the O(m) result (see
+// data.PermPrefix).
 type UniformSampler struct{}
 
 var _ ClientSampler = UniformSampler{}
@@ -56,13 +61,12 @@ var _ ClientSampler = UniformSampler{}
 // Name returns "uniform".
 func (UniformSampler) Name() string { return "uniform" }
 
-// SampleIndices permutes [0, n) and takes the first m entries.
+// SampleIndices returns the first m entries of a permutation of [0, n).
 func (UniformSampler) SampleIndices(_, n, m int, _ func(int) int, rng *rand.Rand) []int {
 	if m <= 0 || m > n {
 		m = n
 	}
-	perm := rng.Perm(n)
-	return perm[:m:m]
+	return data.PermPrefix(rng, n, m)
 }
 
 // SizeWeightedSampler draws m clients without replacement with probability

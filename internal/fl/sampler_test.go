@@ -258,3 +258,15 @@ func TestAfterRoundPanicSurfacesAsError(t *testing.T) {
 		t.Errorf("History has %d rounds, want 2 (rounds 0 and 1 ran before the abort)", len(hist.Rounds))
 	}
 }
+
+// BenchmarkUniformSampler1M times one cross-device cohort draw: 1024 of a
+// million clients, the cross-device-1M preset's per-round selection.
+func BenchmarkUniformSampler1M(b *testing.B) {
+	rng := nn.RandSource(1, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		if got := (UniformSampler{}).SampleIndices(0, 1_000_000, 1024, nil, rng); len(got) != 1024 {
+			b.Fatalf("sampled %d clients, want 1024", len(got))
+		}
+	}
+}

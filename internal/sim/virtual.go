@@ -31,15 +31,16 @@ func (m membership) Count() int { return len(m.idx) }
 
 // drawMembership draws a count-member subset of [0, n) from the keyed stream
 // (seed, salt), consuming exactly the rng operations the historical []bool
-// draw performed — one Perm(n) — so membership is identical bit for bit. The
-// permutation is O(n) transient scratch; only the sorted selection is kept.
+// draw performed — one Perm(n) — so membership is identical bit for bit.
+// data.PermPrefix keeps only the permutation's first count entries; the
+// sorted selection is all that is retained.
 func drawMembership(seed, salt uint64, n, count int) membership {
 	if count <= 0 {
 		return membership{}
 	}
 	rng := nn.RandSource(seed, salt)
 	idx := make([]int32, count)
-	for i, v := range rng.Perm(n)[:count] {
+	for i, v := range data.PermPrefix(rng, n, count) {
 		idx[i] = int32(v)
 	}
 	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
