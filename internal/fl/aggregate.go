@@ -120,10 +120,11 @@ type NormClipped struct {
 
 var _ Aggregator = (*NormClipped)(nil)
 
-// NewNormClipped constructs the clipping aggregator; maxNorm must be > 0.
+// NewNormClipped constructs the clipping aggregator; maxNorm must be finite
+// and > 0 (a NaN bound would write NaN into the global model).
 func NewNormClipped(maxNorm float64) (*NormClipped, error) {
-	if maxNorm <= 0 {
-		return nil, fmt.Errorf("fl: normclip needs max norm > 0, got %g", maxNorm)
+	if !(maxNorm > 0) || math.IsInf(maxNorm, 1) {
+		return nil, fmt.Errorf("fl: normclip needs finite max norm > 0, got %g", maxNorm)
 	}
 	return &NormClipped{MaxNorm: maxNorm}, nil
 }
@@ -254,9 +255,10 @@ type TrimmedMean struct {
 var _ Aggregator = (*TrimmedMean)(nil)
 
 // NewTrimmedMean constructs the trimmed-mean aggregator; frac is the
-// fraction trimmed from each tail and must lie in [0, 0.5).
+// fraction trimmed from each tail and must lie in [0, 0.5). The check is
+// written so NaN, which fails every comparison, is rejected too.
 func NewTrimmedMean(frac float64) (*TrimmedMean, error) {
-	if frac < 0 || frac >= 0.5 {
+	if !(frac >= 0 && frac < 0.5) {
 		return nil, fmt.Errorf("fl: trimmed-mean fraction %g outside [0, 0.5)", frac)
 	}
 	return &TrimmedMean{Frac: frac}, nil

@@ -178,9 +178,25 @@ func TestNewAggregatorByName(t *testing.T) {
 			t.Errorf("%s resolved to %s, want %s", c.spec, a.Name(), c.want)
 		}
 	}
-	for _, bad := range []string{"", "krum", "trimmed:x", "mean:1", "normclip:-3"} {
-		if _, err := NewAggregatorByName(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
+	for _, bad := range []struct{ spec, wantErr string }{
+		{"", "unknown aggregator"},
+		{"krum", "unknown aggregator"},
+		{"trimmed:x", "bad parameter"},
+		{"mean:1", "takes no parameter"},
+		{"normclip:-3", "finite max norm > 0"},
+		// Non-finite parameters that once parsed: trimmed:NaN panicked in
+		// Finalize, normclip:NaN wrote NaN into the global model.
+		{"trimmed:NaN", "outside [0, 0.5)"},
+		{"trimmed:Inf", "outside [0, 0.5)"},
+		{"trimmed:-Inf", "outside [0, 0.5)"},
+		{"normclip:NaN", "finite max norm > 0"},
+		{"normclip:Inf", "finite max norm > 0"},
+		{"normclip:-Inf", "finite max norm > 0"},
+	} {
+		if _, err := NewAggregatorByName(bad.spec); err == nil {
+			t.Errorf("spec %q accepted", bad.spec)
+		} else if !strings.Contains(err.Error(), bad.wantErr) {
+			t.Errorf("spec %q: error %q does not contain %q", bad.spec, err, bad.wantErr)
 		}
 	}
 	if names := AggregatorNames(); len(names) < 4 || strings.Join(names, ",") != "mean,median,trimmed,normclip" {
