@@ -1,37 +1,23 @@
-// Command oasis-bench regenerates the paper's tables and figures, and owns
-// the repo's performance-trajectory baselines.
+// Command oasis-bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	oasis-bench -list
 //	oasis-bench -run fig5 -out results
 //	oasis-bench -run all -quick
-//	oasis-bench -round                 # refresh BENCH_round.json / BENCH_tensor.json
-//	oasis-bench -sweep                 # refresh BENCH_sweep.json (grid engine)
-//	oasis-bench -round -sweep -gate    # CI: compare fresh run vs committed, fail on >15%
 //
 // Every experiment prints the same rows/series the paper reports; -out
 // additionally writes CSV tables and PNG figures.
-//
-// -round times the tensor kernel suite and the full round engine on the
-// cross-device-1k preset; -sweep times the sweep grid engine on a fixed
-// quick grid. Each writes its BENCH files (committed at the repo root).
-// With -gate they instead measure fresh numbers and compare the
-// calibration-normalized ratios against the committed files, printing the
-// trajectory delta per entry and exiting nonzero when any entry regressed
-// beyond -gate-tol. See internal/perf for the normalization contract.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"github.com/oasisfl/oasis/internal/experiments"
-	"github.com/oasisfl/oasis/internal/perf"
 )
 
 func main() {
@@ -50,19 +36,8 @@ func run() error {
 		outDir  = flag.String("out", "", "directory for CSV/PNG artifacts (empty = stdout only)")
 		verbose = flag.Bool("v", false, "log progress while running")
 		workers = flag.Int("workers", 0, "max concurrent clients in FL-round experiments (0 = NumCPU)")
-
-		roundBench = flag.Bool("round", false, "measure the kernel+round perf-trajectory suites and write BENCH_round.json / BENCH_tensor.json")
-		sweepBench = flag.Bool("sweep", false, "measure the sweep-engine perf-trajectory suite and write BENCH_sweep.json (combines with -round)")
-		gate       = flag.Bool("gate", false, "with -round/-sweep: compare fresh measurements against the committed BENCH files instead of rewriting them")
-		gateTol    = flag.Float64("gate-tol", 0.15, "with -gate: maximum allowed fractional regression of a calibration-normalized ratio")
-		benchDir   = flag.String("bench-dir", ".", "directory holding the BENCH files")
-		repeats    = flag.Int("bench-repeats", 0, "repetitions per measurement, best-of (0 = suite defaults)")
 	)
 	flag.Parse()
-
-	if *roundBench || *sweepBench {
-		return runPerf(*benchDir, *roundBench, *sweepBench, *gate, *gateTol, *repeats)
-	}
 
 	if *list {
 		for _, s := range experiments.Registry() {
@@ -103,72 +78,4 @@ func run() error {
 		fmt.Printf("(%s in %s)\n\n", s.ID, time.Since(start).Round(time.Millisecond)) //oasis:allow-walltime bench prints human-facing elapsed time
 	}
 	return nil
-}
-
-// runPerf measures the selected perf-trajectory suites and either rewrites
-// the committed BENCH files (refresh mode) or gates fresh ratios against
-// them.
-func runPerf(dir string, round, sweep, gate bool, tol float64, repeats int) error {
-	type suite struct {
-		path  string
-		fresh *perf.Report
-	}
-	var suites []suite
-	if round {
-		fmt.Println("measuring tensor kernel suite…")
-		tensorRep := perf.TensorSuite(repeats)
-		fmt.Println("measuring round engine (cross-device-1k, quick)…")
-		roundRep, err := perf.RoundSuite(repeats)
-		if err != nil {
-			return err
-		}
-		suites = append(suites,
-			suite{filepath.Join(dir, "BENCH_tensor.json"), tensorRep},
-			suite{filepath.Join(dir, "BENCH_round.json"), roundRep})
-	}
-	if sweep {
-		fmt.Println("measuring sweep engine (rtf,qbi × none,prune, quick)…")
-		sweepRep, err := perf.SweepSuite(repeats)
-		if err != nil {
-			return err
-		}
-		suites = append(suites, suite{filepath.Join(dir, "BENCH_sweep.json"), sweepRep})
-	}
-	for _, s := range suites {
-		rep := s.fresh
-		fmt.Printf("%s: calib %.3fms on %d-cpu %s/%s\n", rep.Kind, rep.CalibMS, rep.CPUs, rep.GOOS, rep.GOARCH)
-		for _, e := range rep.Entries {
-			fmt.Printf("  %-36s serial %9.3fms  ratio %8.3f  parallel %9.3fms\n",
-				e.Name, e.SerialMS, e.Ratio, e.ParallelMS)
-		}
-	}
-
-	if !gate {
-		var written []string
-		for _, s := range suites {
-			if err := s.fresh.Write(s.path); err != nil {
-				return err
-			}
-			written = append(written, s.path)
-		}
-		fmt.Printf("wrote %s — commit to update the trajectory baseline\n", strings.Join(written, ", "))
-		return nil
-	}
-
-	var firstErr error
-	for _, s := range suites {
-		baseline, err := perf.Load(s.path)
-		if err != nil {
-			return fmt.Errorf("gate needs a committed baseline: %w", err)
-		}
-		results, err := perf.Gate(baseline, s.fresh, tol)
-		fmt.Printf("trajectory vs %s (tolerance %.0f%%):\n", s.path, tol*100)
-		for _, g := range results {
-			fmt.Println("  " + g.String())
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

@@ -15,7 +15,6 @@
 //	oasis-sweep -defenses "none;oasis:MR|dpsgd:1,0.1;ats:SH|prune:0.5"
 //	oasis-sweep -replicates 5 -cell-workers 8    # mean±std over 5 seeds, 8 cells in flight
 //	oasis-sweep -scenario base.json -workers 8 -out results
-//	oasis-sweep -quick -bench bench.json         # sequential-vs-parallel wall-clock
 //
 // The grid also runs across processes (see internal/dist): -serve turns the
 // process into the coordinator, leasing (cell, replicate) jobs to workers
@@ -34,14 +33,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/defense"
@@ -70,7 +66,6 @@ func run() error {
 		cellWorkers  = flag.Int("cell-workers", 0, "max cell×replicate runs in flight (0 = NumCPU, 1 = sequential)")
 		quick        = flag.Bool("quick", false, "CI scale: cap rounds and eval per cell")
 		outDir       = flag.String("out", "", "directory for sweep.json and sweep.csv")
-		benchPath    = flag.String("bench", "", "benchmark mode: run the grid at -cell-workers 1 vs NumCPU and write wall-clock/cells-per-sec JSON here")
 		quiet        = flag.Bool("q", false, "suppress per-cell progress")
 		tracePath    = flag.String("trace", "", "write a JSONL observability trace here (see internal/obs)")
 		httpAddr     = flag.String("http", "", "serve the obs debug endpoint (metrics + pprof) on this address, e.g. :6060")
@@ -121,18 +116,6 @@ func run() error {
 			wcfg.Log = os.Stderr
 		}
 		err := dist.RunWorker(context.Background(), wcfg)
-		if _, traceErr := finish(); err == nil {
-			err = traceErr
-		}
-		return err
-	}
-	if *benchPath != "" {
-		if *ckptPath != "" {
-			return fmt.Errorf("-bench and -checkpoint are mutually exclusive (bench re-runs the grid twice)")
-		}
-		// Bench mode byte-compares the sequential and parallel legs, so the
-		// summary is never embedded — the trace file still records both legs.
-		err := runBench(cfg, *benchPath, *outDir)
 		if _, traceErr := finish(); err == nil {
 			err = traceErr
 		}
@@ -235,68 +218,6 @@ func writeArtifacts(report *experiments.SweepReport, outDir string) error {
 	}
 	fmt.Printf("wrote %s and %s\n", jsonPath, csvPath)
 	return nil
-}
-
-// benchRun is one timed grid evaluation at a fixed cell-level worker count.
-type benchRun struct {
-	CellWorkers int     `json:"cell_workers"`
-	Seconds     float64 `json:"seconds"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-}
-
-// runBench times the configured grid sequentially (cell-workers 1) and in
-// parallel (NumCPU), checks the two reports are byte-identical, and writes
-// the wall-clock comparison as JSON — the repo's sweep perf trajectory. An
-// -out directory is honored too (artifacts from the identical reports).
-func runBench(cfg experiments.SweepConfig, path, outDir string) error {
-	cfg.Log = nil // progress noise would be timed
-	out := struct {
-		Scenario   string     `json:"scenario"`
-		Cells      int        `json:"cells"`
-		Replicates int        `json:"replicates"`
-		Runs       []benchRun `json:"runs"`
-		Speedup    float64    `json:"speedup"`
-	}{}
-	var golden []byte
-	var goldenReport *experiments.SweepReport
-	// max(2, NumCPU) keeps the parallel leg a real pool even on one core.
-	for _, cw := range []int{1, max(2, runtime.NumCPU())} {
-		cfg.CellWorkers = cw
-		start := time.Now() //oasis:allow-walltime sweep CLI reports human-facing elapsed seconds
-		report, err := experiments.RunSweep(cfg)
-		if err != nil {
-			dumpPartial(report, err)
-			return err
-		}
-		secs := time.Since(start).Seconds() //oasis:allow-walltime sweep CLI reports human-facing elapsed seconds
-		raw, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		if golden == nil {
-			golden = raw
-			goldenReport = report
-			out.Scenario = report.Scenario
-			out.Cells = len(report.Cells)
-			out.Replicates = report.Replicates
-		} else if string(golden) != string(raw) {
-			return fmt.Errorf("bench: report JSON diverges between cell-workers 1 and %d", cw)
-		}
-		runs := float64(len(report.Cells) * report.Replicates)
-		out.Runs = append(out.Runs, benchRun{CellWorkers: cw, Seconds: secs, CellsPerSec: runs / secs})
-	}
-	out.Speedup = out.Runs[0].Seconds / out.Runs[1].Seconds
-	raw, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sweep bench: %d cell runs — sequential %.2fs, %d cell-workers %.2fs (%.2fx); wrote %s\n",
-		out.Cells*out.Replicates, out.Runs[0].Seconds, out.Runs[1].CellWorkers, out.Runs[1].Seconds,
-		out.Speedup, path)
-	return writeArtifacts(goldenReport, outDir)
 }
 
 // splitList parses a separated flag into its non-empty items.

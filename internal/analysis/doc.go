@@ -16,9 +16,9 @@
 //     flow from the keyed sub-stream constructors so every draw is a pure
 //     function of the scenario key.
 //
-//   - walltime: forbids time.Now and time.Since outside internal/obs and
-//     internal/perf (-walltime.exempt overrides). Wall-clock reads in a
-//     report path make output depend on the machine, not the scenario.
+//   - walltime: forbids time.Now and time.Since outside internal/obs
+//     (-walltime.exempt overrides). Wall-clock reads in a report path make
+//     output depend on the machine, not the scenario.
 //     Genuine deadline/backoff code opts out per site with the directive
 //     described below, which must carry a justification.
 //

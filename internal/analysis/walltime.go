@@ -11,18 +11,17 @@ import (
 
 // walltimeExempt lists the packages whose whole job is measuring wall time.
 var walltimeExempt = newPathList(
-	modulePath+"/internal/obs",
-	modulePath+"/internal/perf",
+	modulePath + "/internal/obs",
 )
 
-// Walltime rejects time.Now/time.Since outside the observability and perf
-// layers; deadline-handling code opts out per site with a justified
+// Walltime rejects time.Now/time.Since outside the observability layer;
+// deadline-handling code opts out per site with a justified
 // //oasis:allow-walltime directive.
 var Walltime = &analysis.Analyzer{
 	Name: walltimeName,
-	Doc: "forbid wall-clock reads outside internal/obs and internal/perf\n\n" +
+	Doc: "forbid wall-clock reads outside internal/obs\n\n" +
 		"A time.Now in a report path makes output depend on the machine rather\n" +
-		"than the scenario. Timing belongs to the obs/perf layers; genuine\n" +
+		"than the scenario. Timing belongs to the obs layer; genuine\n" +
 		"deadline and backoff code annotates each site with\n" +
 		"//oasis:allow-walltime <reason>.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
@@ -50,7 +49,7 @@ func runWalltime(pass *analysis.Pass) (any, error) {
 		if skippablePos(pass, sel.Pos()) || dir.allowed(sel.Pos()) {
 			return
 		}
-		pass.Reportf(sel.Pos(), "wall-clock time.%s outside obs/perf: route timing through internal/obs or annotate deadline code with //oasis:allow-walltime <reason>", fn.Name())
+		pass.Reportf(sel.Pos(), "wall-clock time.%s outside obs: route timing through internal/obs or annotate deadline code with //oasis:allow-walltime <reason>", fn.Name())
 	})
 	return nil, nil
 }

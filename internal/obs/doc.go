@@ -61,12 +61,12 @@
 // that is compared across runs (reports, replicate seeds, histories) stays
 // outside it.
 //
-// That split is enforced mechanically: this package (with internal/perf) is
-// the only place allowed to read the wall clock, and every Start must reach
-// End on all paths so trace streams stay well-formed span trees. The
-// walltime and spanpair analyzers in internal/analysis check both rules in
-// CI; the full determinism contract is written up in the "Static analysis"
-// section of the repository README.
+// That split is enforced mechanically: this package is the only place
+// allowed to read the wall clock, and every Start must reach End on all
+// paths so trace streams stay well-formed span trees. The walltime and
+// spanpair analyzers in internal/analysis check both rules in CI; the full
+// determinism contract is written up in the "Static analysis" section of
+// the repository README.
 //
 // # Debug endpoint
 //

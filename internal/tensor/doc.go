@@ -26,8 +26,8 @@
 // split into at most Workers() contiguous disjoint spans, and only when the
 // kernel's FLOP count clears parallelMinFlops — small products always run
 // inline. SetWorkers bounds the fan-out process-wide (default NumCPU);
-// SetWorkers(1) forces every kernel serial, which the perf-trajectory gate
-// uses to compare machines with different core counts.
+// SetWorkers(1) forces every kernel serial, which the allocation budget test
+// in internal/experiments uses to measure the same work on any core count.
 //
 // # Determinism contract
 //
@@ -68,14 +68,14 @@
 // allocation per training step stays O(model outputs) instead of
 // O(batch·OH·OW) — see the ReportAllocs benchmarks in nn/bench_test.go.
 //
-// # Performance trajectory
+// # Measuring performance
 //
 // The shapes that dominate the experiment harness are benchmarked in
-// bench_test.go, and internal/perf freezes calibration-normalized timings
-// of the same kernels (plus the full round engine) into BENCH_tensor.json /
-// BENCH_round.json at the repo root. CI re-measures and fails on >15%
-// regression; refresh the baselines with `go run ./cmd/oasis-bench -round`
-// whenever a change intentionally shifts kernel cost.
+// bench_test.go (`go test -bench . ./internal/tensor`). End-to-end and
+// per-layer numbers, the tensor.kernel_ms share among them, come from the
+// benchmark module (`bash benchmark/run.sh --trace 1`). The arena's reuse is
+// held by TestAllocationBudget in internal/experiments, which fails when a
+// round or a sweep allocates more than its committed budget.
 //
 // The pooling discipline is enforced mechanically: the poolpair analyzer in
 // internal/analysis verifies that every NewPooled/ClonePooled value reaches
