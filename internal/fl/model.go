@@ -198,6 +198,9 @@ func decodeLayers(specs []LayerSpec) ([]nn.Layer, error) {
 }
 
 func decodeLayer(s LayerSpec) (nn.Layer, error) {
+	if err := validateLayer(s); err != nil {
+		return nil, err
+	}
 	switch s.Kind {
 	case "linear":
 		return nn.NewLinearFrom(s.Name, s.W, s.B)
@@ -214,22 +217,12 @@ func decodeLayer(s LayerSpec) (nn.Layer, error) {
 	case "flatten":
 		return nn.NewFlatten(s.Name), nil
 	case "conv":
-		if s.W == nil || s.B == nil {
-			return nil, fmt.Errorf("fl: conv spec %q missing parameters", s.Name)
-		}
 		c := nn.NewConv2D(s.Name, s.InC, s.OutC, s.K, s.Stride, s.Pad, nn.RandSource(0, 0))
-		if !c.Weight.W.SameShape(s.W) || !c.Bias.W.SameShape(s.B) {
-			return nil, fmt.Errorf("fl: conv spec %q parameter shapes %v/%v do not match geometry", s.Name, s.W.Shape(), s.B.Shape())
-		}
 		copy(c.Weight.W.Data(), s.W.Data())
 		copy(c.Bias.W.Data(), s.B.Data())
 		return c, nil
 	case "batchnorm":
 		bn := nn.NewBatchNorm2D(s.Name, s.Channels)
-		if !bn.Gamma.W.SameShape(s.Gamma) || !bn.Beta.W.SameShape(s.Beta) ||
-			len(s.RunningMean) != s.Channels || len(s.RunningVar) != s.Channels {
-			return nil, fmt.Errorf("fl: batchnorm spec %q has inconsistent shapes", s.Name)
-		}
 		copy(bn.Gamma.W.Data(), s.Gamma.Data())
 		copy(bn.Beta.W.Data(), s.Beta.Data())
 		copy(bn.RunningMean, s.RunningMean)
@@ -256,4 +249,55 @@ func decodeLayer(s LayerSpec) (nn.Layer, error) {
 	default:
 		return nil, fmt.Errorf("fl: unknown layer kind %q", s.Kind)
 	}
+}
+
+// validateLayer checks one layer spec before any constructor runs. The spec
+// comes from a server the threat model does not trust, so a malformed one
+// must be an error rather than a panic, and a layer whose parameters do not
+// match its declared geometry must fail before anything is allocated for it.
+func validateLayer(s LayerSpec) error {
+	switch s.Kind {
+	case "linear":
+		if s.W == nil || s.B == nil {
+			return fmt.Errorf("fl: linear spec %q missing parameters", s.Name)
+		}
+	case "conv":
+		// A padding of K or more only adds output cells that see nothing
+		// but zeros, and it is the one field that would let a server grow
+		// the client's activations without bound.
+		if s.InC <= 0 || s.OutC <= 0 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 || s.Pad >= s.K {
+			return fmt.Errorf("fl: conv spec %q has invalid geometry in=%d out=%d k=%d stride=%d pad=%d",
+				s.Name, s.InC, s.OutC, s.K, s.Stride, s.Pad)
+		}
+		if s.W == nil || s.B == nil {
+			return fmt.Errorf("fl: conv spec %q missing parameters", s.Name)
+		}
+		if !hasShape(s.W, s.OutC, s.InC, s.K, s.K) || !hasShape(s.B, s.OutC) {
+			return fmt.Errorf("fl: conv spec %q parameter shapes %v/%v do not match geometry", s.Name, s.W.Shape(), s.B.Shape())
+		}
+	case "batchnorm":
+		if s.Channels <= 0 || s.Gamma == nil || s.Beta == nil ||
+			!hasShape(s.Gamma, s.Channels) || !hasShape(s.Beta, s.Channels) ||
+			len(s.RunningMean) != s.Channels || len(s.RunningVar) != s.Channels {
+			return fmt.Errorf("fl: batchnorm spec %q has inconsistent shapes", s.Name)
+		}
+	case "maxpool":
+		if s.Window <= 0 {
+			return fmt.Errorf("fl: maxpool spec %q has non-positive window %d", s.Name, s.Window)
+		}
+	}
+	return nil
+}
+
+// hasShape reports whether t has exactly the given shape.
+func hasShape(t *tensor.Tensor, shape ...int) bool {
+	if t.Dims() != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if t.Dim(i) != d {
+			return false
+		}
+	}
+	return true
 }

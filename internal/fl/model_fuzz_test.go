@@ -1,0 +1,159 @@
+package fl
+
+import (
+	"testing"
+
+	"github.com/oasisfl/oasis/internal/nn"
+	"github.com/oasisfl/oasis/internal/tensor"
+)
+
+// maxFuzzElems bounds every tensor the harness itself builds, so a fuzzed
+// dimension can only make DecodeModel, never the harness, allocate much.
+const maxFuzzElems = 1 << 14
+
+// FuzzDecodeModel: a ModelSpec is what a dishonest server sends every
+// client, so DecodeModel must reject a malformed one with an error, never a
+// panic, and a model it accepts must run a forward pass on an input its
+// first layer accepts. The harness builds a one-layer spec from a fuzzed
+// kind, geometry and parameter lengths, and, when tail is non-empty, a
+// second layer of kind tail whose declared input width is the first layer's
+// output width and whose parameters match its geometry. The model must then
+// also run when the second layer accepts the first layer's output. Run
+// beyond the seed corpus with:
+//
+//	go test -run '^$' -fuzz FuzzDecodeModel -fuzztime 10s ./internal/fl
+func FuzzDecodeModel(f *testing.F) {
+	type seed struct {
+		kind                    string
+		in, out, k, stride, pad int
+		wLen, bLen              int
+		tail                    string
+	}
+	for _, s := range []seed{
+		// Specs that once panicked or slipped through: a linear layer
+		// without weights, a batchnorm with -1 channels, a zero-width
+		// maxpool window.
+		{kind: "linear", in: 3, out: 2, bLen: 2},
+		{kind: "batchnorm", in: -1},
+		{kind: "maxpool"},
+		{kind: "linear", in: 3, out: 2, wLen: 6, bLen: 2, tail: "relu"},
+		{kind: "linear", in: 3, out: 2, wLen: 6, bLen: 2, tail: "linear"},
+		{kind: "conv", in: 2, out: 3, k: 3, stride: 1, pad: 1, wLen: -1, bLen: -1, tail: "batchnorm"},
+		{kind: "conv", in: 1, out: 2, k: 2, stride: 1, pad: 1, wLen: 8, bLen: 2, tail: "maxpool"},
+		{kind: "batchnorm", in: 2, wLen: 2, bLen: 2, tail: "gap"},
+		{kind: "dropout", k: 3, tail: "flatten"},
+		{kind: "residual", out: 2, k: 1, stride: 1, tail: "conv"},
+		{kind: "quantum"},
+	} {
+		f.Add(s.kind, s.in, s.out, s.k, s.stride, s.pad, s.wLen, s.bLen, s.tail)
+	}
+	f.Fuzz(func(t *testing.T, kind string, in, out, k, stride, pad, wLen, bLen int, tail string) {
+		if wLen > maxFuzzElems || bLen > maxFuzzElems {
+			return
+		}
+		first := fuzzLayerSpec("l0", kind, in, out, k, stride, pad, wLen, bLen)
+		net, err := DecodeModel(ModelSpec{Layers: []LayerSpec{first}})
+		if err != nil {
+			return
+		}
+		shape := fuzzInputShape(net.Layers[0])
+		if fuzzElems(shape) > maxFuzzElems {
+			return
+		}
+		x := tensor.New(shape...)
+		y := net.Forward(x, true)
+		if tail == "" {
+			return
+		}
+		second := fuzzLayerSpec("l1", tail, y.Dim(1), out, k, stride, pad, -1, -1)
+		net, err = DecodeModel(ModelSpec{Layers: []LayerSpec{first, second}})
+		if err != nil || !fuzzAccepts(net.Layers[1], y.Shape()) {
+			return
+		}
+		net.Forward(x, true)
+	})
+}
+
+// fuzzLayerSpec fills every field a layer kind reads from the fuzzed
+// geometry. A parameter tensor is nil when its length is 0, has the shape
+// the geometry calls for when its length is negative or matches that shape,
+// and is flat otherwise.
+func fuzzLayerSpec(name, kind string, in, out, k, stride, pad, wLen, bLen int) LayerSpec {
+	s := LayerSpec{
+		Kind: kind, Name: name,
+		InC: in, OutC: out, K: k, Stride: stride, Pad: pad,
+		Channels: in, Window: k, DropP: float64(k) / 8, Eps: 1e-5,
+		W: fuzzParam(wLen, out, in), B: fuzzParam(bLen, out),
+		Gamma: fuzzParam(wLen, in), Beta: fuzzParam(bLen, in),
+	}
+	if kind == "conv" {
+		s.W = fuzzParam(wLen, out, in, k, k)
+	}
+	if in >= 0 && in <= maxFuzzElems {
+		s.RunningMean, s.RunningVar = make([]float64, in), make([]float64, in)
+	}
+	return s
+}
+
+func fuzzParam(n int, shape ...int) *tensor.Tensor {
+	if n == 0 {
+		return nil
+	}
+	size := fuzzElems(shape)
+	if n < 0 {
+		n = size
+	}
+	if n != size || size > maxFuzzElems {
+		shape = []int{n}
+	}
+	t := tensor.New(shape...)
+	t.Fill(0.5)
+	return t
+}
+
+// fuzzElems is the element count of shape, or maxFuzzElems+1 when that
+// count is not positive or exceeds maxFuzzElems.
+func fuzzElems(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		if d <= 0 || d > maxFuzzElems/n {
+			return maxFuzzElems + 1
+		}
+		n *= d
+	}
+	return n
+}
+
+// fuzzInputShape is a batch of two inputs that l's geometry accepts.
+func fuzzInputShape(l nn.Layer) []int {
+	switch l := l.(type) {
+	case *nn.Linear:
+		return []int{2, l.In}
+	case *nn.Conv2D:
+		return []int{2, l.InC, l.K, l.K}
+	case *nn.BatchNorm2D:
+		return []int{2, l.C, 2, 2}
+	case *nn.MaxPool2D:
+		return []int{2, 1, max(l.K, 2), max(l.K, 2)}
+	default:
+		return []int{2, 2, 2, 2}
+	}
+}
+
+// fuzzAccepts reports whether l's geometry accepts an input of the shape.
+func fuzzAccepts(l nn.Layer, shape []int) bool {
+	switch l := l.(type) {
+	case *nn.Linear:
+		return len(shape) == 2 && shape[1] == l.In
+	case *nn.Conv2D:
+		return len(shape) == 4 && shape[1] == l.InC && min(shape[2], shape[3])+2*l.Pad >= l.K
+	case *nn.BatchNorm2D:
+		return len(shape) == 4 && shape[1] == l.C
+	case *nn.MaxPool2D:
+		return len(shape) == 4 && min(shape[2], shape[3]) >= l.K
+	case *nn.GlobalAvgPool:
+		return len(shape) == 4
+	default:
+		return true
+	}
+}

@@ -115,15 +115,41 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruptConv(t *testing.T) {
-	spec := LayerSpec{Kind: "conv", Name: "c", InC: 2, OutC: 2, K: 3, Stride: 1, Pad: 1,
-		W: tensor.New(1, 1, 1, 1), B: tensor.New(2)}
-	if _, err := decodeLayer(spec); err == nil {
-		t.Error("conv with mismatched weight shape accepted")
+func TestDecodeRejectsCorruptLinear(t *testing.T) {
+	if _, err := decodeLayer(LayerSpec{Kind: "linear", Name: "fc", B: tensor.New(2)}); err == nil {
+		t.Error("linear without weights accepted")
 	}
-	spec.W = nil
-	if _, err := decodeLayer(spec); err == nil {
-		t.Error("conv without parameters accepted")
+	if _, err := decodeLayer(LayerSpec{Kind: "linear", Name: "fc", W: tensor.New(2, 3)}); err == nil {
+		t.Error("linear without bias accepted")
+	}
+}
+
+func TestDecodeRejectsCorruptConv(t *testing.T) {
+	valid := LayerSpec{Kind: "conv", Name: "c", InC: 2, OutC: 2, K: 3, Stride: 1, Pad: 1,
+		W: tensor.New(2, 2, 3, 3), B: tensor.New(2)}
+	if _, err := decodeLayer(valid); err != nil {
+		t.Fatalf("valid conv rejected: %v", err)
+	}
+	for name, corrupt := range map[string]func(*LayerSpec){
+		"mismatched weight shape":       func(s *LayerSpec) { s.W = tensor.New(1, 1, 1, 1) },
+		"mismatched bias shape":         func(s *LayerSpec) { s.B = tensor.New(3) },
+		"missing weights":               func(s *LayerSpec) { s.W = nil },
+		"missing bias":                  func(s *LayerSpec) { s.B = nil },
+		"zero input channels":           func(s *LayerSpec) { s.InC = 0 },
+		"negative output channels":      func(s *LayerSpec) { s.OutC = -1 },
+		"zero kernel":                   func(s *LayerSpec) { s.K = 0 },
+		"zero stride":                   func(s *LayerSpec) { s.Stride = 0 },
+		"negative padding":              func(s *LayerSpec) { s.Pad = -1 },
+		"padding as wide as the kernel": func(s *LayerSpec) { s.Pad = 3 },
+		// A constructor run on this geometry would allocate 2·2^40·9 floats;
+		// the test finishing at all shows the check runs first.
+		"huge input channels": func(s *LayerSpec) { s.InC = 1 << 40 },
+	} {
+		spec := valid
+		corrupt(&spec)
+		if _, err := decodeLayer(spec); err == nil {
+			t.Errorf("conv with %s accepted", name)
+		}
 	}
 }
 
@@ -133,6 +159,19 @@ func TestDecodeRejectsCorruptBatchNorm(t *testing.T) {
 		RunningMean: make([]float64, 3), RunningVar: make([]float64, 3)}
 	if _, err := decodeLayer(spec); err == nil {
 		t.Error("batchnorm with wrong gamma shape accepted")
+	}
+	for _, c := range []int{0, -1} {
+		if _, err := decodeLayer(LayerSpec{Kind: "batchnorm", Name: "bn", Channels: c}); err == nil {
+			t.Errorf("batchnorm with %d channels accepted", c)
+		}
+	}
+}
+
+func TestDecodeRejectsCorruptMaxPool(t *testing.T) {
+	for _, w := range []int{0, -2} {
+		if _, err := decodeLayer(LayerSpec{Kind: "maxpool", Name: "mp", Window: w}); err == nil {
+			t.Errorf("maxpool with window %d accepted", w)
+		}
 	}
 }
 

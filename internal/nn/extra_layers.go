@@ -118,7 +118,7 @@ var _ Layer = (*Dropout)(nil)
 
 // NewDropout constructs a dropout layer with drop probability p in [0, 1).
 func NewDropout(name string, p float64, rng *rand.Rand) (*Dropout, error) {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) { // also rejects NaN
 		return nil, fmt.Errorf("nn: dropout probability %g outside [0,1)", p)
 	}
 	return &Dropout{P: p, Rng: rng, name: name}, nil

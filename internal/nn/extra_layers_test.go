@@ -123,6 +123,9 @@ func TestDropoutValidation(t *testing.T) {
 	if _, err := NewDropout("d", -0.1, rng); err == nil {
 		t.Error("negative p accepted")
 	}
+	if _, err := NewDropout("d", math.NaN(), rng); err == nil {
+		t.Error("NaN p accepted")
+	}
 }
 
 func TestDropoutZeroProbIsNoop(t *testing.T) {
