@@ -57,6 +57,34 @@ func BenchmarkMatMul_64x3072x500(b *testing.B) {
 	}
 }
 
+// The malicious imprint layer of the paper-attack workload is 3072→256 at
+// batch 8 and 32: its forward pass is MatMulTransB(x, W) and its weight
+// gradient MatMulTransA(gradOut, x).
+func benchTransA(b *testing.B, m, k, n int) {
+	rng := rand.New(rand.NewPCG(15, 16))
+	g := New(k, m)
+	g.FillRandn(rng, 1)
+	x := New(k, n)
+	x.FillRandn(rng, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTransA(g, x).Release()
+	}
+}
+
+func benchTransB(b *testing.B, m, k, n int) {
+	x, w := benchPair(m, k, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTransB(x, w).Release()
+	}
+}
+
+func BenchmarkMatMulTransA_256x8x3072(b *testing.B)  { benchTransA(b, 256, 8, 3072) }
+func BenchmarkMatMulTransA_256x32x3072(b *testing.B) { benchTransA(b, 256, 32, 3072) }
+func BenchmarkMatMulTransB_8x3072x256(b *testing.B)  { benchTransB(b, 8, 3072, 256) }
+func BenchmarkMatMulTransB_32x3072x256(b *testing.B) { benchTransB(b, 32, 3072, 256) }
+
 // BenchmarkMatMulTransB_Ref pins the retained serial reference (with its
 // av == 0 sparse-skip branch) next to the production kernel, so the
 // branch-removal justification stays measurable: on dense operands the

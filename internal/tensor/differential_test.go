@@ -3,9 +3,11 @@ package tensor
 import (
 	"fmt"
 	"math"
+	mrand "math/rand"
 	rand "math/rand/v2"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
 
 // Differential suite: the blocked, goroutine-tiled kernels must be
@@ -296,4 +298,164 @@ func TestMatVecMatchesBatchedTransB(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withKernelModes runs f with the AVX2 kernels as detected and again with
+// them forced off, restoring useAVX2 afterwards. On hardware without AVX2
+// both passes run the pure-Go kernels.
+func withKernelModes(t *testing.T, f func(t *testing.T, avx2 bool)) {
+	t.Helper()
+	detected := useAVX2
+	defer func() { useAVX2 = detected }()
+	if !detected {
+		t.Log("no AVX2 on this machine: only the pure-Go kernels run")
+	}
+	for _, on := range []bool{detected, false} {
+		useAVX2 = on
+		f(t, on)
+	}
+}
+
+// kernelShapeCoverage counts how often the property test drew each edge its
+// shapes must reach.
+type kernelShapeCoverage struct {
+	oddM, raggedK, raggedN, raggedPanel, multiPanel, smallTransA, largeTransA int
+}
+
+// drawKernelShape picks (m, k, n) biased toward the edges of the vector
+// kernels and the blocking: odd m leaves a row for dot's tail, k%4 != 0 a
+// ragged tail after the 4-wide k steps, n%4 != 0 columns after the last
+// 4-wide block, and n beyond mulColBlock a last panel of any width. Roughly
+// half the draws take MatMulTransA's small-output path.
+func drawKernelShape(rng *rand.Rand, cov *kernelShapeCoverage) (m, k, n int) {
+	m = 1 + rng.IntN(40)
+	k = 1 + rng.IntN(12)
+	if rng.IntN(2) == 0 {
+		k = 1 + rng.IntN(160)
+	}
+	switch rng.IntN(3) {
+	case 0:
+		n = 1 + rng.IntN(40)
+	case 1:
+		n = mulColBlock - 4 + rng.IntN(9)
+	default:
+		n = 2*mulColBlock + 1 + rng.IntN(mulColBlock)
+	}
+	if m%2 == 1 {
+		cov.oddM++
+	}
+	if k%4 != 0 {
+		cov.raggedK++
+	}
+	if n%4 != 0 {
+		cov.raggedN++
+	}
+	if (n-1)%mulColBlock%4 != 3 {
+		cov.raggedPanel++
+	}
+	if n > mulColBlock {
+		cov.multiPanel++
+	}
+	if m*n <= transASmallOut {
+		cov.smallTransA++
+	} else {
+		cov.largeTransA++
+	}
+	return m, k, n
+}
+
+// TestMatMulKernelsProperty draws random shapes and checks MatMul,
+// MatMulTransA and MatMulTransB bit for bit against ref.go at worker counts
+// 1, 2 and NumCPU, with the AVX2 kernels on and forced off.
+func TestMatMulKernelsProperty(t *testing.T) {
+	var cov kernelShapeCoverage
+	draws := 60
+	if testing.Short() {
+		draws = 20
+	}
+	check := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 73))
+		m, k, n := drawKernelShape(rng, &cov)
+		a, b := New(m, k), New(k, n)
+		fillMixed(a, rng)
+		fillMixed(b, rng)
+		bt, at := New(n, k), New(k, m)
+		fillMixed(bt, rng)
+		fillMixed(at, rng)
+		want, wantTB, wantTA := matMulRef(a, b), matMulTransBRef(a, bt), matMulTransARef(at, b)
+		ok := true
+		withKernelModes(t, func(t *testing.T, avx2 bool) {
+			for _, w := range []int{1, 2, runtime.NumCPU()} {
+				prev := SetWorkers(w)
+				for _, c := range []struct {
+					op        string
+					got, want *Tensor
+				}{
+					{"MatMul", MatMul(a, b), want},
+					{"MatMulTransB", MatMulTransB(a, bt), wantTB},
+					{"MatMulTransA", MatMulTransA(at, b), wantTA},
+				} {
+					if !bitIdentical(c.got, c.want) {
+						t.Errorf("%s %dx%dx%d workers=%d avx2=%v differs from ref.go", c.op, m, k, n, w, avx2)
+						ok = false
+					}
+					c.got.Release()
+				}
+				SetWorkers(prev)
+			}
+		})
+		return ok
+	}
+	cfg := &quick.Config{MaxCount: draws, Rand: mrand.New(mrand.NewSource(79))}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cov.oddM == 0 || cov.raggedK == 0 || cov.raggedN == 0 || cov.raggedPanel == 0 ||
+		cov.multiPanel == 0 || cov.smallTransA == 0 || cov.largeTransA == 0 {
+		t.Fatalf("draws missed a kernel edge: %+v", cov)
+	}
+}
+
+// bitIdentical reports whether got and want agree in shape and in every
+// element's bit pattern.
+func bitIdentical(got, want *Tensor) bool {
+	if !got.SameShape(want) {
+		return false
+	}
+	for i := range want.data {
+		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVectorKernelsRejectShortOperands: the wrappers reslice every operand
+// to the length the assembly will read, so a short one panics in Go with a
+// bounds error instead of reaching an unchecked load.
+func TestVectorKernelsRejectShortOperands(t *testing.T) {
+	long, short := make([]float64, 8), make([]float64, 7)
+	rows := func(n int) []float64 { return make([]float64, n) }
+	cases := []struct {
+		name string
+		call func()
+	}{
+		{"axpy short y", func() { axpy(short, 1, long) }},
+		{"axpy4 short x", func() { axpy4(long, 1, 1, 1, 1, rows(31)) }},
+		{"dot2x4 short a1", func() { dot2x4(rows(4), rows(4), long, short, rows(32)) }},
+		{"dot2x4 short b", func() { dot2x4(rows(4), rows(4), long, long, rows(31)) }},
+		{"dot2x4 short o1", func() { dot2x4(rows(4), rows(3), long, long, rows(32)) }},
+	}
+	withKernelModes(t, func(t *testing.T, avx2 bool) {
+		for _, c := range cases {
+			func() {
+				defer func() {
+					if _, ok := recover().(runtime.Error); !ok {
+						t.Errorf("%s (avx2=%v): want a runtime bounds panic", c.name, avx2)
+					}
+				}()
+				c.call()
+			}()
+		}
+	})
 }

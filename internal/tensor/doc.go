@@ -50,8 +50,38 @@
 //     so pairing rows changes nothing in either row's rounding.
 //
 // Simulation reports therefore stay byte-identical for a fixed seed across
-// tensor.SetWorkers values, machine core counts, and this PR's kernel
-// rewrite.
+// tensor.SetWorkers values, machine core counts, and the kernel rewrites.
+//
+// # AVX2 kernels
+//
+// On amd64, three inner loops have Go-assembly versions in simd_amd64.s,
+// used when the unexported useAVX2 is set. It is set once at start-up from
+// CPUID (AVX and OSXSAVE in leaf 1, AVX2 in leaf 7) plus an XGETBV check
+// that the OS saves XMM and YMM state; there is no flag, environment
+// variable or build tag. Without AVX2, and on every other GOARCH, the
+// pure-Go loops run unchanged.
+//
+//   - axpy: y[j] += a·x[j], one output element per lane.
+//   - axpy4: y[j] = (((y[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j]
+//     with y held in a register, the roundings of four axpy calls in
+//     ascending k. It drives the k loops of MatMul and MatMulTransA.
+//   - dot2x4: a 2×4 block of MatMulTransB dot products in eight YMM
+//     accumulators, one per (A row, B row) pair. The four lanes of each are
+//     dot's strided partials s0…s3; Go folds s0+s1+s2+s3 and adds the ragged
+//     k tail exactly as dot does.
+//
+// The results are bit-identical to the pure-Go kernels and to ref.go
+// because every product is a VMULPD and every sum a separate VADDPD: no FMA,
+// whose single rounding would differ, and no lane ever sums out of its
+// scalar order. (This assumes the default GOAMD64=v1, under which the Go
+// compiler does not fuse x*y+z either.) TestMatMulKernelsProperty checks it
+// on random shapes with the kernels on and forced off.
+//
+// The assembly reads its operands without bounds checks, so the Go wrappers
+// reslice every operand to the length the kernel will read before calling
+// it: a short slice panics in Go. Each declaration carries //go:noescape;
+// without it the compiler must assume the pointers escape, and dot2x4's
+// [32]float64 accumulator block would be heap-allocated on every call.
 //
 // # Workspace arena
 //

@@ -28,14 +28,14 @@ func (t *Tensor) GobDecode(p []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&w); err != nil {
 		return fmt.Errorf("tensor: gob decode: %w", err)
 	}
-	n := 1
-	for _, d := range w.Shape {
-		if d <= 0 {
-			return fmt.Errorf("tensor: gob decode: invalid shape %v", w.Shape)
-		}
-		n *= d
+	if len(w.Shape) == 0 {
+		return fmt.Errorf("tensor: gob decode: empty shape")
 	}
-	if len(w.Shape) == 0 || n != len(w.Data) {
+	n, err := numElems(w.Shape)
+	if err != nil {
+		return fmt.Errorf("tensor: gob decode: %w", err)
+	}
+	if n != len(w.Data) {
 		return fmt.Errorf("tensor: gob decode: shape %v does not match %d elements", w.Shape, len(w.Data))
 	}
 	t.shape = w.Shape

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"encoding/gob"
+	"math/bits"
 	rand "math/rand/v2"
 	"testing"
 )
@@ -44,6 +45,61 @@ func TestGobDecodeRejectsCorruptShape(t *testing.T) {
 	if err := back.GobDecode(buf.Bytes()); err == nil {
 		t.Error("decode of negative dimension succeeded")
 	}
+}
+
+// overflowShape is two dimensions whose product wraps int to exactly 0, so a
+// decoder that multiplies without checking matches it to empty data.
+var overflowShape = []int{1 << (bits.UintSize / 2), 1 << (bits.UintSize / 2)}
+
+func gobWire(tb testing.TB, w wireTensor) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestGobDecodeRejectsOverflowingShape(t *testing.T) {
+	var back Tensor
+	if err := back.GobDecode(gobWire(t, wireTensor{Shape: overflowShape})); err == nil {
+		t.Fatalf("decode of shape %v with no data succeeded: shape %v, %d elements", overflowShape, back.shape, len(back.data))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted an overflowing shape")
+		}
+	}()
+	New(overflowShape...)
+}
+
+// FuzzTensorGobDecode: GobDecode never panics, and every tensor it accepts
+// holds exactly as many elements as its shape says and survives Clone and
+// Reshape.
+func FuzzTensorGobDecode(f *testing.F) {
+	f.Add(gobWire(f, wireTensor{Shape: []int{2, 3}, Data: make([]float64, 6)}))
+	f.Add(gobWire(f, wireTensor{Shape: overflowShape}))
+	f.Add(gobWire(f, wireTensor{Shape: []int{2, 2}, Data: []float64{1}}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var x Tensor
+		if err := x.GobDecode(p); err != nil {
+			return
+		}
+		n := 1
+		for _, d := range x.shape {
+			n *= d
+		}
+		if n != len(x.data) {
+			t.Fatalf("accepted shape %v with %d elements", x.shape, len(x.data))
+		}
+		if c := x.Clone(); !c.SameShape(&x) {
+			t.Fatalf("clone of %v lost its shape", x.shape)
+		}
+		if _, err := x.Reshape(len(x.data)); err != nil {
+			t.Fatalf("flattening %v: %v", x.shape, err)
+		}
+	})
 }
 
 func TestGobInsideSlice(t *testing.T) {

@@ -27,6 +27,16 @@ import "fmt"
 // the whole row span, so steady-state traffic is panel-sized instead of
 // operand-sized. MatMulTransB's B rows are already contiguous, so it tiles
 // without packing and amortizes each B row over two A rows per pass (dot2).
+//
+// AVX2 path (amd64, simd_amd64.s): when useAVX2 is set, axpy, axpy4 and
+// dot2x4 hand their 4-aligned body to vector kernels and run the ragged rest
+// in Go. Rule 1 survives lane by lane: the kernels use separate VMULPD and
+// VADDPD, never FMA, so every product and sum rounds as the scalar Go
+// statement does; an axpy lane owns one output element; axpy4 keeps y in a
+// register across four ascending k steps; and dot2x4's accumulator lanes are
+// dot's four strided partials, folded s0+s1+s2+s3 in Go before the k tail.
+// MatMul and MatMulTransA step k four at a time through axpy4 on either
+// path, and MatMulTransB takes four B rows per dot2x4 call when AVX2 is on.
 const (
 	// mulColBlock is the output-column panel width for the packed kernels:
 	// 512 float64s keep a packed panel row plus the matching output chunk
@@ -72,7 +82,11 @@ func MatMul(a, b *Tensor) *Tensor {
 			for i := lo; i < hi; i++ {
 				arow := ad[i*k : (i+1)*k]
 				orow := od[i*n+jb : i*n+je]
-				for kk := 0; kk < k; kk++ {
+				kk := 0
+				for ; kk+4 <= k; kk += 4 {
+					axpy4(orow, arow[kk], arow[kk+1], arow[kk+2], arow[kk+3], panel[kk*w:(kk+4)*w])
+				}
+				for ; kk < k; kk++ {
 					axpy(orow, arow[kk], panel[kk*w:(kk+1)*w])
 				}
 			}
@@ -110,7 +124,13 @@ func matMulTransBInto(od, ad, bd []float64, m, k, n int) {
 				a1 := ad[(i+1)*k : (i+2)*k]
 				o0 := od[i*n : (i+1)*n]
 				o1 := od[(i+1)*n : (i+2)*n]
-				for j := jb; j < je; j++ {
+				j := jb
+				if useAVX2 {
+					for ; j+4 <= je; j += 4 {
+						dot2x4(o0[j:j+4], o1[j:j+4], a0, a1, bd[j*k:(j+4)*k])
+					}
+				}
+				for ; j < je; j++ {
 					o0[j], o1[j] = dot2(a0, a1, bd[j*k:(j+1)*k])
 				}
 			}
@@ -143,7 +163,15 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 		// cache-resident, so keep the historical kk-outer sweep — minus the
 		// sparse-skip branch — and split the output rows across workers.
 		parallelRows("matmul_ta", m, flops, func(lo, hi int) {
-			for kk := 0; kk < k; kk++ {
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				arows := ad[kk*m : (kk+4)*m]
+				brows := bd[kk*n : (kk+4)*n]
+				for i := lo; i < hi; i++ {
+					axpy4(od[i*n:(i+1)*n], arows[i], arows[m+i], arows[2*m+i], arows[3*m+i], brows)
+				}
+			}
+			for ; kk < k; kk++ {
 				arow := ad[kk*m : (kk+1)*m]
 				brow := bd[kk*n : (kk+1)*n]
 				for i := lo; i < hi; i++ {
@@ -168,7 +196,11 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 			}
 			for i := lo; i < hi; i++ {
 				orow := od[i*n+jb : i*n+je]
-				for kk := 0; kk < k; kk++ {
+				kk := 0
+				for ; kk+4 <= k; kk += 4 {
+					axpy4(orow, ad[kk*m+i], ad[(kk+1)*m+i], ad[(kk+2)*m+i], ad[(kk+3)*m+i], panel[kk*w:(kk+4)*w])
+				}
+				for ; kk < k; kk++ {
 					axpy(orow, ad[kk*m+i], panel[kk*w:(kk+1)*w])
 				}
 			}
@@ -254,12 +286,40 @@ func dot2(a, b, c []float64) (float64, float64) {
 	return s, t
 }
 
-// axpy computes y[j] += a*x[j]. Each element gets exactly one fused
-// multiply-add per call, so the 4-way unroll is order-neutral: accumulation
-// order across calls is fixed by the caller's k loop.
+// dot2x4 sets o0[c] = dot(a0, b_c) and o1[c] = dot(a1, b_c) for the four
+// consecutive len(a0)-long rows b_0..b_3 of b, bit for bit: the AVX2 kernel
+// leaves dot's four strided partials of each pair in the lanes of one
+// accumulator, and the fold and ragged k tail below are dot's own.
+func dot2x4(o0, o1, a0, a1, b []float64) {
+	k := len(a0)
+	o0, o1, a1 = o0[:4], o1[:4], a1[:k]
+	bs := [4][]float64{b[:k], b[k : 2*k], b[2*k : 3*k], b[3*k : 4*k]}
+	k4 := k &^ 3
+	var acc [32]float64
+	dot2x4AVX2(&acc, a0[:k4], a1[:k4], bs[0][:k4], bs[1][:k4], bs[2][:k4], bs[3][:k4])
+	for c, bc := range bs {
+		p, q := acc[4*c:4*c+4], acc[16+4*c:16+4*c+4]
+		s := p[0] + p[1] + p[2] + p[3]
+		t := q[0] + q[1] + q[2] + q[3]
+		for kk := k4; kk < k; kk++ {
+			s += a0[kk] * bc[kk]
+			t += a1[kk] * bc[kk]
+		}
+		o0[c], o1[c] = s, t
+	}
+}
+
+// axpy computes y[j] += a*x[j]. Each element gets exactly one multiply and
+// one add per call, so neither the 4-way unroll nor the AVX2 lanes can
+// reorder anything: accumulation order across calls is fixed by the caller's
+// k loop.
 func axpy(y []float64, a float64, x []float64) {
 	y = y[:len(x)]
 	j := 0
+	if useAVX2 {
+		j = len(x) &^ 3
+		axpyAVX2(y[:j], a, x[:j])
+	}
 	for ; j+4 <= len(x); j += 4 {
 		y[j] += a * x[j]
 		y[j+1] += a * x[j+1]
@@ -268,6 +328,26 @@ func axpy(y []float64, a float64, x []float64) {
 	}
 	for ; j < len(x); j++ {
 		y[j] += a * x[j]
+	}
+}
+
+// axpy4 is four axpy calls in ascending order over the consecutive
+// len(y)-long rows x_0..x_3 of x: y[j] = (((y[j] + a0·x_0[j]) + a1·x_1[j]) +
+// a2·x_2[j]) + a3·x_3[j], the same four roundings per element, with y[j]
+// loaded and stored once instead of four times.
+func axpy4(y []float64, a0, a1, a2, a3 float64, x []float64) {
+	n := len(y)
+	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
+	j := 0
+	if useAVX2 {
+		j = n &^ 3
+		axpy4AVX2(y[:j], a0, a1, a2, a3, x0[:j], x1[:j], x2[:j], x3[:j])
+	}
+	for ; j < n; j++ {
+		v := y[j] + a0*x0[j]
+		v += a1 * x1[j]
+		v += a2 * x2[j]
+		y[j] = v + a3*x3[j]
 	}
 }
 

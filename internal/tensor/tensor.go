@@ -46,14 +46,29 @@ func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
 	}
+	n, err := numElems(shape)
+	if err != nil {
+		panic("tensor: " + err.Error())
+	}
+	return n
+}
+
+// numElems returns the element count of a non-empty shape. It rejects a
+// non-positive dimension and a product that overflows int: a wrapped count
+// would let a shape disagree with its data, and the kernels trust
+// len(data) == product(shape).
+func numElems(shape []int) (int, error) {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			return 0, fmt.Errorf("non-positive dimension in shape %v", shape)
+		}
+		if n > math.MaxInt/d {
+			return 0, fmt.Errorf("element count of shape %v overflows int", shape)
 		}
 		n *= d
 	}
-	return n
+	return n, nil
 }
 
 // Shape returns a copy of the tensor's shape.
