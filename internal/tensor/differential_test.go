@@ -307,9 +307,6 @@ func withKernelModes(t *testing.T, f func(t *testing.T, avx2 bool)) {
 	t.Helper()
 	detected := useAVX2
 	defer func() { useAVX2 = detected }()
-	if !detected {
-		t.Log("no AVX2 on this machine: only the pure-Go kernels run")
-	}
 	for _, on := range []bool{detected, false} {
 		useAVX2 = on
 		f(t, on)
@@ -368,6 +365,9 @@ func drawKernelShape(rng *rand.Rand, cov *kernelShapeCoverage) (m, k, n int) {
 // MatMulTransA and MatMulTransB bit for bit against ref.go at worker counts
 // 1, 2 and NumCPU, with the AVX2 kernels on and forced off.
 func TestMatMulKernelsProperty(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 on this machine: only the pure-Go kernels run")
+	}
 	var cov kernelShapeCoverage
 	draws := 60
 	if testing.Short() {
@@ -383,7 +383,6 @@ func TestMatMulKernelsProperty(t *testing.T) {
 		fillMixed(bt, rng)
 		fillMixed(at, rng)
 		want, wantTB, wantTA := matMulRef(a, b), matMulTransBRef(a, bt), matMulTransARef(at, b)
-		ok := true
 		withKernelModes(t, func(t *testing.T, avx2 bool) {
 			for _, w := range []int{1, 2, runtime.NumCPU()} {
 				prev := SetWorkers(w)
@@ -395,16 +394,13 @@ func TestMatMulKernelsProperty(t *testing.T) {
 					{"MatMulTransB", MatMulTransB(a, bt), wantTB},
 					{"MatMulTransA", MatMulTransA(at, b), wantTA},
 				} {
-					if !bitIdentical(c.got, c.want) {
-						t.Errorf("%s %dx%dx%d workers=%d avx2=%v differs from ref.go", c.op, m, k, n, w, avx2)
-						ok = false
-					}
+					mustBitIdentical(t, fmt.Sprintf("seed %#x: %s %dx%dx%d workers=%d avx2=%v", seed, c.op, m, k, n, w, avx2), c.got, c.want)
 					c.got.Release()
 				}
 				SetWorkers(prev)
 			}
 		})
-		return ok
+		return true
 	}
 	cfg := &quick.Config{MaxCount: draws, Rand: mrand.New(mrand.NewSource(79))}
 	if err := quick.Check(check, cfg); err != nil {
@@ -414,20 +410,6 @@ func TestMatMulKernelsProperty(t *testing.T) {
 		cov.multiPanel == 0 || cov.smallTransA == 0 || cov.largeTransA == 0 {
 		t.Fatalf("draws missed a kernel edge: %+v", cov)
 	}
-}
-
-// bitIdentical reports whether got and want agree in shape and in every
-// element's bit pattern.
-func bitIdentical(got, want *Tensor) bool {
-	if !got.SameShape(want) {
-		return false
-	}
-	for i := range want.data {
-		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestVectorKernelsRejectShortOperands: the wrappers reslice every operand

@@ -73,9 +73,9 @@
 // The results are bit-identical to the pure-Go kernels and to ref.go
 // because every product is a VMULPD and every sum a separate VADDPD: no FMA,
 // whose single rounding would differ, and no lane ever sums out of its
-// scalar order. (This assumes the default GOAMD64=v1, under which the Go
-// compiler does not fuse x*y+z either.) TestMatMulKernelsProperty checks it
-// on random shapes with the kernels on and forced off.
+// scalar order. TestMatMulKernelsProperty checks it on random shapes with
+// the kernels on and forced off; it also holds the pure-Go side to the same
+// rule, since a build that fused x*y+z into an FMA would fail it.
 //
 // The assembly reads its operands without bounds checks, so the Go wrappers
 // reslice every operand to the length the kernel will read before calling

@@ -26,7 +26,7 @@ func TestNewShapeAndLen(t *testing.T) {
 }
 
 func TestNewPanicsOnBadShape(t *testing.T) {
-	for _, shape := range [][]int{{}, {0}, {2, -1}} {
+	for _, shape := range [][]int{{}, {0}, {2, -1}, overflowShape} {
 		func() {
 			defer func() {
 				if recover() == nil {
