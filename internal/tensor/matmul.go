@@ -37,6 +37,9 @@ import "fmt"
 // dot's four strided partials, folded s0+s1+s2+s3 in Go before the k tail.
 // MatMul and MatMulTransA step k four at a time through axpy4 on either
 // path, and MatMulTransB takes four B rows per dot2x4 call when AVX2 is on.
+// useAVX2 is set once from CPUID and XGETBV (simd_amd64.go). The assembly
+// declarations are //go:noescape so that the operands, dot2x4's [32]float64
+// accumulator block among them, stay off the heap.
 const (
 	// mulColBlock is the output-column panel width for the packed kernels:
 	// 512 float64s keep a packed panel row plus the matching output chunk
