@@ -25,6 +25,10 @@ import (
 //     folding in place.
 //   - Add reports a shape mismatch against the first update of the round as
 //     an error; the round aborts on it.
+//   - Finalize returns tensors the caller owns. The aggregator keeps no
+//     reference to them, so the caller may modify them or Release them to
+//     the tensor arena, and a later round on the same aggregator does not
+//     change them.
 //   - Implementations are NOT required to be goroutine-safe. The concurrent
 //     round engine serializes all Aggregator calls on the server goroutine,
 //     which is what keeps aggregation bit-reproducible regardless of
@@ -36,8 +40,8 @@ type Aggregator interface {
 	Reset()
 	// Add folds one client update into the round.
 	Add(u Update) error
-	// Finalize returns the aggregated gradient, one tensor per model
-	// parameter. It errors when no update was added.
+	// Finalize returns the aggregated gradient, one caller-owned tensor
+	// per model parameter. It errors when no update was added.
 	Finalize() ([]*tensor.Tensor, error)
 }
 
@@ -80,7 +84,7 @@ func (a *FedAvgMean) Add(u Update) error {
 	if a.sum == nil {
 		a.sum = make([]*tensor.Tensor, len(u.Grads))
 		for i, g := range u.Grads {
-			a.sum[i] = g.Clone()
+			a.sum[i] = g.ClonePooled()
 		}
 		a.count = 1
 		return nil
@@ -95,16 +99,18 @@ func (a *FedAvgMean) Add(u Update) error {
 	return nil
 }
 
-// Finalize returns the mean gradient.
+// Finalize scales the running sum into the mean in place and hands it to
+// the caller; the aggregator is empty afterwards, as after Reset.
 func (a *FedAvgMean) Finalize() ([]*tensor.Tensor, error) {
 	if a.count == 0 {
 		return nil, fmt.Errorf("fl: %s aggregator finalized with no updates", a.Name())
 	}
 	inv := 1.0 / float64(a.count)
-	out := make([]*tensor.Tensor, len(a.sum))
-	for i, s := range a.sum {
-		out[i] = s.Scale(inv)
+	out := a.sum
+	for _, s := range out {
+		s.ScaleInPlace(inv)
 	}
+	a.Reset()
 	return out, nil
 }
 
@@ -136,11 +142,16 @@ func (a *NormClipped) Name() string { return fmt.Sprintf("normclip(%g)", a.MaxNo
 func (a *NormClipped) Reset() { a.mean.Reset() }
 
 // Add clips the update's joint norm to MaxNorm and folds it into the mean.
+// An update whose norm is not finite is an error: its clip scale would be 0
+// or NaN, and Inf·0 writes NaN into the global model.
 func (a *NormClipped) Add(u Update) error {
 	normSq := 0.0
 	for _, g := range u.Grads {
 		n := g.L2Norm()
 		normSq += n * n
+	}
+	if math.IsNaN(normSq) || math.IsInf(normSq, 0) {
+		return fmt.Errorf("fl: client %s gradient norm %g is not finite", u.ClientID, math.Sqrt(normSq))
 	}
 	if normSq <= a.MaxNorm*a.MaxNorm {
 		return a.mean.Add(u)
@@ -193,7 +204,7 @@ func (b *bufferedAggregator) reduce(f func(sorted []float64) float64) []*tensor.
 		for c, upd := range b.updates {
 			datas[c] = upd[p].Data()
 		}
-		agg := ref.Clone()
+		agg := tensor.NewPooled(ref.Shape()...)
 		dst := agg.Data()
 		for i := range dst {
 			for c, d := range datas {

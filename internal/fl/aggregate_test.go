@@ -126,13 +126,37 @@ func TestNormClippedDoesNotMutateUpdate(t *testing.T) {
 }
 
 func TestAggregatorShapeMismatch(t *testing.T) {
-	for _, a := range []Aggregator{NewFedAvgMean(), NewCoordinateMedian()} {
-		a.Reset()
-		if err := a.Add(mkUpdate("a", 1, 2)); err != nil {
+	clip := func() Aggregator {
+		a, err := NewNormClipped(1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Add(mkUpdate("b", 1, 2, 3)); err == nil {
-			t.Errorf("%s accepted a mismatched update", a.Name())
+		return a
+	}
+	cases := []struct {
+		name    string
+		agg     Aggregator
+		bad     Update
+		wantErr string
+	}{
+		{"mean shape", NewFedAvgMean(), mkUpdate("b", 1, 2, 3), "shape"},
+		{"median shape", NewCoordinateMedian(), mkUpdate("b", 1, 2, 3), "shape"},
+		// A non-finite update once passed normclip: the clip scale 1/Inf
+		// is 0, and Inf·0 wrote NaN into the global model.
+		{"normclip +Inf", clip(), mkUpdate("b", math.Inf(1), 0.2), "not finite"},
+		{"normclip -Inf", clip(), mkUpdate("b", 0.1, math.Inf(-1)), "not finite"},
+		{"normclip NaN", clip(), mkUpdate("b", math.NaN(), 0.2), "not finite"},
+	}
+	for _, c := range cases {
+		c.agg.Reset()
+		if err := c.agg.Add(mkUpdate("a", 0.1, 0.2)); err != nil {
+			t.Fatal(err)
+		}
+		err := c.agg.Add(c.bad)
+		if err == nil {
+			t.Errorf("%s: %s accepted the update", c.name, c.agg.Name())
+		} else if !strings.Contains(err.Error(), c.wantErr) || !strings.Contains(err.Error(), "client b") {
+			t.Errorf("%s: error %q does not name client b and contain %q", c.name, err, c.wantErr)
 		}
 	}
 }
@@ -147,11 +171,27 @@ func TestAggregatorFinalizeEmpty(t *testing.T) {
 }
 
 func TestAggregatorResetClearsState(t *testing.T) {
-	a := NewFedAvgMean()
-	finalizeOne(t, a, mkUpdate("a", 10))
-	got := finalizeOne(t, a, mkUpdate("b", 2), mkUpdate("c", 4))
-	if got[0] != 3 {
-		t.Errorf("post-Reset mean = %g, want 3 (state leaked across rounds)", got[0])
+	clip, err := NewNormClipped(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		agg   Aggregator
+		first float64
+	}{
+		{NewFedAvgMean(), 10},
+		{clip, 5}, // round 1's update is clipped from 10 to 5
+	} {
+		first := finalizeOne(t, c.agg, mkUpdate("a", 10))
+		got := finalizeOne(t, c.agg, mkUpdate("b", 2), mkUpdate("c", 4))
+		if got[0] != 3 {
+			t.Errorf("%s: post-Reset mean = %g, want 3 (state leaked across rounds)", c.agg.Name(), got[0])
+		}
+		// Finalize hands its tensors to the caller: a later round on the
+		// same aggregator must not write into them.
+		if first[0] != c.first {
+			t.Errorf("%s: round 1's aggregate became %g after round 2, want %g", c.agg.Name(), first[0], c.first)
+		}
 	}
 }
 

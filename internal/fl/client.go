@@ -113,6 +113,13 @@ func (c *LocalClient) NumSamples() int { return c.Shard.Len() }
 
 // HandleRound materializes the dispatched model, computes gradients (or a
 // FedAvg pseudo-gradient) on fresh local batches and returns the update.
+//
+// The update's gradient tensors belong to the caller. With LocalSteps ≤ 1
+// they are the decoded model's own arena-backed gradient buffers, uploaded
+// without a copy; with more steps they are the pseudo-gradients formed from
+// the weight snapshots. Either way the client keeps no reference, so a
+// server with ReleaseUpdates set returns them to the tensor arena once the
+// Aggregator has folded them.
 func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update, error) {
 	if err := ctx.Err(); err != nil {
 		return Update{}, fmt.Errorf("fl: client %s round %d: %w", c.Name, req.Round, err)
@@ -138,6 +145,11 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 	lossSum := 0.0
 	lastBatch := 0
 	for step := 0; step < steps; step++ {
+		if step > 0 {
+			// A freshly decoded model's gradients are already zero, so only
+			// later steps clear the previous step's accumulation.
+			net.ZeroGrad()
+		}
 		loss, batchSize, err := c.localStep(net, req.Model.InputKind)
 		if err != nil {
 			return Update{}, err
@@ -162,15 +174,18 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 			initial[i].Release()
 			final[i].Release()
 		}
-	} else {
-		grads = net.Gradients()
 	}
 	// The decoded model is round-local: its parameters were cloned out of the
-	// spec into arena buffers and the upload gradients cloned out of it, so
-	// its buffers go back to the arena for the next cohort member's decode.
+	// spec into arena buffers, which go back to the arena for the next cohort
+	// member's decode. A single-step client uploads the gradient buffers
+	// themselves, so only a multi-step client releases them here.
 	for _, p := range net.Params() {
 		p.W.Release()
-		p.G.Release()
+		if steps > 1 {
+			p.G.Release()
+		} else {
+			grads = append(grads, p.G)
+		}
 	}
 	if c.GradDef != nil {
 		c.GradDef.Apply(grads)
@@ -184,8 +199,8 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 	}, nil
 }
 
-// localStep draws one defended batch and runs forward/backward, leaving the
-// gradients accumulated on the network parameters.
+// localStep draws one defended batch and runs forward/backward, adding the
+// batch's gradients to the network parameters' G.
 func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, batchSize int, err error) {
 	batch, err := data.RandomBatch(c.Shard, c.Rng, min(c.BatchSize, c.Shard.Len()))
 	if err != nil {
@@ -201,7 +216,6 @@ func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, 
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
-	net.ZeroGrad()
 	logits := net.Forward(x, true)
 	loss, g := c.Loss.Compute(logits, batch.Labels)
 	net.Backward(g)

@@ -173,8 +173,9 @@ func encodeLayer(l nn.Layer) (LayerSpec, error) {
 //
 // Fully-connected parameters and their gradients are drawn from the tensor
 // arena (nn.NewLinearFrom), so a decoded model is cheap to build once per
-// client round. A caller that owns the model for exactly one round, as
-// LocalClient does, releases every parameter's W and G when it is done, and
+// client round, and its gradients start at zero. A caller that owns the
+// model for exactly one round, as LocalClient does, releases every
+// parameter's W when it is done and either releases or uploads its G, and
 // the next client's decode reuses those buffers; any other caller may just
 // drop the model for the collector.
 func DecodeModel(spec ModelSpec) (*nn.Sequential, error) {

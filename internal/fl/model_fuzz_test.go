@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/nn"
@@ -156,4 +157,61 @@ func fuzzAccepts(l nn.Layer, shape []int) bool {
 	default:
 		return true
 	}
+}
+
+// FuzzReadModel: a checkpoint stream comes from a file the reader does not
+// control, so ReadModel must reject a malformed one with an error, never a
+// panic. A spec it accepts either fails DecodeModel or decodes to a model
+// whose layers run forward, one by one, as far as each accepts its input.
+// The corpus starts from the test MLP's checkpoint and a truncated copy.
+// Run beyond it with:
+//
+//	go test -run '^$' -fuzz FuzzReadModel -fuzztime 10s ./internal/fl
+func FuzzReadModel(f *testing.F) {
+	spec, err := EncodeModel(testModel(nil))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, spec); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		spec, err := ReadModel(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		net, err := DecodeModel(spec)
+		if err != nil || len(net.Layers) == 0 {
+			return
+		}
+		shape := fuzzInputShape(net.Layers[0])
+		if fuzzElems(shape) > maxFuzzElems {
+			return
+		}
+		fuzzForward(net.Layers, tensor.New(shape...))
+	})
+}
+
+// fuzzForward runs x through layers in order and returns the output, or nil
+// at the first layer that does not accept its input. A residual block runs
+// only when its body and skip paths both run and agree in shape.
+func fuzzForward(layers []nn.Layer, x *tensor.Tensor) *tensor.Tensor {
+	for _, l := range layers {
+		if r, ok := l.(*nn.Residual); ok {
+			out, skip := fuzzForward(r.Body, x), x
+			if r.Proj != nil {
+				skip = fuzzForward([]nn.Layer{r.Proj}, x)
+			}
+			if out == nil || skip == nil || !out.SameShape(skip) {
+				return nil
+			}
+		} else if !fuzzAccepts(l, x.Shape()) {
+			return nil
+		}
+		x = l.Forward(x, true)
+	}
+	return x
 }

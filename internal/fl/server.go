@@ -388,6 +388,10 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 		}
 		stats.GradNorm = math.Sqrt(normSq)
 	}
+	// Finalize handed the aggregate to the server, and the step is applied.
+	for _, g := range aggregated {
+		g.Release()
+	}
 	return stats, nil
 }
 

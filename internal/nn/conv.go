@@ -116,10 +116,8 @@ func (c *Conv2D) paramGrads(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// ∂L/∂W = gRowsᵀ · cols  → [outC, inC*K*K]
-	gw := tensor.MatMulTransA(gRows, c.lastCols)
-	c.Weight.G.AddInPlace(gw.MustReshape(c.OutC, c.InC, c.K, c.K))
-	gw.Release()
+	// ∂L/∂W += gRowsᵀ · cols, viewed as [outC, inC*K*K]
+	tensor.MatMulTransAAdd(c.Weight.G.MustReshape(c.OutC, c.InC*c.K*c.K), gRows, c.lastCols)
 	c.lastCols.Release()
 	c.lastCols = nil
 	// ∂L/∂b = column sums of gRows

@@ -93,10 +93,8 @@ func (l *Linear) backwardParams(gradOut *tensor.Tensor) {
 	if l.lastX == nil {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward(train)", l.name))
 	}
-	// ∂L/∂W (out×in) = gradOutᵀ (out×B) · x (B×in)
-	gw := tensor.MatMulTransA(gradOut, l.lastX)
-	l.Weight.G.AddInPlace(gw)
-	gw.Release()
+	// ∂L/∂W (out×in) += gradOutᵀ (out×B) · x (B×in)
+	tensor.MatMulTransAAdd(l.Weight.G, gradOut, l.lastX)
 	l.lastX.Release()
 	l.lastX = nil
 	gb := l.Bias.G.Data()

@@ -91,9 +91,11 @@
 // training rng and stateful defense pipelines (e.g. dpsgd) must continue,
 // and residency is bounded by rounds × cohort, not population — while the
 // heavy per-round buffers recycle through the internal/tensor pool: decoded
-// model parameters are released by the client after gradients are cloned
-// out, and uploaded gradients are released by the server once aggregated
-// (fl.ServerConfig.ReleaseUpdates), holding live tensor memory to
+// model weights are released by the client once its gradients are
+// computed, the gradient buffers themselves are uploaded and released by
+// the server once aggregated (fl.ServerConfig.ReleaseUpdates), and the
+// aggregate is released once the step is applied, holding live tensor
+// memory to
 // O(workers × model) instead of O(cohort × model).
 //
 // When Options.Workers is zero the per-round concurrency cap comes from a

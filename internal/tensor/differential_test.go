@@ -363,7 +363,9 @@ func drawKernelShape(rng *rand.Rand, cov *kernelShapeCoverage) (m, k, n int) {
 
 // TestMatMulKernelsProperty draws random shapes and checks MatMul,
 // MatMulTransA and MatMulTransB bit for bit against ref.go at worker counts
-// 1, 2 and NumCPU, with the AVX2 kernels on and forced off.
+// 1, 2 and NumCPU, with the AVX2 kernels on and forced off. MatMulTransAAdd
+// into a random non-zero dst must equal ref.go's MatMulTransA followed by
+// AddInPlace: dst + (p₀ + p₁ + …), not dst + p₀ + p₁ + ….
 func TestMatMulKernelsProperty(t *testing.T) {
 	if !useAVX2 {
 		t.Log("no AVX2 on this machine: only the pure-Go kernels run")
@@ -383,6 +385,14 @@ func TestMatMulKernelsProperty(t *testing.T) {
 		fillMixed(bt, rng)
 		fillMixed(at, rng)
 		want, wantTB, wantTA := matMulRef(a, b), matMulTransBRef(a, bt), matMulTransARef(at, b)
+		dst := New(m, n)
+		dst.FillRandn(rng, 1)
+		wantTAAdd := dst.Clone().AddInPlace(wantTA)
+		transAAdd := func() *Tensor {
+			out := dst.ClonePooled()
+			MatMulTransAAdd(out, at, b)
+			return out
+		}
 		withKernelModes(t, func(t *testing.T, avx2 bool) {
 			for _, w := range []int{1, 2, runtime.NumCPU()} {
 				prev := SetWorkers(w)
@@ -393,6 +403,7 @@ func TestMatMulKernelsProperty(t *testing.T) {
 					{"MatMul", MatMul(a, b), want},
 					{"MatMulTransB", MatMulTransB(a, bt), wantTB},
 					{"MatMulTransA", MatMulTransA(at, b), wantTA},
+					{"MatMulTransAAdd", transAAdd(), wantTAAdd},
 				} {
 					mustBitIdentical(t, fmt.Sprintf("seed %#x: %s %dx%dx%d workers=%d avx2=%v", seed, c.op, m, k, n, w, avx2), c.got, c.want)
 					c.got.Release()

@@ -19,6 +19,8 @@
 //     panel reads per output element.
 //   - MatMulTransA uses the historical kk-outer order while the whole output
 //     fits in cache (transASmallOut) and switches to packed panels beyond it.
+//     MatMulTransAAdd is the same kernel adding into a caller's tensor; the
+//     layers accumulate weight gradients with it.
 //   - Transpose2D copies transposeTile×transposeTile squares so both the
 //     row-major reads and the column-major writes stay inside L1.
 //
@@ -48,6 +50,15 @@
 //   - dot2 computes two output elements per B-panel pass but evaluates each
 //     one with exactly the same 4-way unrolled partial-sum pattern as dot,
 //     so pairing rows changes nothing in either row's rounding.
+//   - MatMulTransAAdd forms each element's sum in an accumulator that starts
+//     at +0 and adds the k products in ascending order, then adds the sum to
+//     dst once. dst + (p₀ + p₁ + …) is exactly what MatMulTransA followed by
+//     AddInPlace computes; (dst + p₀) + p₁ + … would not be, so the kernel
+//     never accumulates straight into dst. MatMulTransA is the same kernel
+//     over a zeroed tensor, and that is bit-exact too: a sum that starts at
+//     +0 can never end at −0, so +0 + Σ = Σ. TestMatMulKernelsProperty
+//     checks MatMulTransAAdd into a random non-zero dst against ref.go's
+//     MatMulTransA followed by AddInPlace.
 //
 // Simulation reports therefore stay byte-identical for a fixed seed across
 // tensor.SetWorkers values, machine core counts, and the kernel rewrites.

@@ -21,6 +21,16 @@ import "fmt"
 //     adding the ±0.0 terms it skipped cannot change an IEEE-754 sum (the
 //     differential tests assert exact equality against the branchy refs).
 //
+// Fused accumulate: MatMulTransAAdd(dst, a, b) adds aᵀ·b into dst, which is
+// how the layers accumulate weight gradients. Each output element's sum
+// starts at +0 in an L1 accumulator (one mulColBlock panel row, or one row
+// span on the small-output path), takes its k products in ascending order,
+// and is added to dst once: dst + (p₀ + p₁ + …), the rounding sequence of
+// MatMulTransA followed by AddInPlace. Accumulating straight into dst,
+// (dst + p₀) + p₁ + …, would round differently. MatMulTransA itself is the
+// same kernel over a fresh zeroed tensor: a sum that starts at +0 can never
+// end at −0, so +0 + Σ is Σ bit for bit.
+//
 // Blocking scheme: the output is tiled into column panels (mulColBlock wide);
 // operands whose panel columns stride across wide rows (MatMul, MatMulTransA)
 // are packed into a contiguous pooled buffer once per panel and reused across
@@ -148,47 +158,58 @@ func matMulTransBInto(od, ad, bd []float64, m, k, n int) {
 	})
 }
 
-// MatMulTransA returns aᵀ·b for a (k×m) and b (k×n).
+// MatMulTransA returns aᵀ·b for a (k×m) and b (k×n): MatMulTransAAdd into a
+// fresh zeroed tensor, which is bit-exact (see the fused accumulate above).
 func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA requires 2-D operands, got %vᵀ × %v", a.shape, b.shape))
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %vᵀ × %v", a.shape, b.shape))
-	}
+	_, m, n := transADims("MatMulTransA", a, b)
 	out := NewPooled(m, n)
-	ad, bd, od := a.data, b.data, out.data
+	MatMulTransAAdd(out, a, b)
+	return out
+}
+
+// MatMulTransAAdd adds aᵀ·b into dst (m×n) for a (k×m) and b (k×n), bit for
+// bit as dst.AddInPlace(MatMulTransA(a, b)) would, without the m×n
+// temporary or the extra pass over it.
+func MatMulTransAAdd(dst, a, b *Tensor) {
+	k, m, n := transADims("MatMulTransAAdd", a, b)
+	if dst.Dims() != 2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTransAAdd destination %v, want [%d %d]", dst.shape, m, n))
+	}
+	ad, bd, od := a.data, b.data, dst.data
 	flops := k * m * n
 	if m*n <= transASmallOut {
 		// Small output (conv weight gradients): the whole m×n result is
 		// cache-resident, so keep the historical kk-outer sweep — minus the
-		// sparse-skip branch — and split the output rows across workers.
+		// sparse-skip branch — into one accumulator per row span, and split
+		// the output rows across workers.
 		parallelRows("matmul_ta", m, flops, func(lo, hi int) {
+			acc := getBuf((hi - lo) * n)
 			kk := 0
 			for ; kk+4 <= k; kk += 4 {
 				arows := ad[kk*m : (kk+4)*m]
 				brows := bd[kk*n : (kk+4)*n]
 				for i := lo; i < hi; i++ {
-					axpy4(od[i*n:(i+1)*n], arows[i], arows[m+i], arows[2*m+i], arows[3*m+i], brows)
+					axpy4(acc[(i-lo)*n:(i-lo+1)*n], arows[i], arows[m+i], arows[2*m+i], arows[3*m+i], brows)
 				}
 			}
 			for ; kk < k; kk++ {
 				arow := ad[kk*m : (kk+1)*m]
 				brow := bd[kk*n : (kk+1)*n]
 				for i := lo; i < hi; i++ {
-					axpy(od[i*n:(i+1)*n], arow[i], brow)
+					axpy(acc[(i-lo)*n:(i-lo+1)*n], arow[i], brow)
 				}
 			}
+			addTo(od[lo*n:hi*n], acc)
+			putBuf(acc)
 		})
-		return out
+		return
 	}
 	// Large output (malicious-layer weight gradients, e.g. 3072×500): tile
 	// output columns and pack B's panel once per span so each output tile
-	// accumulates from L1/L2-resident data. Per element the k products still
-	// fold in ascending-k order.
+	// accumulates from L1/L2-resident data into an L1 accumulator. Per
+	// element the k products still fold in ascending-k order.
 	parallelRows("matmul_ta", m, flops, func(lo, hi int) {
+		var accBlock [mulColBlock]float64
 		w0 := min(mulColBlock, n)
 		panel := getBuf(k * w0)
 		for jb := 0; jb < n; jb += mulColBlock {
@@ -197,20 +218,35 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 			for kk := 0; kk < k; kk++ {
 				copy(panel[kk*w:(kk+1)*w], bd[kk*n+jb:kk*n+je])
 			}
+			acc := accBlock[:w]
 			for i := lo; i < hi; i++ {
-				orow := od[i*n+jb : i*n+je]
+				clear(acc)
 				kk := 0
 				for ; kk+4 <= k; kk += 4 {
-					axpy4(orow, ad[kk*m+i], ad[(kk+1)*m+i], ad[(kk+2)*m+i], ad[(kk+3)*m+i], panel[kk*w:(kk+4)*w])
+					axpy4(acc, ad[kk*m+i], ad[(kk+1)*m+i], ad[(kk+2)*m+i], ad[(kk+3)*m+i], panel[kk*w:(kk+4)*w])
 				}
 				for ; kk < k; kk++ {
-					axpy(orow, ad[kk*m+i], panel[kk*w:(kk+1)*w])
+					axpy(acc, ad[kk*m+i], panel[kk*w:(kk+1)*w])
 				}
+				addTo(od[i*n+jb:i*n+je], acc)
 			}
 		}
 		putBuf(panel)
 	})
-	return out
+}
+
+// transADims checks the operands of aᵀ·b for a (k×m) and b (k×n) and returns
+// k, m and n.
+func transADims(op string, a, b *Tensor) (k, m, n int) {
+	if a.Dims() != 2 || b.Dims() != 2 {
+		panic(fmt.Sprintf("tensor: %s requires 2-D operands, got %vᵀ × %v", op, a.shape, b.shape))
+	}
+	k, m = a.shape[0], a.shape[1]
+	k2, n := b.shape[0], b.shape[1]
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %vᵀ × %v", op, a.shape, b.shape))
+	}
+	return k, m, n
 }
 
 // Transpose2D returns the transpose of a 2-D tensor, copying tile-wise so
@@ -351,6 +387,14 @@ func axpy4(y []float64, a0, a1, a2, a3 float64, x []float64) {
 		v += a1 * x1[j]
 		v += a2 * x2[j]
 		y[j] = v + a3*x3[j]
+	}
+}
+
+// addTo computes y[j] += x[j], one rounding per element.
+func addTo(y, x []float64) {
+	y = y[:len(x)]
+	for j, v := range x {
+		y[j] += v
 	}
 }
 
