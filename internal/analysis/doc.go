@@ -30,10 +30,11 @@
 //     flagged; iterating a pre-sorted key slice never triggers it at all.
 //
 //   - poolpair: flow-sensitive check that every tensor acquired from the
-//     workspace arena (tensor.NewPooled / (*Tensor).ClonePooled) reaches a
-//     Release on every path, is deferred, or visibly transfers ownership
-//     (returned, stored, or passed to another function). A pooled tensor
-//     that leaks on an early-return path defeats the arena.
+//     workspace arena (tensor.NewPooled / NewPooledRaw /
+//     (*Tensor).ClonePooled) reaches a Release on every path, is deferred,
+//     or visibly transfers ownership (returned, stored, or passed to
+//     another function). A pooled tensor that leaks on an early-return path
+//     defeats the arena.
 //
 //   - spanpair: the same flow check for tracing spans — every obs.Start
 //     must be paired with (*Span).End on every path, directly or deferred.

@@ -13,11 +13,11 @@ import (
 var poolPkg = newPathList(modulePath + "/internal/tensor")
 
 // PoolPair verifies that every tensor drawn from the workspace arena
-// (tensor.NewPooled, (*Tensor).ClonePooled) reaches Release on every path
-// or visibly transfers ownership.
+// (tensor.NewPooled, tensor.NewPooledRaw, (*Tensor).ClonePooled) reaches
+// Release on every path or visibly transfers ownership.
 var PoolPair = &analysis.Analyzer{
 	Name: poolpairName,
-	Doc: "pair every tensor.NewPooled/ClonePooled with a Release on all paths\n\n" +
+	Doc: "pair every tensor.NewPooled/NewPooledRaw/ClonePooled with a Release on all paths\n\n" +
 		"A pooled tensor that leaks on an early-return path silently defeats the\n" +
 		"workspace arena: allocation volume starts scaling with population size\n" +
 		"again. Acquired tensors must be Released (directly or deferred) on every\n" +
@@ -27,7 +27,7 @@ var PoolPair = &analysis.Analyzer{
 }
 
 func init() {
-	PoolPair.Flags.Var(poolPkg, "pkg", "import path(s) of the tensor package providing NewPooled/ClonePooled/Release")
+	PoolPair.Flags.Var(poolPkg, "pkg", "import path(s) of the tensor package providing NewPooled/NewPooledRaw/ClonePooled/Release")
 }
 
 func runPoolPair(pass *analysis.Pass) (any, error) {
@@ -42,7 +42,7 @@ func runPoolPair(pass *analysis.Pass) (any, error) {
 				return 0, false
 			}
 			switch fn.Name() {
-			case "NewPooled":
+			case "NewPooled", "NewPooledRaw":
 				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
 					return 0, true
 				}

@@ -6,6 +6,8 @@ type Tensor struct{ data []float64 }
 
 func NewPooled(shape ...int) *Tensor { return &Tensor{} }
 
+func NewPooledRaw(shape ...int) *Tensor { return &Tensor{} }
+
 func New(shape ...int) *Tensor { return &Tensor{} }
 
 func (t *Tensor) ClonePooled() *Tensor { return &Tensor{} }

@@ -73,6 +73,11 @@ func badDiscard(n int) {
 	tensor.NewPooled(n) // want `pooled tensor from tensor.NewPooled is discarded`
 }
 
+func badRaw(n int) float64 {
+	t := tensor.NewPooledRaw(n) // want `pooled tensor "t" from tensor.NewPooledRaw never reaches Release`
+	return t.Sum()
+}
+
 func badClone(src *tensor.Tensor) float64 {
 	c := src.ClonePooled() // want `pooled tensor "c" from src.ClonePooled never reaches Release`
 	return c.Sum()

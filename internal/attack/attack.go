@@ -194,6 +194,34 @@ func runPlanted(a Attack, clientBatch *data.Batch, originals []*imaging.Image, r
 	return Evaluate(recons, originals), recons, nil
 }
 
+// reconstructBins appends to out the images in bins base … base+bins−1 of
+// an adjacent-bin layer (RTF, and each LOKI group): bin i's sample is the
+// difference of rows i and i+1, and the top bin's is its own row. An empty
+// bin fails ratioReconstruct's first check on its bias difference alone, so
+// it is skipped before its row difference is formed in diff, a scratch row
+// of dims.Dim() values.
+func reconstructBins(out []*imaging.Image, gw *tensor.Tensor, gb []float64, base, bins int, dims ImageDims, diff []float64) []*imaging.Image {
+	top := base + bins - 1
+	for i := base; i < top; i++ {
+		db := gb[i] - gb[i+1]
+		if math.Abs(db) < gradEps {
+			continue
+		}
+		rowI, rowN := gw.RowView(i), gw.RowView(i+1)
+		for k := range diff {
+			diff[k] = rowI[k] - rowN[k]
+		}
+		if im, ok := ratioReconstruct(diff, db, dims); ok {
+			out = append(out, im)
+		}
+	}
+	// Top bin: samples above the last threshold.
+	if im, ok := ratioReconstruct(gw.RowView(top), gb[top], dims); ok {
+		out = append(out, im)
+	}
+	return out
+}
+
 // ratioReconstruct converts a (row of ∂W, scalar ∂b) pair into an image when
 // the bias gradient is usable.
 func ratioReconstruct(gwRow []float64, gb float64, dims ImageDims) (*imaging.Image, bool) {

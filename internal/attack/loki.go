@@ -154,24 +154,9 @@ func (a *LOKI) Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image {
 		panic(fmt.Sprintf("attack: LOKI gradients %vx%v do not match %d neurons", gw.Shape(), gb.Shape(), a.Neurons))
 	}
 	var out []*imaging.Image
-	gbd := gb.Data()
-	d := a.Dims.Dim()
-	diff := make([]float64, d)
+	diff := make([]float64, a.Dims.Dim())
 	for g := 0; g < a.Groups; g++ {
-		base := g * a.Bins
-		for i := 0; i < a.Bins-1; i++ {
-			rowI := gw.RowView(base + i)
-			rowN := gw.RowView(base + i + 1)
-			for k := 0; k < d; k++ {
-				diff[k] = rowI[k] - rowN[k]
-			}
-			if im, ok := ratioReconstruct(diff, gbd[base+i]-gbd[base+i+1], a.Dims); ok {
-				out = append(out, im)
-			}
-		}
-		if im, ok := ratioReconstruct(gw.RowView(base+a.Bins-1), gbd[base+a.Bins-1], a.Dims); ok {
-			out = append(out, im)
-		}
+		out = reconstructBins(out, gw, gb.Data(), g*a.Bins, a.Bins, a.Dims, diff)
 	}
 	return DedupeReconstructions(out, 1e-8)
 }

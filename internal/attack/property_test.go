@@ -1,12 +1,15 @@
 package attack
 
 import (
+	"math"
 	mrand "math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/nn"
+	"github.com/oasisfl/oasis/internal/tensor"
 )
 
 // quickCfg pins the generator so the properties are deterministic across
@@ -121,5 +124,83 @@ func TestGradientSumProperty(t *testing.T) {
 	}, quickCfg(8))
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// fullDifferenceBins is RTF's and LOKI's bin inversion as it was before
+// empty bins were skipped: every bin's row difference is formed, and
+// ratioReconstruct alone rejects the empty ones on their bias difference.
+func fullDifferenceBins(out []*imaging.Image, gw *tensor.Tensor, gb []float64, base, bins int, dims ImageDims) []*imaging.Image {
+	diff := make([]float64, dims.Dim())
+	for i := base; i < base+bins-1; i++ {
+		rowI, rowN := gw.RowView(i), gw.RowView(i+1)
+		for k := range diff {
+			diff[k] = rowI[k] - rowN[k]
+		}
+		if im, ok := ratioReconstruct(diff, gb[i]-gb[i+1], dims); ok {
+			out = append(out, im)
+		}
+	}
+	if im, ok := ratioReconstruct(gw.RowView(base+bins-1), gb[base+bins-1], dims); ok {
+		out = append(out, im)
+	}
+	return out
+}
+
+// TestBinReconstructMatchesFullDifference: RTF and LOKI skip a bin whose
+// bias difference is below gradEps before forming its row difference. On
+// random gradients whose adjacent biases are mostly equal, with some
+// differences just below and just above gradEps, both must return exactly
+// the images of the full-difference loop, bit for bit and in order.
+func TestBinReconstructMatchesFullDifference(t *testing.T) {
+	dims := ImageDims{C: 1, H: 3, W: 4}
+	check := func(seed uint64) bool {
+		rng := nn.RandSource(seed, 17)
+		groups, bins := 1+rng.IntN(3), 2+rng.IntN(12)
+		n := groups * bins
+		gw := tensor.New(n, dims.Dim())
+		gw.FillRandn(rng, 1)
+		gb := tensor.New(n)
+		gbd := gb.Data()
+		for i := range gbd {
+			switch {
+			case i == 0 || rng.IntN(4) == 0:
+				gbd[i] = rng.NormFloat64()
+			case rng.IntN(8) == 0:
+				gbd[i] = gbd[i-1] + gradEps*(0.5+rng.Float64()) // straddles gradEps
+			default:
+				gbd[i] = gbd[i-1]
+			}
+		}
+		rtf := &RTF{Neurons: n, Dims: dims}
+		loki := &LOKI{Neurons: n, Groups: groups, Bins: bins, Dims: dims}
+		var wantLOKI []*imaging.Image
+		for g := 0; g < groups; g++ {
+			wantLOKI = fullDifferenceBins(wantLOKI, gw, gbd, g*bins, bins, dims)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []*imaging.Image
+		}{
+			{"rtf", rtf.Reconstruct(gw, gb), fullDifferenceBins(nil, gw, gbd, 0, n, dims)},
+			{"loki", loki.Reconstruct(gw, gb), DedupeReconstructions(wantLOKI, 1e-8)},
+		} {
+			if len(c.got) != len(c.want) {
+				t.Errorf("seed %d %s: %d images, full difference %d", seed, c.name, len(c.got), len(c.want))
+				return false
+			}
+			for i := range c.want {
+				for k, v := range c.want[i].Pix {
+					if math.Float64bits(c.got[i].Pix[k]) != math.Float64bits(v) {
+						t.Errorf("seed %d %s: image %d pixel %d = %g, full difference %g", seed, c.name, i, k, c.got[i].Pix[k], v)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, quickCfg(200)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -110,25 +110,7 @@ func (a *RTF) Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image {
 	if gw.Dim(0) != a.Neurons || gb.Dim(0) != a.Neurons {
 		panic(fmt.Sprintf("attack: RTF gradients %vx%v do not match %d neurons", gw.Shape(), gb.Shape(), a.Neurons))
 	}
-	var out []*imaging.Image
-	gbd := gb.Data()
-	d := a.Dims.Dim()
-	diff := make([]float64, d)
-	for i := 0; i < a.Neurons-1; i++ {
-		rowI := gw.RowView(i)
-		rowN := gw.RowView(i + 1)
-		for k := 0; k < d; k++ {
-			diff[k] = rowI[k] - rowN[k]
-		}
-		if im, ok := ratioReconstruct(diff, gbd[i]-gbd[i+1], a.Dims); ok {
-			out = append(out, im)
-		}
-	}
-	// Top bin: samples brighter than the last threshold.
-	if im, ok := ratioReconstruct(gw.RowView(a.Neurons-1), gbd[a.Neurons-1], a.Dims); ok {
-		out = append(out, im)
-	}
-	return out
+	return reconstructBins(nil, gw, gb.Data(), 0, a.Neurons, a.Dims, make([]float64, a.Dims.Dim()))
 }
 
 // Run executes the complete attack against a (possibly defended) batch: the

@@ -48,14 +48,14 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	budgets := []allocBudget{
 		{
-			name: "cross-device-1k", bytes: 11_190_000, mallocs: 35_470,
+			name: "cross-device-1k", bytes: 10_050_000, mallocs: 32_850,
 			run: func() error {
 				_, err := sim.Run(crossDevice, sim.Options{Quick: true, Workers: 1})
 				return err
 			},
 		},
 		{
-			name: "sweep-grid", bytes: 7_070_000, mallocs: 34_110,
+			name: "sweep-grid", bytes: 6_760_000, mallocs: 32_290,
 			run: func() error {
 				_, err := RunSweep(SweepConfig{
 					Attacks:     []string{"rtf", "qbi"},

@@ -114,10 +114,16 @@ func (c *LocalClient) NumSamples() int { return c.Shard.Len() }
 // HandleRound materializes the dispatched model, computes gradients (or a
 // FedAvg pseudo-gradient) on fresh local batches and returns the update.
 //
+// The decoded model's fully-connected layers adopt the spec's weight tensors
+// (DecodeModel), which every client of the round shares, so the client never
+// writes them: a single-step client only reads its weights, and a multi-step
+// client keeps them as w₀ and trains on arena copies. A model whose shapes do
+// not fit the client's batch is an error naming the client, not a panic.
+//
 // The update's gradient tensors belong to the caller. With LocalSteps ≤ 1
 // they are the decoded model's own arena-backed gradient buffers, uploaded
 // without a copy; with more steps they are the pseudo-gradients formed from
-// the weight snapshots. Either way the client keeps no reference, so a
+// w₀ and the trained copies. Either way the client keeps no reference, so a
 // server with ReleaseUpdates set returns them to the tensor arena once the
 // Aggregator has folded them.
 func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update, error) {
@@ -132,13 +138,20 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 	if steps < 1 {
 		steps = 1
 	}
+	params := net.Params()
 	var initial []*tensor.Tensor
 	lr := c.LocalLR
 	if steps > 1 {
 		if lr == 0 {
 			lr = 0.01
 		}
-		initial = net.Weights()
+		// The decoded weights are the shared spec's own: keep them as w₀
+		// and train on arena copies.
+		initial = make([]*tensor.Tensor, len(params))
+		for i, p := range params {
+			initial[i] = p.W
+			p.W = p.W.ClonePooled()
+		}
 	}
 
 	var grads []*tensor.Tensor
@@ -146,7 +159,8 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 	lastBatch := 0
 	for step := 0; step < steps; step++ {
 		if step > 0 {
-			// A freshly decoded model's gradients are already zero, so only
+			// A freshly decoded model's gradients need no clearing (a
+			// Linear's first Backward stores its weight gradient), so only
 			// later steps clear the previous step's accumulation.
 			net.ZeroGrad()
 		}
@@ -159,31 +173,23 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 		if steps > 1 {
 			// Apply the local SGD step; the pseudo-gradient is formed
 			// from the cumulative weight displacement below.
-			for _, p := range net.Params() {
+			for _, p := range params {
 				p.W.AddScaledInPlace(-lr, p.G)
 			}
 		}
 	}
 	if steps > 1 {
-		final := net.Weights()
-		grads = make([]*tensor.Tensor, len(final))
-		for i := range final {
-			grads[i] = initial[i].Sub(final[i]).ScaleInPlace(1 / lr)
-			// The weight snapshots are round-local scratch; hand them back
-			// to the tensor arena now that the pseudo-gradient is formed.
-			initial[i].Release()
-			final[i].Release()
-		}
-	}
-	// The decoded model is round-local: its parameters were cloned out of the
-	// spec into arena buffers, which go back to the arena for the next cohort
-	// member's decode. A single-step client uploads the gradient buffers
-	// themselves, so only a multi-step client releases them here.
-	for _, p := range net.Params() {
-		p.W.Release()
-		if steps > 1 {
+		grads = make([]*tensor.Tensor, len(params))
+		for i, p := range params {
+			grads[i] = initial[i].Sub(p.W).ScaleInPlace(1 / lr)
+			// The trained copies and the gradients are round-local
+			// scratch; hand them back to the tensor arena.
+			p.W.Release()
 			p.G.Release()
-		} else {
+		}
+	} else {
+		// A single-step client uploads the gradient buffers themselves.
+		for _, p := range params {
 			grads = append(grads, p.G)
 		}
 	}
@@ -216,8 +222,27 @@ func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, 
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
-	logits := net.Forward(x, true)
-	loss, g := c.Loss.Compute(logits, batch.Labels)
-	net.Backward(g)
+	loss, err = runModel(net, c.Loss, x, batch.Labels)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
+	}
 	return loss, batch.Size(), nil
+}
+
+// runModel runs the dispatched network's forward pass, loss and backward
+// pass on one batch. The network comes from a server the client does not
+// trust, and DecodeModel cannot know the batch it will see: a layer whose
+// width does not match its input panics in nn's shape checks, which run on
+// this goroutine, so the panic becomes an error instead of killing the
+// client (or, in process, the server).
+func runModel(net *nn.Sequential, lossFn nn.Loss, x *tensor.Tensor, labels []int) (loss float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("dispatched model does not run on the local batch: %v", r)
+		}
+	}()
+	logits := net.Forward(x, true)
+	loss, g := lossFn.Compute(logits, labels)
+	net.Backward(g)
+	return loss, nil
 }

@@ -171,13 +171,16 @@ func encodeLayer(l nn.Layer) (LayerSpec, error) {
 
 // DecodeModel reconstructs a runnable network from its wire description.
 //
-// Fully-connected parameters and their gradients are drawn from the tensor
-// arena (nn.NewLinearFrom), so a decoded model is cheap to build once per
-// client round, and its gradients start at zero. A caller that owns the
-// model for exactly one round, as LocalClient does, releases every
-// parameter's W when it is done and either releases or uploads its G, and
-// the next client's decode reuses those buffers; any other caller may just
-// drop the model for the collector.
+// A fully-connected layer adopts the spec's W and B tensors instead of
+// copying them (nn.NewLinearFrom), so the spec must outlive the model and
+// stay unchanged while it runs, and a caller that trains the model must
+// train copies; conv and batchnorm layers copy their parameters. Gradients
+// are drawn from the tensor arena, so a decoded model is cheap to build once
+// per client round: a Linear's weight gradient holds no value until the
+// first Backward writes it, and every other gradient starts at zero. A
+// caller that owns the model for exactly one round, as LocalClient does,
+// either releases or uploads its G, and the next client's decode reuses
+// those buffers; any other caller may just drop the model for the collector.
 func DecodeModel(spec ModelSpec) (*nn.Sequential, error) {
 	layers, err := decodeLayers(spec.Layers)
 	if err != nil {

@@ -2,8 +2,10 @@ package fl
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/nn"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
@@ -12,6 +14,13 @@ import (
 // dimension can only make DecodeModel, never the harness, allocate much.
 const maxFuzzElems = 1 << 14
 
+// maxFuzzWorkspace bounds the im2col workspace of the conv layers the
+// harness runs. A model may legitimately need a large one: a kernel k wide
+// with padding up to k−1 has up to (H+k−1)² output cells of k² values each,
+// so an 86-wide kernel padded by 76 needs 1.3 GB for a batch of four 8×8
+// images. Such specs decode, but the harness does not run them.
+const maxFuzzWorkspace = 1 << 22
+
 // FuzzDecodeModel: a ModelSpec is what a dishonest server sends every
 // client, so DecodeModel must reject a malformed one with an error, never a
 // panic, and a model it accepts must run a forward pass on an input its
@@ -19,8 +28,10 @@ const maxFuzzElems = 1 << 14
 // kind, geometry and parameter lengths, and, when tail is non-empty, a
 // second layer of kind tail whose declared input width is the first layer's
 // output width and whose parameters match its geometry. The model must then
-// also run when the second layer accepts the first layer's output. Run
-// beyond the seed corpus with:
+// also run when the second layer accepts the first layer's output. Every
+// spec that decodes is also sent to a single-step LocalClient on a fixed
+// shard, whose HandleRound must return an update or an error, never panic.
+// Run beyond the seed corpus with:
 //
 //	go test -run '^$' -fuzz FuzzDecodeModel -fuzztime 10s ./internal/fl
 func FuzzDecodeModel(f *testing.F) {
@@ -33,8 +44,13 @@ func FuzzDecodeModel(f *testing.F) {
 	for _, s := range []seed{
 		// Specs that once panicked or slipped through: a linear layer
 		// without weights, a batchnorm with -1 channels, a zero-width
-		// maxpool window.
+		// maxpool window, a linear layer 7 wide that decodes but
+		// panicked the client on its 64-wide batch, and an 86-wide conv
+		// kernel whose two negative output extents sized a 1.3 GB
+		// workspace for the client's 8×8 images.
 		{kind: "linear", in: 3, out: 2, bLen: 2},
+		{kind: "linear", in: 7, out: 3, wLen: -1, bLen: -1},
+		{kind: "conv", in: 1, out: 2, k: 86, stride: 1, pad: 1, wLen: -1, bLen: -1},
 		{kind: "batchnorm", in: -1},
 		{kind: "maxpool"},
 		{kind: "linear", in: 3, out: 2, wLen: 6, bLen: 2, tail: "relu"},
@@ -57,8 +73,11 @@ func FuzzDecodeModel(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if !fuzzConvTooLarge(first, fuzzShardSide) {
+			fuzzHandleRound(t, ModelSpec{Layers: []LayerSpec{first}, InputKind: inputKind(net)}, net)
+		}
 		shape := fuzzInputShape(net.Layers[0])
-		if fuzzElems(shape) > maxFuzzElems {
+		if fuzzElems(shape) > maxFuzzElems || fuzzConvTooLarge(first, shape[len(shape)-1]) {
 			return
 		}
 		x := tensor.New(shape...)
@@ -68,11 +87,50 @@ func FuzzDecodeModel(f *testing.F) {
 		}
 		second := fuzzLayerSpec("l1", tail, y.Dim(1), out, k, stride, pad, -1, -1)
 		net, err = DecodeModel(ModelSpec{Layers: []LayerSpec{first, second}})
-		if err != nil || !fuzzAccepts(net.Layers[1], y.Shape()) {
+		if err != nil {
 			return
 		}
-		net.Forward(x, true)
+		// The first layer's output on the shard is at most 2·pad wider
+		// than its input.
+		if !fuzzConvTooLarge(first, fuzzShardSide) && !fuzzConvTooLarge(second, fuzzShardSide+2*pad) {
+			fuzzHandleRound(t, ModelSpec{Layers: []LayerSpec{first, second}, InputKind: inputKind(net)}, net)
+		}
+		if fuzzAccepts(net.Layers[1], y.Shape()) && !fuzzConvTooLarge(second, y.Dim(y.Dims()-1)) {
+			net.Forward(x, true)
+		}
 	})
+}
+
+// fuzzConvTooLarge reports whether s, a layer spec that decoded, is a conv
+// whose im2col workspace on a batch of four inputs at most side wide would
+// exceed maxFuzzWorkspace. A kernel wider than the padded input never
+// sizes a workspace.
+func fuzzConvTooLarge(s LayerSpec, side int) bool {
+	if s.Kind != "conv" || side+2*s.Pad < s.K {
+		return false
+	}
+	out := (side+2*s.Pad-s.K)/s.Stride + 1
+	return 4*s.InC*s.K*s.K*out*out > maxFuzzWorkspace
+}
+
+// fuzzShard is the fixed local data every decodable fuzzed spec is trained
+// on: 16 single-channel images fuzzShardSide wide, so a flat batch is 64
+// wide.
+const fuzzShardSide = 8
+
+var fuzzShard = data.NewSynthCustom("fuzz", 4, 1, fuzzShardSide, fuzzShardSide, 16, 5)
+
+// fuzzHandleRound sends spec, which decoded to net, to a single-step
+// LocalClient with batches of 4. Whether the model fits the batch or not,
+// HandleRound must return, and an update it returns carries one gradient
+// per parameter; a panic fails the fuzz target.
+func fuzzHandleRound(t *testing.T, spec ModelSpec, net *nn.Sequential) {
+	t.Helper()
+	c := NewLocalClient("fuzz", fuzzShard, 4, nn.RandSource(9, 9))
+	u, err := c.HandleRound(context.Background(), RoundRequest{Model: spec})
+	if err == nil && len(u.Grads) != len(net.Params()) {
+		t.Fatalf("update has %d gradients for %d parameters", len(u.Grads), len(net.Params()))
+	}
 }
 
 // fuzzLayerSpec fills every field a layer kind reads from the fuzzed

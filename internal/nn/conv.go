@@ -49,6 +49,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects [B,%d,H,W], got %v", c.name, c.InC, x.Shape()))
 	}
 	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	// A kernel wider than the padded input has no output cell; checked
+	// before the workspace is sized, since two negative output extents
+	// would multiply into a large positive one.
+	if h+2*c.Pad < c.K || w+2*c.Pad < c.K {
+		panic(fmt.Sprintf("nn: %s kernel %d with padding %d exceeds input %v", c.name, c.K, c.Pad, x.Shape()))
+	}
 	oh := (h+2*c.Pad-c.K)/c.Stride + 1
 	ow := (w+2*c.Pad-c.K)/c.Stride + 1
 	// The lowering workspace comes from the shared arena: a train-mode
@@ -117,7 +123,7 @@ func (c *Conv2D) paramGrads(gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// ∂L/∂W += gRowsᵀ · cols, viewed as [outC, inC*K*K]
-	tensor.MatMulTransAAdd(c.Weight.G.MustReshape(c.OutC, c.InC*c.K*c.K), gRows, c.lastCols)
+	tensor.MatMulTransAInto(c.Weight.G.MustReshape(c.OutC, c.InC*c.K*c.K), gRows, c.lastCols, true)
 	c.lastCols.Release()
 	c.lastCols = nil
 	// ∂L/∂b = column sums of gRows

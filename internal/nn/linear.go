@@ -19,6 +19,10 @@ type Linear struct {
 
 	lastX *tensor.Tensor
 	name  string
+	// gradWritten is set once a Backward has written Weight.G; until then
+	// backwardParams stores ∂L/∂W instead of adding it, so G needs no zero
+	// fill before its first use.
+	gradWritten bool
 }
 
 var _ Layer = (*Linear)(nil)
@@ -39,9 +43,13 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 
 // NewLinearFrom constructs a fully-connected layer with explicit weights and
 // biases; used by the attacks to plant malicious parameters and by model
-// decoding. The parameter copies and gradients come from the tensor arena: an
-// owner done with the layer may Release them, and one that never does leaves
-// them to the collector.
+// decoding. The layer adopts w and b as its parameters without copying them,
+// so the caller must not change them while the layer is in use, and the
+// layer does not change them unless its owner trains it. The gradients come
+// from the tensor arena: the bias gradient starts at zero, and the weight
+// gradient holds no value until the first Backward writes it (or ZeroGrad
+// clears it). An owner done with the layer may Release the gradients, and
+// one that never does leaves them to the collector.
 func NewLinearFrom(name string, w *tensor.Tensor, b *tensor.Tensor) (*Linear, error) {
 	if w.Dims() != 2 {
 		return nil, fmt.Errorf("nn: linear weight must be 2-D, got %v", w.Shape())
@@ -52,8 +60,8 @@ func NewLinearFrom(name string, w *tensor.Tensor, b *tensor.Tensor) (*Linear, er
 	}
 	return &Linear{
 		In: in, Out: out,
-		Weight: &Param{Name: name + ".weight", W: w.ClonePooled(), G: tensor.NewPooled(out, in)},
-		Bias:   &Param{Name: name + ".bias", W: b.ClonePooled(), G: tensor.NewPooled(out)},
+		Weight: &Param{Name: name + ".weight", W: w, G: tensor.NewPooledRaw(out, in)},
+		Bias:   &Param{Name: name + ".bias", W: b, G: tensor.NewPooled(out)},
 		name:   name,
 	}, nil
 }
@@ -88,13 +96,17 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardParams is Backward without the input gradient: it accumulates
-// ∂L/∂W and ∂L/∂b and releases the cached activation.
+// ∂L/∂W and ∂L/∂b and releases the cached activation. The first call stores
+// ∂L/∂W into G, which is bit-identical to adding it into a zeroed G (see
+// tensor.MatMulTransAInto); the bias keeps its add loop, because a sum
+// started from the first row instead of +0 could end at −0.
 func (l *Linear) backwardParams(gradOut *tensor.Tensor) {
 	if l.lastX == nil {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward(train)", l.name))
 	}
 	// ∂L/∂W (out×in) += gradOutᵀ (out×B) · x (B×in)
-	tensor.MatMulTransAAdd(l.Weight.G, gradOut, l.lastX)
+	tensor.MatMulTransAInto(l.Weight.G, gradOut, l.lastX, l.gradWritten)
+	l.gradWritten = true
 	l.lastX.Release()
 	l.lastX = nil
 	gb := l.Bias.G.Data()
@@ -111,10 +123,11 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // Clone returns a deep copy with zeroed gradients.
 func (l *Linear) Clone() Layer {
-	c, err := NewLinearFrom(l.name, l.Weight.W, l.Bias.W)
+	c, err := NewLinearFrom(l.name, l.Weight.W.ClonePooled(), l.Bias.W.ClonePooled())
 	if err != nil {
 		panic(err) // unreachable: shapes come from a valid layer
 	}
+	c.Weight.G.Zero()
 	return c
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -218,5 +219,72 @@ func TestLinearFromValidation(t *testing.T) {
 	}
 	if l.In != 3 || l.Out != 2 {
 		t.Errorf("dims = (%d,%d), want (3,2)", l.In, l.Out)
+	}
+}
+
+// TestLinearFromStoresFirstWeightGradient: NewLinearFrom draws the weight
+// gradient unzeroed from the arena, and the first Backward stores into it
+// without reading it. A G poisoned with NaN must come out with the same bits
+// as a zeroed G that the backward pass adds into, on both of the kernel's
+// output-size paths, and a second Backward must add to both alike. Weight
+// gradient element (0, 0) sums only −0 products, which a store that began
+// from the first product instead of +0 would leave at −0.
+func TestLinearFromStoresFirstWeightGradient(t *testing.T) {
+	for _, shape := range [][2]int{{5, 7}, {40, 600}} {
+		out, in := shape[0], shape[1]
+		rng := RandSource(8, uint64(in))
+		w, b := randInput(rng, out, in), randInput(rng, out)
+		x, gradOut := randInput(rng, 3, in), randInput(rng, 3, out)
+		for r := 0; r < 3; r++ {
+			x.Data()[r*in] = math.Copysign(0, -1)
+			gradOut.Data()[r*out] = 1 + math.Abs(gradOut.Data()[r*out])
+		}
+		poisoned, err := NewLinearFrom("p", w, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned.Weight.G.Fill(math.NaN())
+		zeroed, err := NewLinearFrom("z", w, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroed.Weight.ZeroGrad()
+		zeroed.gradWritten = true // add into the zeroed G
+		for step := 0; step < 2; step++ {
+			for _, l := range []*Linear{poisoned, zeroed} {
+				l.Forward(x, true)
+				l.Backward(gradOut)
+			}
+			for _, pair := range [][2]*Param{{poisoned.Weight, zeroed.Weight}, {poisoned.Bias, zeroed.Bias}} {
+				got, want := pair[0].G.Data(), pair[1].G.Data()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%dx%d step %d: %s[%d] = %g, want %g", out, in, step, pair[0].Name, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if g := poisoned.Weight.G.Data()[0]; g != 0 || math.Signbit(g) {
+			t.Fatalf("%dx%d: gradient of −0 products is %g, want +0", out, in, g)
+		}
+	}
+}
+
+// TestConvRejectsKernelWiderThanPaddedInput: a kernel wider than the padded
+// input has no output cell. Forward must panic with a shape message before
+// it sizes its workspace, both when the output extent comes out negative
+// (two negative extents would multiply into a positive workspace size) and
+// when integer division truncates it up to 1 at stride 2.
+func TestConvRejectsKernelWiderThanPaddedInput(t *testing.T) {
+	for _, c := range []struct{ k, stride int }{{12, 1}, {11, 2}} {
+		conv := NewConv2D("c", 1, 2, c.k, c.stride, 1, RandSource(9, 1))
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exceeds input") {
+					t.Errorf("k=%d stride=%d: recovered %v, want a kernel-exceeds-input panic", c.k, c.stride, r)
+				}
+			}()
+			conv.Forward(tensor.New(2, 1, 8, 8), true)
+		}()
 	}
 }

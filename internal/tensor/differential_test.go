@@ -363,9 +363,13 @@ func drawKernelShape(rng *rand.Rand, cov *kernelShapeCoverage) (m, k, n int) {
 
 // TestMatMulKernelsProperty draws random shapes and checks MatMul,
 // MatMulTransA and MatMulTransB bit for bit against ref.go at worker counts
-// 1, 2 and NumCPU, with the AVX2 kernels on and forced off. MatMulTransAAdd
-// into a random non-zero dst must equal ref.go's MatMulTransA followed by
-// AddInPlace: dst + (p₀ + p₁ + …), not dst + p₀ + p₁ + ….
+// 1, 2 and NumCPU, with the AVX2 kernels on and forced off.
+// MatMulTransAInto's add mode into a random non-zero dst must equal ref.go's
+// MatMulTransA followed by AddInPlace: dst + (p₀ + p₁ + …), not dst + p₀ +
+// p₁ + …. Its store mode into a NaN-filled dst must equal ref.go's
+// MatMulTransA: it never reads dst, and each sum starts at +0, which one
+// output element whose products are all −0 pins (a sum started from the
+// first product would end at −0 there).
 func TestMatMulKernelsProperty(t *testing.T) {
 	if !useAVX2 {
 		t.Log("no AVX2 on this machine: only the pure-Go kernels run")
@@ -384,13 +388,26 @@ func TestMatMulKernelsProperty(t *testing.T) {
 		bt, at := New(n, k), New(k, m)
 		fillMixed(bt, rng)
 		fillMixed(at, rng)
+		// Output element (i0, j0) of atᵀ·b sums only −0 products: a
+		// positive column of at times a −0 column of b.
+		i0, j0 := rng.IntN(m), rng.IntN(n)
+		for kk := 0; kk < k; kk++ {
+			at.data[kk*m+i0] = 1 + math.Abs(at.data[kk*m+i0])
+			b.data[kk*n+j0] = math.Copysign(0, -1)
+		}
 		want, wantTB, wantTA := matMulRef(a, b), matMulTransBRef(a, bt), matMulTransARef(at, b)
+		if math.Signbit(wantTA.data[i0*n+j0]) {
+			t.Fatalf("seed %#x: reference sum of −0 products is −0", seed)
+		}
 		dst := New(m, n)
 		dst.FillRandn(rng, 1)
 		wantTAAdd := dst.Clone().AddInPlace(wantTA)
-		transAAdd := func() *Tensor {
+		transAInto := func(add bool) *Tensor {
 			out := dst.ClonePooled()
-			MatMulTransAAdd(out, at, b)
+			if !add {
+				out.Fill(math.NaN())
+			}
+			MatMulTransAInto(out, at, b, add)
 			return out
 		}
 		withKernelModes(t, func(t *testing.T, avx2 bool) {
@@ -403,7 +420,8 @@ func TestMatMulKernelsProperty(t *testing.T) {
 					{"MatMul", MatMul(a, b), want},
 					{"MatMulTransB", MatMulTransB(a, bt), wantTB},
 					{"MatMulTransA", MatMulTransA(at, b), wantTA},
-					{"MatMulTransAAdd", transAAdd(), wantTAAdd},
+					{"MatMulTransAInto add", transAInto(true), wantTAAdd},
+					{"MatMulTransAInto store", transAInto(false), wantTA},
 				} {
 					mustBitIdentical(t, fmt.Sprintf("seed %#x: %s %dx%dx%d workers=%d avx2=%v", seed, c.op, m, k, n, w, avx2), c.got, c.want)
 					c.got.Release()

@@ -19,8 +19,9 @@
 //     panel reads per output element.
 //   - MatMulTransA uses the historical kk-outer order while the whole output
 //     fits in cache (transASmallOut) and switches to packed panels beyond it.
-//     MatMulTransAAdd is the same kernel adding into a caller's tensor; the
-//     layers accumulate weight gradients with it.
+//     MatMulTransAInto is the same kernel writing into a caller's tensor,
+//     adding to it or storing over it; the layers form weight gradients
+//     with it.
 //   - Transpose2D copies transposeTile×transposeTile squares so both the
 //     row-major reads and the column-major writes stay inside L1.
 //
@@ -50,15 +51,21 @@
 //   - dot2 computes two output elements per B-panel pass but evaluates each
 //     one with exactly the same 4-way unrolled partial-sum pattern as dot,
 //     so pairing rows changes nothing in either row's rounding.
-//   - MatMulTransAAdd forms each element's sum in an accumulator that starts
-//     at +0 and adds the k products in ascending order, then adds the sum to
-//     dst once. dst + (p₀ + p₁ + …) is exactly what MatMulTransA followed by
-//     AddInPlace computes; (dst + p₀) + p₁ + … would not be, so the kernel
-//     never accumulates straight into dst. MatMulTransA is the same kernel
-//     over a zeroed tensor, and that is bit-exact too: a sum that starts at
-//     +0 can never end at −0, so +0 + Σ = Σ. TestMatMulKernelsProperty
-//     checks MatMulTransAAdd into a random non-zero dst against ref.go's
-//     MatMulTransA followed by AddInPlace.
+//   - MatMulTransAInto forms each element's sum in an accumulator that
+//     starts at +0 and adds the k products in ascending order, then hands
+//     the sum to dst once. In add mode, dst + (p₀ + p₁ + …) is exactly what
+//     MatMulTransA followed by AddInPlace computes; (dst + p₀) + p₁ + …
+//     would not be, so the kernel never accumulates straight into dst. In
+//     store mode the sum is copied over dst, which is never read, and that
+//     is bit-exact against adding it into a zeroed dst: a sum that starts at
+//     +0 can never end at −0, so +0 + Σ = Σ. A sum started from the first
+//     product would not be, because an element whose products are all −0
+//     would end at −0. MatMulTransA is the store mode over an unzeroed arena
+//     tensor, and nn.Linear stores its first weight gradient into a G that
+//     was never zeroed. TestMatMulKernelsProperty checks the add mode into a
+//     random non-zero dst against ref.go's MatMulTransA followed by
+//     AddInPlace, and the store mode into a NaN-filled dst, with one element
+//     whose products are all −0, against ref.go's MatMulTransA.
 //
 // Simulation reports therefore stay byte-identical for a fixed seed across
 // tensor.SetWorkers values, machine core counts, and the kernel rewrites.
@@ -98,16 +105,17 @@
 //
 // pool.go maintains size-bucketed sync.Pools of float64 slices (capacity
 // 2^b, smallest pooled class 8 KiB). NewPooled draws a zeroed tensor from
-// the arena, ClonePooled an unzeroed one that its copy overwrites in full;
-// Release hands the backing array back and clears the tensor so
-// stale use panics instead of aliasing recycled memory. Kernel outputs and
-// the conv lowering workspaces are arena-backed: a Conv2D's im2col matrix
-// lives from Forward(train) to the end of the matching Backward, gradient
-// scratch is released within the call that created it, and anything a
-// caller keeps (layer outputs, accumulated gradients) is simply never
-// released and gets collected like an ordinary allocation. Steady-state
-// allocation per training step stays O(model outputs) instead of
-// O(batch·OH·OW) — see the ReportAllocs benchmarks in nn/bench_test.go.
+// the arena; ClonePooled and NewPooledRaw draw unzeroed ones, which the copy
+// or the caller's first write overwrites in full; Release hands the backing
+// array back and clears the tensor so stale use panics instead of aliasing
+// recycled memory. Kernel outputs and the conv lowering workspaces are
+// arena-backed: a Conv2D's im2col matrix lives from Forward(train) to the
+// end of the matching Backward, gradient scratch is released within the call
+// that created it, and anything a caller keeps (layer outputs, accumulated
+// gradients) is simply never released and gets collected like an ordinary
+// allocation. Steady-state allocation per training step stays O(model
+// outputs) instead of O(batch·OH·OW) — see the ReportAllocs benchmarks in
+// nn/bench_test.go.
 //
 // # Measuring performance
 //
@@ -119,8 +127,8 @@
 // round or a sweep allocates more than its committed budget.
 //
 // The pooling discipline is enforced mechanically: the poolpair analyzer in
-// internal/analysis verifies that every NewPooled/ClonePooled value reaches
-// Release or visibly transfers ownership on all paths, as part of the
-// repo-wide determinism contract written up in the "Static analysis"
+// internal/analysis verifies that every NewPooled/NewPooledRaw/ClonePooled
+// value reaches Release or visibly transfers ownership on all paths, as part
+// of the repo-wide determinism contract written up in the "Static analysis"
 // section of the repository README.
 package tensor

@@ -21,15 +21,19 @@ import "fmt"
 //     adding the ±0.0 terms it skipped cannot change an IEEE-754 sum (the
 //     differential tests assert exact equality against the branchy refs).
 //
-// Fused accumulate: MatMulTransAAdd(dst, a, b) adds aᵀ·b into dst, which is
-// how the layers accumulate weight gradients. Each output element's sum
-// starts at +0 in an L1 accumulator (one mulColBlock panel row, or one row
-// span on the small-output path), takes its k products in ascending order,
-// and is added to dst once: dst + (p₀ + p₁ + …), the rounding sequence of
-// MatMulTransA followed by AddInPlace. Accumulating straight into dst,
-// (dst + p₀) + p₁ + …, would round differently. MatMulTransA itself is the
-// same kernel over a fresh zeroed tensor: a sum that starts at +0 can never
-// end at −0, so +0 + Σ is Σ bit for bit.
+// Fused accumulate and store: MatMulTransAInto(dst, a, b, add) writes aᵀ·b
+// into dst, which is how the layers form weight gradients. Each output
+// element's sum starts at +0 in an L1 accumulator (one mulColBlock panel row,
+// or one row span on the small-output path) and takes its k products in
+// ascending order. With add set the sum is then added to dst once: dst + (p₀ +
+// p₁ + …), the rounding sequence of MatMulTransA followed by AddInPlace.
+// Accumulating straight into dst, (dst + p₀) + p₁ + …, would round
+// differently. With add clear the sum is copied into dst, which is never
+// read, so dst may hold anything, NaN included. That store is bit-identical
+// to adding the sum into a zeroed dst: a sum that starts at +0 can never end
+// at −0, so +0 + Σ is Σ bit for bit. Starting the sum from the first product
+// instead would not be: an element whose products are all −0 would end at −0.
+// MatMulTransA is the store mode over an unzeroed arena tensor.
 //
 // Blocking scheme: the output is tiled into column panels (mulColBlock wide);
 // operands whose panel columns stride across wide rows (MatMul, MatMulTransA)
@@ -158,22 +162,25 @@ func matMulTransBInto(od, ad, bd []float64, m, k, n int) {
 	})
 }
 
-// MatMulTransA returns aᵀ·b for a (k×m) and b (k×n): MatMulTransAAdd into a
-// fresh zeroed tensor, which is bit-exact (see the fused accumulate above).
+// MatMulTransA returns aᵀ·b for a (k×m) and b (k×n): the store mode of
+// MatMulTransAInto over an unzeroed arena tensor, which is bit-exact (see the
+// fused accumulate and store above).
 func MatMulTransA(a, b *Tensor) *Tensor {
 	_, m, n := transADims("MatMulTransA", a, b)
-	out := NewPooled(m, n)
-	MatMulTransAAdd(out, a, b)
+	out := NewPooledRaw(m, n)
+	MatMulTransAInto(out, a, b, false)
 	return out
 }
 
-// MatMulTransAAdd adds aᵀ·b into dst (m×n) for a (k×m) and b (k×n), bit for
-// bit as dst.AddInPlace(MatMulTransA(a, b)) would, without the m×n
-// temporary or the extra pass over it.
-func MatMulTransAAdd(dst, a, b *Tensor) {
-	k, m, n := transADims("MatMulTransAAdd", a, b)
+// MatMulTransAInto writes aᵀ·b into dst (m×n) for a (k×m) and b (k×n). With
+// add set it adds, bit for bit as dst.AddInPlace(MatMulTransA(a, b)) would,
+// without the m×n temporary or the extra pass over it. With add clear it
+// overwrites dst without reading it, bit for bit as adding into a zeroed dst
+// would.
+func MatMulTransAInto(dst, a, b *Tensor, add bool) {
+	k, m, n := transADims("MatMulTransAInto", a, b)
 	if dst.Dims() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAAdd destination %v, want [%d %d]", dst.shape, m, n))
+		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v, want [%d %d]", dst.shape, m, n))
 	}
 	ad, bd, od := a.data, b.data, dst.data
 	flops := k * m * n
@@ -199,7 +206,11 @@ func MatMulTransAAdd(dst, a, b *Tensor) {
 					axpy(acc[(i-lo)*n:(i-lo+1)*n], arow[i], brow)
 				}
 			}
-			addTo(od[lo*n:hi*n], acc)
+			if add {
+				addTo(od[lo*n:hi*n], acc)
+			} else {
+				copy(od[lo*n:hi*n], acc)
+			}
 			putBuf(acc)
 		})
 		return
@@ -228,7 +239,11 @@ func MatMulTransAAdd(dst, a, b *Tensor) {
 				for ; kk < k; kk++ {
 					axpy(acc, ad[kk*m+i], panel[kk*w:(kk+1)*w])
 				}
-				addTo(od[i*n+jb:i*n+je], acc)
+				if add {
+					addTo(od[i*n+jb:i*n+je], acc)
+				} else {
+					copy(od[i*n+jb:i*n+je], acc)
+				}
 			}
 		}
 		putBuf(panel)

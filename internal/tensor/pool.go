@@ -85,6 +85,17 @@ func NewPooled(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: getBuf(n)}
 }
 
+// NewPooledRaw is NewPooled without the zero fill: a recycled backing array
+// keeps its stale contents, so the caller must write every element before it
+// reads any. Kernels that overwrite their whole output (MatMulTransA) and
+// gradients formed by a store before they are read (nn.NewLinearFrom) use it
+// to skip a pass over the tensor.
+func NewPooledRaw(shape ...int) *Tensor {
+	n := checkShape(shape)
+	data, _ := getRawBuf(n)
+	return &Tensor{shape: append([]int(nil), shape...), data: data}
+}
+
 // ClonePooled returns a deep copy like Clone, with the backing array drawn
 // from the workspace arena. Use it for copies whose lifetime the caller
 // controls (upload payloads, per-round snapshots) so they can be handed back
