@@ -53,7 +53,7 @@ func BenchmarkRobustAggregation(b *testing.B)       { benchExperiment(b, "robust
 func BenchmarkClientGradients(b *testing.B) {
 	ds := NewSynthCIFAR100(42)
 	rng := NewRand(1, 2)
-	atk, err := NewRTFAttack(ds, 500, rng)
+	atk, err := NewAttack("rtf", ds, 500, 0, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func BenchmarkClientGradients(b *testing.B) {
 func BenchmarkRTFInversion(b *testing.B) {
 	ds := NewSynthCIFAR100(42)
 	rng := NewRand(1, 2)
-	atk, err := NewRTFAttack(ds, 500, rng)
+	atk, err := NewAttack("rtf", ds, 500, 0, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func Example() {
 	rng := oasis.NewRand(1, 2)
 	batch, _ := oasis.RandomBatch(ds, rng, 8)
 
-	atk, _ := oasis.NewRTFAttack(ds, 500, rng)
+	atk, _ := oasis.NewAttack("rtf", ds, 500, 0, rng)
 	evRaw, _, _ := atk.Run(batch, batch.Images, rng)
 
 	def, _ := oasis.NewDefense("MR")
@@ -44,7 +44,7 @@ func ExampleDefense_Apply() {
 func ExampleAnalyzeProp1() {
 	ds := oasis.NewSynthCIFAR100(5)
 	rng := oasis.NewRand(5, 5)
-	atk, _ := oasis.NewRTFAttack(ds, 200, rng)
+	atk, _ := oasis.NewAttack("rtf", ds, 200, 0, rng)
 	batch, _ := oasis.RandomBatch(ds, rng, 4)
 
 	def, _ := oasis.NewDefense("MR")

@@ -30,7 +30,7 @@ func run() error {
 
 	// Step 1 — the server crafts the trap: a CAH layer of 400 neurons,
 	// calibrated against public data statistics.
-	atk, err := oasis.NewCAHAttack(ds, 400, 16, rng)
+	atk, err := oasis.NewAttack("cah", ds, 400, 16, rng)
 	if err != nil {
 		return err
 	}

@@ -73,11 +73,11 @@ func run() error {
 		}
 
 		// The dishonest aggregation server plants a CAH trap layer.
-		atk, err := oasis.NewCAHAttack(scans, 300, 16, rng)
+		atk, err := oasis.NewAttack("cah", scans, 300, 16, rng)
 		if err != nil {
 			return err
 		}
-		dishonest, err := oasis.NewCAHServer(atk, rng)
+		dishonest, err := oasis.NewAttackServer(atk, rng)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ func run() error {
 	}
 
 	// The dishonest server plants an RTF imprint layer with 500 neurons.
-	atk, err := oasis.NewRTFAttack(ds, 500, rng)
+	atk, err := oasis.NewAttack("rtf", ds, 500, 0, rng)
 	if err != nil {
 		return err
 	}

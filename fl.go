@@ -206,16 +206,6 @@ func NewAttackServer(a Attack, rng *rand.Rand) (*DishonestServer, error) {
 	return attack.NewAttackServer(a, rng)
 }
 
-// NewRTFServer wraps a calibrated RTF attack as dishonest-server hooks.
-func NewRTFServer(a *RTFAttack, rng *rand.Rand) (*DishonestServer, error) {
-	return attack.NewRTFServer(a, rng)
-}
-
-// NewCAHServer wraps a calibrated CAH attack as dishonest-server hooks.
-func NewCAHServer(a *CAHAttack, rng *rand.Rand) (*DishonestServer, error) {
-	return attack.NewCAHServer(a, rng)
-}
-
 // NewClassifier builds the ResNet-lite classifier used as the honest global
 // model (width controls capacity; see nn.NewResNetLite).
 func NewClassifier(ds Dataset, width int, rng *rand.Rand) *Model {

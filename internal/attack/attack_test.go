@@ -60,8 +60,10 @@ func TestRTFThresholdsAscending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(rtf.Thresholds); i++ {
-		if rtf.Thresholds[i] <= rtf.Thresholds[i-1] {
+	_, b := rtf.Layer()
+	bias := b.Data() // bias_i = −c_i
+	for i := 1; i < len(bias); i++ {
+		if -bias[i] <= -bias[i-1] {
 			t.Fatalf("thresholds not strictly ascending at %d", i)
 		}
 	}
@@ -113,6 +115,20 @@ func TestCAHSliceValidation(t *testing.T) {
 	}
 	if _, err := cah.Slice(51); err == nil {
 		t.Error("oversize slice accepted")
+	}
+	// Bin layers do not slice: a prefix of quantile bins is not calibrated.
+	rtf, err := NewRTF(ImageDims{C: c, H: h, W: w}, 100, 50, ds, rng, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loki, err := NewLOKI(ImageDims{C: c, H: h, W: w}, 100, 50, ds, rng, 64, DefaultLOKIScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bins := range []*Imprint{rtf, loki} {
+		if _, err := bins.Slice(10); err == nil {
+			t.Errorf("%s slice accepted", bins.Name())
+		}
 	}
 	small, err := cah.Slice(10)
 	if err != nil {
@@ -208,7 +224,7 @@ func TestDishonestServerHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, err := NewRTFServer(rtf, rng)
+	hook, err := NewAttackServer(rtf, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +265,18 @@ func TestObserveIgnoresForeignPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, err := NewRTFServer(rtf, rng)
+	hook, err := NewAttackServer(rtf, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook.Observe(0, fl.Update{Grads: []*tensor.Tensor{tensor.New(3)}})
-	hook.Observe(0, fl.Update{Grads: []*tensor.Tensor{tensor.New(2, 2), tensor.New(3)}})
+	for _, grads := range [][]*tensor.Tensor{
+		{tensor.New(3)},
+		{tensor.New(2, 2), tensor.New(3)},
+		{tensor.New(3, dims.Dim()), tensor.New(3)},     // too few neurons
+		{tensor.New(50, dims.Dim()-1), tensor.New(50)}, // wrong width
+	} {
+		hook.Observe(0, fl.Update{Grads: grads})
+	}
 	if got := len(hook.Captures()); got != 0 {
 		t.Errorf("foreign payloads produced %d captures", got)
 	}
@@ -307,7 +329,7 @@ func TestImageDimsDim(t *testing.T) {
 	}
 }
 
-func ExampleRTF_Run() {
+func ExampleImprint_Run() {
 	ds := data.NewSynthCIFAR100(42)
 	c, h, w := ds.Shape()
 	rng := nn.RandSource(1, 2)

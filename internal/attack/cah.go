@@ -7,12 +7,11 @@ import (
 	"sort"
 
 	"github.com/oasisfl/oasis/internal/data"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// CAH implements the "Curious Abandon Honesty" trap-weight attack (Boenisch
-// et al., EuroS&P 2023; paper reference [17]).
+// NewCAH calibrates the "Curious Abandon Honesty" trap-weight attack
+// (Boenisch et al., EuroS&P 2023; paper reference [17]).
 //
 // Each malicious neuron projects the input onto an independent random
 // direction r_i; its bias is calibrated (from the attacker's public data) so
@@ -22,26 +21,11 @@ import (
 // samples reconstruct only their weighted mean, which is how OASIS (more
 // samples per batch + transforms correlated with their originals) destroys
 // reconstruction quality.
-type CAH struct {
-	Neurons int
-	Dims    ImageDims
-	Classes int
-	// TargetActivation is the desired per-sample activation probability;
-	// the attack calibrates for 1/B of the batch size it expects.
-	TargetActivation float64
-
-	weights *tensor.Tensor // [n, d] trap directions
-	bias    *tensor.Tensor // [n]
-}
-
-// Name returns the registry kind "cah".
-func (a *CAH) Name() string { return "cah" }
-
-// NewCAH builds a trap-weight layer of n neurons calibrated against probe
-// data. expectedBatch is the batch size the attacker anticipates; the bias
-// of every neuron is the (1 − 1/expectedBatch) quantile of its projection
+//
+// expectedBatch is the batch size the attacker anticipates; the bias of
+// every neuron is the (1 − 1/expectedBatch) quantile of its projection
 // distribution over the probe set.
-func NewCAH(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.Rand, probeSize, expectedBatch int) (*CAH, error) {
+func NewCAH(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.Rand, probeSize, expectedBatch int) (*Imprint, error) {
 	if neurons < 1 {
 		return nil, fmt.Errorf("attack: CAH needs at least 1 neuron, got %d", neurons)
 	}
@@ -77,60 +61,5 @@ func NewCAH(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.
 		theta := quantile(projs, 1-target)
 		b.Data()[i] = -theta
 	}
-	return &CAH{
-		Neurons: neurons, Dims: dims, Classes: classes,
-		TargetActivation: target,
-		weights:          w, bias: b,
-	}, nil
-}
-
-// Layer returns copies of the malicious parameters.
-func (a *CAH) Layer() (w, b *tensor.Tensor) { return a.weights.Clone(), a.bias.Clone() }
-
-// Slice derives a smaller attack using the first n trap neurons. Trap rows
-// are i.i.d., so the prefix of a calibrated layer is itself a calibrated
-// layer; neuron-count sweeps (Figure 4) reuse one expensive calibration.
-func (a *CAH) Slice(n int) (*CAH, error) {
-	if n < 1 || n > a.Neurons {
-		return nil, fmt.Errorf("attack: CAH slice %d outside [1,%d]", n, a.Neurons)
-	}
-	d := a.Dims.Dim()
-	w := tensor.New(n, d)
-	copy(w.Data(), a.weights.Data()[:n*d])
-	b := tensor.New(n)
-	copy(b.Data(), a.bias.Data()[:n])
-	return &CAH{
-		Neurons: n, Dims: a.Dims, Classes: a.Classes,
-		TargetActivation: a.TargetActivation,
-		weights:          w, bias: b,
-	}, nil
-}
-
-// BuildVictim assembles the full malicious model the server would dispatch.
-func (a *CAH) BuildVictim(rng *rand.Rand) (*Victim, error) {
-	w, b := a.Layer()
-	return NewVictim(a.Dims, a.Classes, w, b, rng)
-}
-
-// Reconstruct applies Eq. 6 to every neuron with a usable bias gradient and
-// de-duplicates the results (one sample often trips several trap neurons).
-func (a *CAH) Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image {
-	if gw.Dim(0) != a.Neurons || gb.Dim(0) != a.Neurons {
-		panic(fmt.Sprintf("attack: CAH gradients %vx%v do not match %d neurons", gw.Shape(), gb.Shape(), a.Neurons))
-	}
-	var out []*imaging.Image
-	gbd := gb.Data()
-	for i := 0; i < a.Neurons; i++ {
-		if im, ok := ratioReconstruct(gw.RowView(i), gbd[i], a.Dims); ok {
-			out = append(out, im)
-		}
-	}
-	return DedupeReconstructions(out, 1e-8)
-}
-
-// Run executes the complete attack against a (possibly defended) batch and
-// evaluates reconstructions against the original images — the measurement
-// loop for Figures 4 and 6.
-func (a *CAH) Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error) {
-	return runPlanted(a, clientBatch, originals, rng)
+	return &Imprint{kind: "cah", dims: dims, classes: classes, w: w, b: b, dedupe: true}, nil
 }

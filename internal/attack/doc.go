@@ -1,7 +1,7 @@
 // Package attack implements the active reconstruction attacks the paper
 // defends against, behind a common [Attack] interface and a named-constructor
-// [Registry] (mirroring the aggregator/partitioner/sampler dispatch used
-// across the repo). The registered families are:
+// registry ([New], [Register]; mirroring the aggregator/partitioner/sampler
+// dispatch used across the repo). The registered families are:
 //
 //   - "rtf" — RTF ("Robbing the Fed", Fowl et al., ICLR 2022; paper
 //     reference [18], arXiv:2110.13057): an imprint layer whose neurons bin a
@@ -38,4 +38,12 @@
 // fully-connected layer z = Wx + b, per-neuron gradients are
 // ∂L/∂W_i = Σ_j g_ij·x_j and ∂L/∂b_i = Σ_j g_ij, so whenever one sample's
 // contribution can be isolated, x̂ = (∂L/∂b_i)⁻¹·∂L/∂W_i is a verbatim copy.
+//
+// The four registered families therefore share one core, [Imprint]: the
+// planted layer (w, b) and its decoder, with Layer, BuildVictim,
+// Reconstruct, Run and Slice written once. Their constructors ([NewRTF],
+// [NewCAH], [NewQBI], [NewLOKI]) only calibrate w and b and pick one of two
+// decoders: adjacent-bin differencing over groups of quantile bins (RTF is
+// one group, LOKI many), or Eq. 6 on every neuron followed by
+// de-duplication (CAH, QBI).
 package attack

@@ -7,18 +7,6 @@ import (
 
 	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/imaging"
-	"github.com/oasisfl/oasis/internal/tensor"
-)
-
-// Reconstructor inverts malicious-layer gradients into images. Both RTF and
-// CAH satisfy this.
-type Reconstructor interface {
-	Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image
-}
-
-var (
-	_ Reconstructor = (*RTF)(nil)
-	_ Reconstructor = (*CAH)(nil)
 )
 
 // Capture is one reconstruction event: what the dishonest server recovered
@@ -39,9 +27,8 @@ type Capture struct {
 // sequence is reproducible under a fixed seed. The mutex below additionally
 // makes Captures safe to poll from other goroutines while a run is live.
 type DishonestServer struct {
-	label string
-	spec  fl.ModelSpec
-	recon Reconstructor
+	atk  Attack
+	spec fl.ModelSpec
 
 	mu       sync.Mutex
 	captures []Capture
@@ -52,16 +39,6 @@ var (
 	_ fl.UpdateObserver = (*DishonestServer)(nil)
 )
 
-// NewDishonestServer wraps a calibrated attack (its victim model and its
-// reconstructor) as FL server hooks.
-func NewDishonestServer(label string, victim *Victim, recon Reconstructor) (*DishonestServer, error) {
-	spec, err := fl.EncodeModel(victim.Net)
-	if err != nil {
-		return nil, fmt.Errorf("attack: encode malicious model: %w", err)
-	}
-	return &DishonestServer{label: label, spec: spec, recon: recon}, nil
-}
-
 // NewAttackServer builds the dishonest-server hooks for any calibrated
 // registry attack: one victim model is built up front and dispatched on
 // every round the hooks are active.
@@ -70,17 +47,11 @@ func NewAttackServer(a Attack, rng *rand.Rand) (*DishonestServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewDishonestServer(a.Name(), victim, a)
-}
-
-// NewRTFServer builds the dishonest-server hooks for a calibrated RTF attack.
-func NewRTFServer(a *RTF, rng *rand.Rand) (*DishonestServer, error) {
-	return NewAttackServer(a, rng)
-}
-
-// NewCAHServer builds the dishonest-server hooks for a calibrated CAH attack.
-func NewCAHServer(a *CAH, rng *rand.Rand) (*DishonestServer, error) {
-	return NewAttackServer(a, rng)
+	spec, err := fl.EncodeModel(victim.Net)
+	if err != nil {
+		return nil, fmt.Errorf("attack: encode malicious model: %w", err)
+	}
+	return &DishonestServer{atk: a, spec: spec}, nil
 }
 
 // Modify discards the honest global model and dispatches the malicious one —
@@ -90,19 +61,18 @@ func (d *DishonestServer) Modify(_ int, _ fl.ModelSpec) (fl.ModelSpec, error) {
 }
 
 // Name labels the modifier for logs.
-func (d *DishonestServer) Name() string { return "dishonest-" + d.label }
+func (d *DishonestServer) Name() string { return "dishonest-" + d.atk.Name() }
 
 // Observe inverts one client's uploaded gradients. The victim model's
-// parameter order puts the malicious layer's weight and bias first.
+// parameter order puts the malicious layer's weight and bias first; an
+// update whose first pair does not have the dispatched layer's shapes is
+// not the malicious layout and is skipped.
 func (d *DishonestServer) Observe(round int, u fl.Update) {
-	if len(u.Grads) < 2 {
+	mal := &d.spec.Layers[0]
+	if len(u.Grads) < 2 || !u.Grads[0].SameShape(mal.W) || !u.Grads[1].SameShape(mal.B) {
 		return
 	}
-	gw, gb := u.Grads[0], u.Grads[1]
-	if gw.Dims() != 2 || gb.Dims() != 1 || gw.Dim(0) != gb.Dim(0) {
-		return // client returned something that is not our malicious layout
-	}
-	recons := d.recon.Reconstruct(gw, gb)
+	recons := d.atk.Reconstruct(u.Grads[0], u.Grads[1])
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.captures = append(d.captures, Capture{

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/data"
@@ -86,7 +87,7 @@ func (a *LinearInversion) Run(clientBatch *data.Batch, originals []*imaging.Imag
 	idx := 0
 	gbd := gb.Data()
 	for k := 0; k < a.Classes; k++ {
-		if absf(gbd[k]) < gradEps {
+		if math.Abs(gbd[k]) < gradEps {
 			continue
 		}
 		if present[k] {
@@ -95,11 +96,4 @@ func (a *LinearInversion) Run(clientBatch *data.Batch, originals []*imaging.Imag
 		idx++
 	}
 	return Evaluate(kept, originals), kept, nil
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/oasisfl/oasis/internal/data"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
@@ -22,7 +21,7 @@ const DefaultLOKIScale = 4.0
 // this size.
 const lokiTargetBins = 8
 
-// LOKI implements a scaled identity/kernel-manipulation attack in the style
+// NewLOKI calibrates a scaled identity/kernel-manipulation attack in the style
 // of Zhao et al., "LOKI: Large-scale Data Reconstruction Attack against
 // Federated Learning through Model Manipulation" (arXiv:2303.12233).
 //
@@ -38,35 +37,18 @@ const lokiTargetBins = 8
 //     one scalar measurement (the RTF failure mode at population scale) are
 //     separated by another group, so coverage grows with the neuron budget
 //     instead of saturating.
-//   - Scaling: every kernel is amplified by γ (Scale), inflating the
+//   - Scaling: every kernel is amplified by γ (scale), inflating the
 //     malicious layer's share of the uploaded gradient norm. Inversion is
 //     unaffected (the Eq. 6 ratio is scale-invariant) but norm-clipping
 //     style defenses spend their budget on the planted layer.
 //
-// Within each group, biases sit at empirical quantiles of the group's
-// measurement over the probe set and adjacent-bin gradient differencing
-// inverts occupied bins, exactly as in RTF.
-type LOKI struct {
-	Neurons int // total planted neurons (= Groups × Bins)
-	Groups  int // independent measurement kernels
-	Bins    int // quantile bins per group
-	Dims    ImageDims
-	Classes int
-	Scale   float64 // kernel amplification γ
-
-	masks   [][]int        // per-group pixel subset
-	weights *tensor.Tensor // [Neurons, d]
-	bias    *tensor.Tensor // [Neurons]
-}
-
-// Name returns the registry kind "loki".
-func (a *LOKI) Name() string { return "loki" }
-
-// NewLOKI calibrates a LOKI-style attack: the neuron budget is split into
-// groups of ~lokiTargetBins quantile bins, each group draws a random
-// half-support pixel kernel, and thresholds are placed at empirical
-// quantiles of the scaled kernel measurement over the probe set.
-func NewLOKI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.Rand, probeSize int, scale float64) (*LOKI, error) {
+// The neuron budget is split into groups of ~lokiTargetBins quantile bins,
+// and each group draws a random half-support pixel kernel. Within a group,
+// biases sit at empirical quantiles of the group's measurement over the
+// probe set and adjacent-bin gradient differencing inverts occupied bins,
+// exactly as in RTF. The decoder de-duplicates across groups: different
+// kernels frequently recover the same sample, which is the point.
+func NewLOKI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.Rand, probeSize int, scale float64) (*Imprint, error) {
 	if neurons < 2 {
 		return nil, fmt.Errorf("attack: LOKI needs at least 2 neurons, got %d", neurons)
 	}
@@ -130,39 +112,5 @@ func NewLOKI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand
 			b.Data()[g*bins+i] = -c
 		}
 	}
-	return &LOKI{
-		Neurons: total, Groups: groups, Bins: bins,
-		Dims: dims, Classes: classes, Scale: scale,
-		masks: masks, weights: w, bias: b,
-	}, nil
-}
-
-// Layer returns copies of the malicious parameters.
-func (a *LOKI) Layer() (w, b *tensor.Tensor) { return a.weights.Clone(), a.bias.Clone() }
-
-// BuildVictim assembles the full malicious model the server would dispatch.
-func (a *LOKI) BuildVictim(rng *rand.Rand) (*Victim, error) {
-	w, b := a.Layer()
-	return NewVictim(a.Dims, a.Classes, w, b, rng)
-}
-
-// Reconstruct inverts each group independently by adjacent-bin differencing
-// (plus the open top bin), then de-duplicates across groups — different
-// kernels frequently recover the same sample, which is the point.
-func (a *LOKI) Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image {
-	if gw.Dim(0) != a.Neurons || gb.Dim(0) != a.Neurons {
-		panic(fmt.Sprintf("attack: LOKI gradients %vx%v do not match %d neurons", gw.Shape(), gb.Shape(), a.Neurons))
-	}
-	var out []*imaging.Image
-	diff := make([]float64, a.Dims.Dim())
-	for g := 0; g < a.Groups; g++ {
-		out = reconstructBins(out, gw, gb.Data(), g*a.Bins, a.Bins, a.Dims, diff)
-	}
-	return DedupeReconstructions(out, 1e-8)
-}
-
-// Run executes the complete attack against a (possibly defended) batch and
-// evaluates the reconstructions against the original images.
-func (a *LOKI) Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error) {
-	return runPlanted(a, clientBatch, originals, rng)
+	return &Imprint{kind: "loki", dims: dims, classes: classes, w: w, b: b, group: bins, dedupe: true}, nil
 }

@@ -172,8 +172,8 @@ func TestBinReconstructMatchesFullDifference(t *testing.T) {
 				gbd[i] = gbd[i-1]
 			}
 		}
-		rtf := &RTF{Neurons: n, Dims: dims}
-		loki := &LOKI{Neurons: n, Groups: groups, Bins: bins, Dims: dims}
+		rtf := &Imprint{kind: "rtf", dims: dims, b: tensor.New(n), group: n}
+		loki := &Imprint{kind: "loki", dims: dims, b: tensor.New(n), group: bins, dedupe: true}
 		var wantLOKI []*imaging.Image
 		for g := 0; g < groups; g++ {
 			wantLOKI = fullDifferenceBins(wantLOKI, gw, gbd, g*bins, bins, dims)

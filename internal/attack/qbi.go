@@ -6,11 +6,10 @@ import (
 	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/data"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// QBI implements the quantile-based bias-initialization attack (Nowak et
+// NewQBI calibrates the quantile-based bias-initialization attack (Nowak et
 // al., "QBI: Quantile-based Bias Initialization for Efficient Private Data
 // Reconstruction in Federated Learning", arXiv:2406.18745).
 //
@@ -26,24 +25,10 @@ import (
 // and sets b_i = −(m_i + z·√v_i) with z = Φ⁻¹(1 − 1/B) — one O(probe·d)
 // pass over the probe data regardless of neuron count, which is what lets
 // the published attack scale to wide layers.
-type QBI struct {
-	Neurons int
-	Dims    ImageDims
-	Classes int
-	// TargetActivation is the desired per-sample activation probability
-	// (1/B for the anticipated batch size B).
-	TargetActivation float64
-
-	weights *tensor.Tensor // [n, d] random projection directions
-	bias    *tensor.Tensor // [n]
-}
-
-// Name returns the registry kind "qbi".
-func (a *QBI) Name() string { return "qbi" }
-
-// NewQBI calibrates a QBI layer of n neurons against probe data.
-// expectedBatch is the batch size the attacker anticipates.
-func NewQBI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.Rand, probeSize, expectedBatch int) (*QBI, error) {
+//
+// neurons sizes the layer; expectedBatch is the batch size the attacker
+// anticipates.
+func NewQBI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.Rand, probeSize, expectedBatch int) (*Imprint, error) {
 	if neurons < 1 {
 		return nil, fmt.Errorf("attack: QBI needs at least 1 neuron, got %d", neurons)
 	}
@@ -89,11 +74,7 @@ func NewQBI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.
 		}
 		b.Data()[i] = -(m + z*math.Sqrt(v))
 	}
-	return &QBI{
-		Neurons: neurons, Dims: dims, Classes: classes,
-		TargetActivation: target,
-		weights:          w, bias: b,
-	}, nil
+	return &Imprint{kind: "qbi", dims: dims, classes: classes, w: w, b: b, dedupe: true}, nil
 }
 
 // probitUpper returns Φ⁻¹(1 − p) for the standard normal distribution using
@@ -126,36 +107,4 @@ func probitUpper(p float64) float64 {
 		return (((((a[0]*s+a[1])*s+a[2])*s+a[3])*s+a[4])*s + a[5]) * r /
 			(((((bb[0]*s+bb[1])*s+bb[2])*s+bb[3])*s+bb[4])*s + 1)
 	}
-}
-
-// Layer returns copies of the malicious parameters.
-func (a *QBI) Layer() (w, b *tensor.Tensor) { return a.weights.Clone(), a.bias.Clone() }
-
-// BuildVictim assembles the full malicious model the server would dispatch.
-func (a *QBI) BuildVictim(rng *rand.Rand) (*Victim, error) {
-	w, b := a.Layer()
-	return NewVictim(a.Dims, a.Classes, w, b, rng)
-}
-
-// Reconstruct applies Eq. 6 to every neuron with a usable bias gradient and
-// de-duplicates the results, exactly as CAH does — the families differ only
-// in calibration.
-func (a *QBI) Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image {
-	if gw.Dim(0) != a.Neurons || gb.Dim(0) != a.Neurons {
-		panic(fmt.Sprintf("attack: QBI gradients %vx%v do not match %d neurons", gw.Shape(), gb.Shape(), a.Neurons))
-	}
-	var out []*imaging.Image
-	gbd := gb.Data()
-	for i := 0; i < a.Neurons; i++ {
-		if im, ok := ratioReconstruct(gw.RowView(i), gbd[i], a.Dims); ok {
-			out = append(out, im)
-		}
-	}
-	return DedupeReconstructions(out, 1e-8)
-}
-
-// Run executes the complete attack against a (possibly defended) batch and
-// evaluates the reconstructions against the original images.
-func (a *QBI) Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error) {
-	return runPlanted(a, clientBatch, originals, rng)
 }

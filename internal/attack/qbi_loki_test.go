@@ -22,7 +22,7 @@ func TestQBIActivationRate(t *testing.T) {
 	fired, total := 0, 0
 	for idx := 0; idx < 256; idx++ {
 		im, _ := ds.Sample(idx)
-		for i := 0; i < qbi.Neurons; i++ {
+		for i := 0; i < w.Dim(0); i++ {
 			row := w.RowView(i)
 			s := b.Data()[i]
 			for j, v := range row {
@@ -82,24 +82,26 @@ func TestLOKIGroupStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loki.Groups*loki.Bins != loki.Neurons {
-		t.Fatalf("groups %d × bins %d != neurons %d", loki.Groups, loki.Bins, loki.Neurons)
+	bins, neurons := loki.group, loki.neurons()
+	groups := neurons / bins
+	if groups*bins != neurons {
+		t.Fatalf("groups %d × bins %d != neurons %d", groups, bins, neurons)
 	}
-	if loki.Groups < 2 {
-		t.Fatalf("64 neurons should split into several kernels, got %d", loki.Groups)
+	if groups < 2 {
+		t.Fatalf("64 neurons should split into several kernels, got %d", groups)
 	}
 	w, b := loki.Layer()
-	for g := 0; g < loki.Groups; g++ {
-		base := g * loki.Bins
+	for g := 0; g < groups; g++ {
+		base := g * bins
 		// Thresholds (−bias) strictly ascend within the group.
-		for i := 1; i < loki.Bins; i++ {
+		for i := 1; i < bins; i++ {
 			if -b.Data()[base+i] <= -b.Data()[base+i-1] {
 				t.Fatalf("group %d thresholds not ascending at bin %d", g, i)
 			}
 		}
 		// All rows of one group share the same kernel support.
 		first := w.RowView(base)
-		for i := 1; i < loki.Bins; i++ {
+		for i := 1; i < bins; i++ {
 			row := w.RowView(base + i)
 			for j := range row {
 				if (row[j] == 0) != (first[j] == 0) {

@@ -13,12 +13,15 @@ import (
 )
 
 // Attack is the common contract every registered reconstruction attack
-// implements: it can build the malicious victim model a dishonest server
-// dispatches, invert an uploaded (∂W, ∂b) pair of the planted layer, and run
-// the complete measurement loop against a batch.
+// implements: it exposes its planted layer, can build the malicious victim
+// model a dishonest server dispatches, invert an uploaded (∂W, ∂b) pair of
+// the planted layer, and run the complete measurement loop against a batch.
+// The built-in families are all [Imprint]s.
 type Attack interface {
 	// Name returns the registry kind ("rtf", "cah", "qbi", "loki", …).
 	Name() string
+	// Layer returns copies of the planted layer's weight [n×d] and bias [n].
+	Layer() (w, b *tensor.Tensor)
 	// BuildVictim assembles the malicious model around the planted layer.
 	BuildVictim(rng *rand.Rand) (*Victim, error)
 	// Reconstruct inverts the planted layer's uploaded gradients into images.
@@ -27,13 +30,6 @@ type Attack interface {
 	// and evaluates the reconstructions against the original images.
 	Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error)
 }
-
-var (
-	_ Attack = (*RTF)(nil)
-	_ Attack = (*CAH)(nil)
-	_ Attack = (*QBI)(nil)
-	_ Attack = (*LOKI)(nil)
-)
 
 // Config carries everything a registered constructor may need to calibrate
 // an attack. Zero values resolve to defaults where one is sensible.

@@ -116,7 +116,7 @@ func DPTradeoff(cfg Config) (*Result, error) {
 // bin difference nonzero, flooding the output with garbage images an
 // attacker trivially discards; best-per-original is what the victim cares
 // about.)
-func dpAttackPSNR(ds data.Dataset, rtf *attack.RTF, victim *attack.Victim, clip, sigma float64, trials int, rng *rand.Rand) (float64, error) {
+func dpAttackPSNR(ds data.Dataset, rtf *attack.Imprint, victim *attack.Victim, clip, sigma float64, trials int, rng *rand.Rand) (float64, error) {
 	var best []float64
 	for tr := 0; tr < trials; tr++ {
 		batch, err := data.RandomBatch(ds, rng, 8)

@@ -6,8 +6,8 @@
 //
 //   - datasets (synthetic stand-ins for the paper's ImageNet/CIFAR100),
 //   - the OASIS defense (batch augmentation per Eq. 7 of the paper),
-//   - the active reconstruction attacks it offsets (RTF, CAH, and the
-//     single-layer gradient inversion),
+//   - the active reconstruction attacks it offsets (the registered RTF,
+//     CAH, QBI and LOKI families, and the single-layer gradient inversion),
 //   - the federated-learning protocol with dishonest-server hooks,
 //   - PSNR-based attack evaluation, and
 //   - the experiment registry that regenerates every table and figure.
@@ -18,8 +18,8 @@
 //	rng := oasis.NewRand(1, 2)
 //	batch, _ := oasis.RandomBatch(ds, rng, 8)
 //
-//	atk, _ := oasis.NewRTFAttack(ds, 500, rng)      // dishonest server
-//	def, _ := oasis.NewDefense("MR")                 // client-side OASIS
+//	atk, _ := oasis.NewAttack("rtf", ds, 500, 0, rng) // dishonest server
+//	def, _ := oasis.NewDefense("MR")                  // client-side OASIS
 //
 //	defended, _ := def.Apply(batch)
 //	ev, _, _ := atk.Run(defended, batch.Images, rng)
@@ -61,10 +61,6 @@ type (
 	Evaluation = attack.Evaluation
 	// ImageDims is the raster geometry used by the attacks.
 	ImageDims = attack.ImageDims
-	// RTFAttack is the "Robbing the Fed" imprint attack.
-	RTFAttack = attack.RTF
-	// CAHAttack is the "Curious Abandon Honesty" trap-weight attack.
-	CAHAttack = attack.CAH
 	// LinearAttack is the single-layer gradient inversion of §IV-D.
 	LinearAttack = attack.LinearInversion
 )
@@ -127,18 +123,6 @@ func PSNR(recon, ref *Image) float64 { return imaging.PSNR(recon, ref) }
 func dims(ds Dataset) ImageDims {
 	c, h, w := ds.Shape()
 	return ImageDims{C: c, H: h, W: w}
-}
-
-// NewRTFAttack calibrates a "Robbing the Fed" attack with n attacked neurons
-// against the dataset's public statistics.
-func NewRTFAttack(ds Dataset, n int, rng *rand.Rand) (*RTFAttack, error) {
-	return attack.NewRTF(dims(ds), ds.NumClasses(), n, ds, rng, 256)
-}
-
-// NewCAHAttack calibrates a "Curious Abandon Honesty" attack with n trap
-// neurons, tuned for the given anticipated batch size.
-func NewCAHAttack(ds Dataset, n, anticipatedBatch int, rng *rand.Rand) (*CAHAttack, error) {
-	return attack.NewCAH(dims(ds), ds.NumClasses(), n, ds, rng, 256, anticipatedBatch)
 }
 
 // NewLinearAttack builds the single-layer gradient inversion for a dataset.

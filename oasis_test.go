@@ -15,7 +15,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk, err := NewRTFAttack(ds, 400, rng)
+	atk, err := NewAttack("rtf", ds, 400, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPSNRFacade(t *testing.T) {
 func TestAnalyzeProp1Facade(t *testing.T) {
 	ds := NewSynthCIFAR100(5)
 	rng := NewRand(5, 5)
-	atk, err := NewRTFAttack(ds, 100, rng)
+	atk, err := NewAttack("rtf", ds, 100, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestFLIntegrationWithDishonestServer(t *testing.T) {
 		c.Pre = def
 		roster.Add(c)
 	}
-	atk, err := NewCAHAttack(ds, 200, 16, rng)
+	atk, err := NewAttack("cah", ds, 200, 16, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dishonest, err := NewCAHServer(atk, rng)
+	dishonest, err := NewAttackServer(atk, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
