@@ -110,9 +110,7 @@ func BenchmarkOASISExpansion(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := def.Apply(batch); err != nil {
-					b.Fatal(err)
-				}
+				def.ApplyBatch(batch)
 			}
 		})
 	}
@@ -135,7 +133,7 @@ func benchRoster(b *testing.B, n int) *MemoryRoster {
 	roster := NewMemoryRoster()
 	for i, shard := range shards {
 		c := NewFLClient(fmt.Sprintf("c%d", i), shard, 8, NewRand(9, uint64(i)))
-		c.Pre = def
+		c.Defense = def
 		roster.Add(c)
 	}
 	return roster

@@ -151,7 +151,7 @@ func newClient(name string, batch int, defSpec string, seed uint64) (*oasis.FLLo
 		if err != nil {
 			return nil, err
 		}
-		oasis.AttachDefense(client, def)
+		client.Defense = def
 	}
 	return client, nil
 }

@@ -17,7 +17,7 @@ func Example() {
 	evRaw, _, _ := atk.Run(batch, batch.Images, rng)
 
 	def, _ := oasis.NewDefense("MR")
-	defended, _ := def.Apply(batch)
+	defended := def.ApplyBatch(batch)
 	evDef, _, _ := atk.Run(defended, batch.Images, rng)
 
 	fmt.Println("undefended verbatim:", evRaw.MeanPSNR() > 100)
@@ -27,14 +27,14 @@ func Example() {
 	// defended verbatim:   false
 }
 
-// ExampleDefense_Apply shows the Eq. 7 batch expansion.
-func ExampleDefense_Apply() {
+// ExampleDefense_ApplyBatch shows the Eq. 7 batch expansion.
+func ExampleDefense_ApplyBatch() {
 	ds := oasis.NewSynthImageNet(7)
 	rng := oasis.NewRand(7, 7)
 	batch, _ := oasis.RandomBatch(ds, rng, 4)
 
 	def, _ := oasis.NewDefense("MR+SH")
-	defended, _ := def.Apply(batch)
+	defended := def.ApplyBatch(batch)
 	fmt.Printf("|D| = %d, |D'| = %d\n", batch.Size(), defended.Size())
 	// Output: |D| = 4, |D'| = 28
 }

@@ -55,9 +55,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			if clientBatch, err = def.Apply(private); err != nil {
-				return err
-			}
+			clientBatch = def.ApplyBatch(private)
 		}
 
 		// Step 3 — the client honestly computes gradients on the model it

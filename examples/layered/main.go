@@ -54,7 +54,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		oasis.AttachDefense(client, def)
+		client.Defense = def
 		roster.Add(client)
 	}
 

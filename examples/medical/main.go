@@ -67,7 +67,7 @@ func run() error {
 		for i, shard := range shards {
 			client := oasis.NewFLClient(fmt.Sprintf("hospital-%d", i+1), shard, sc.batch, oasis.NewRand(7, uint64(i+10)))
 			if def != nil {
-				client.Pre = def
+				client.Defense = def
 			}
 			roster.Add(client)
 		}

@@ -50,10 +50,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defended, err := def.Apply(batch)
-	if err != nil {
-		return err
-	}
+	defended := def.ApplyBatch(batch)
 	evDef, _, err := atk.Run(defended, batch.Images, rng)
 	if err != nil {
 		return err

@@ -59,7 +59,7 @@ func run() error {
 			return err
 		}
 		uav := oasis.NewFLClient(fmt.Sprintf("uav-%d", i+1), shards[i], batchSize, oasis.NewRand(11, uint64(i+20)))
-		uav.Pre = def
+		uav.Defense = def
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -78,9 +78,10 @@ func SaveModel(model *Model, path string) error { return fl.SaveModel(model, pat
 // LoadModel restores a model saved with SaveModel.
 func LoadModel(path string) (*Model, error) { return fl.LoadModel(path) }
 
-// NewFLClient constructs a client over a dataset shard. Assign a *Defense to
-// the client's Pre field to turn on OASIS, and a gradient defense (DPSGD,
-// pruning) to GradDef for the §V baselines.
+// NewFLClient constructs a client over a dataset shard. Assign a
+// ClientDefense to the client's Defense field to defend it: a *Defense turns
+// on OASIS, and a pipeline from NewDefensePipeline adds the §V baselines
+// (DPSGD, pruning).
 func NewFLClient(name string, shard Dataset, batchSize int, rng *rand.Rand) *FLLocalClient {
 	return fl.NewLocalClient(name, shard, batchSize, rng)
 }
@@ -254,11 +255,12 @@ func PartitionDataset(ds Dataset, n int, p Partitioner, rng *rand.Rand) ([]Datas
 // (lr 1e-3), shuffling with rng and applying def (nil for none) to every
 // batch, and returns its accuracy on testSet.
 func TrainCentralized(model *Model, trainSet, testSet Dataset, def *Defense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
-	var pre fl.BatchPreprocessor
+	// A nil *Defense must stay a nil interface.
+	var fd fl.Defense
 	if def != nil {
-		pre = def
+		fd = def
 	}
-	if _, err := fl.TrainCentralized(model, trainSet, pre, nil, epochs, batchSize, rng); err != nil {
+	if _, err := fl.TrainCentralized(model, trainSet, fd, epochs, batchSize, rng); err != nil {
 		return 0, err
 	}
 	return EvaluateAccuracy(model, testSet, batchSize)

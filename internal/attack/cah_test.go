@@ -52,10 +52,7 @@ func TestCAHDegradedByMajorRotationPlusShear(t *testing.T) {
 	batch := synthBatch(t, ds, 23, 8)
 
 	mrsh := core.New(augment.NewCompose(augment.MajorRotation{}, augment.Shearing{}))
-	defended, err := mrsh.Apply(batch)
-	if err != nil {
-		t.Fatalf("defense: %v", err)
-	}
+	defended := mrsh.ApplyBatch(batch)
 	evDef, _, err := cah.Run(defended, batch.Images, rng)
 	if err != nil {
 		t.Fatalf("Run defended: %v", err)
@@ -106,10 +103,7 @@ func TestLinearInversionShape(t *testing.T) {
 	if len(recons) != 8 {
 		t.Fatalf("linear attack produced %d reconstructions, want 8", len(recons))
 	}
-	defended, err := core.New(augment.MajorRotation{}).Apply(batch)
-	if err != nil {
-		t.Fatalf("defense: %v", err)
-	}
+	defended := core.New(augment.MajorRotation{}).ApplyBatch(batch)
 	evDef, _, err := attackObj.Run(defended, batch.Images, rng)
 	if err != nil {
 		t.Fatalf("Run defended: %v", err)

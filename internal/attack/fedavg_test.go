@@ -44,10 +44,7 @@ func TestRTFExtendsToFedAvgPseudoGradients(t *testing.T) {
 			originals = append(originals, batch.Images...)
 			client := batch
 			if defend {
-				client, err = core.New(augment.MajorRotation{}).Apply(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
+				client = core.New(augment.MajorRotation{}).ApplyBatch(batch)
 			}
 			gw, gb, _ := victim.Gradients(client)
 			if pgw == nil {

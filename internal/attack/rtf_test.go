@@ -62,10 +62,7 @@ func TestRTFDefeatedByMajorRotation(t *testing.T) {
 		t.Fatalf("NewRTF: %v", err)
 	}
 	batch := synthBatch(t, ds, 5, 8)
-	defended, err := core.New(augment.MajorRotation{}).Apply(batch)
-	if err != nil {
-		t.Fatalf("defense: %v", err)
-	}
+	defended := core.New(augment.MajorRotation{}).ApplyBatch(batch)
 	ev, _, err := rtf.Run(defended, batch.Images, rng)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"errors"
 	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/augment"
@@ -23,7 +22,8 @@ import (
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// Defense is the OASIS batch preprocessor.
+// Defense is the OASIS batch-stage defense: it implements the protocol's
+// two-stage client contract (fl.Defense) with an identity gradient stage.
 //
 // PreserveMean controls whether each transformed copy is shifted so its mean
 // pixel value equals the original's. Exact major rotations and flips already
@@ -39,21 +39,19 @@ type Defense struct {
 	PreserveMean bool
 }
 
-// ErrNoPolicy is returned when a Defense without a policy is applied.
-var ErrNoPolicy = errors.New("core: defense has no augmentation policy")
-
 // New constructs an OASIS defense with the given augmentation policy and
 // mean preservation enabled.
 func New(policy augment.Policy) *Defense {
 	return &Defense{Policy: policy, PreserveMean: true}
 }
 
-// Apply expands batch D into D′ per Eq. 7: the original samples followed by
-// every transformed counterpart, each labeled as its source image. The input
+// ApplyBatch expands batch D into D′ per Eq. 7: the original samples
+// followed by every transformed counterpart, each labeled as its source
+// image. A nil Policy is the "WO" baseline and returns b itself. The input
 // batch is not mutated.
-func (d *Defense) Apply(b *data.Batch) (*data.Batch, error) {
+func (d *Defense) ApplyBatch(b *data.Batch) *data.Batch {
 	if d.Policy == nil {
-		return nil, ErrNoPolicy
+		return b
 	}
 	out := b.Clone()
 	for t, im := range b.Images {
@@ -64,18 +62,11 @@ func (d *Defense) Apply(b *data.Batch) (*data.Batch, error) {
 			out.Append(tr, b.Labels[t])
 		}
 	}
-	return out, nil
+	return out
 }
 
-// ExpansionFactor returns |D′|/|D| for this defense's policy applied to a
-// probe image of the given dimensions.
-func (d *Defense) ExpansionFactor(c, h, w int) (float64, error) {
-	if d.Policy == nil {
-		return 1, ErrNoPolicy
-	}
-	probe := imaging.NewImage(c, h, w)
-	return float64(1 + len(d.Policy.Expand(probe))), nil
-}
+// ApplyGrads is a no-op: OASIS acts on the batch only.
+func (d *Defense) ApplyGrads([]*tensor.Tensor) {}
 
 // shiftMean adds a constant so im's mean equals target.
 func shiftMean(im *imaging.Image, target float64) {
@@ -139,14 +130,7 @@ type Prop1Report struct {
 // the malicious layer over D′, and reports the Proposition-1 statistics. A
 // nil-policy defense (WO) is allowed and reports on the raw batch.
 func AnalyzeProp1(d *Defense, b *data.Batch, w, bias *tensor.Tensor) (Prop1Report, error) {
-	expanded := b
-	if d.Policy != nil {
-		var err error
-		expanded, err = d.Apply(b)
-		if err != nil {
-			return Prop1Report{}, err
-		}
-	}
+	expanded := d.ApplyBatch(b)
 	sets := ActivationSets(w, bias, expanded.Flatten())
 	orig := b.Size()
 	total := expanded.Size()
@@ -218,20 +202,6 @@ func jaccard(a, b []bool) float64 {
 		return 1 // both inactive everywhere: identical sets
 	}
 	return float64(inter) / float64(union)
-}
-
-// StandardDefenses returns the defense lineup used across the experiment
-// tables: WO (nil policy placeholder is excluded), MR, mR, SH, HFlip, VFlip,
-// and MR+SH.
-func StandardDefenses() []*Defense {
-	return []*Defense{
-		New(augment.MajorRotation{}),
-		New(augment.MinorRotation{}),
-		New(augment.Shearing{}),
-		New(augment.HFlip{}),
-		New(augment.VFlip{}),
-		New(augment.NewCompose(augment.MajorRotation{}, augment.Shearing{})),
-	}
 }
 
 // RandomizedDefense builds a defense whose parametric transforms are

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	rand "math/rand/v2"
 	"testing"
@@ -28,10 +27,7 @@ func testBatch(seed uint64, n int) *data.Batch {
 func TestApplyBuildsEq7Union(t *testing.T) {
 	b := testBatch(1, 4)
 	def := New(augment.MajorRotation{})
-	out, err := def.Apply(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := def.ApplyBatch(b)
 	// |D′| = |D|·(1 + 3 rotations)
 	if out.Size() != 16 {
 		t.Fatalf("|D′| = %d, want 16", out.Size())
@@ -49,21 +45,24 @@ func TestApplyBuildsEq7Union(t *testing.T) {
 			t.Errorf("transform %d has label %d, want %d", i, out.Labels[i], b.Labels[src])
 		}
 	}
+	// MR+SH adds 3 rotations and 3 shears per image: |D′| = 7·|D|.
+	mrsh := New(augment.NewCompose(augment.MajorRotation{}, augment.Shearing{}))
+	if n := mrsh.ApplyBatch(b).Size(); n != 28 {
+		t.Errorf("MR+SH |D′| = %d, want 28", n)
+	}
 }
 
 func TestApplyDoesNotMutateInput(t *testing.T) {
 	b := testBatch(2, 3)
 	before := b.Clone()
 	def := New(augment.Shearing{})
-	if _, err := def.Apply(b); err != nil {
-		t.Fatal(err)
-	}
+	def.ApplyBatch(b)
 	if b.Size() != before.Size() {
-		t.Fatal("Apply mutated the input batch size")
+		t.Fatal("ApplyBatch mutated the input batch size")
 	}
 	for i := range b.Images {
 		if imaging.MSE(b.Images[i], before.Images[i]) != 0 {
-			t.Fatal("Apply mutated an input image")
+			t.Fatal("ApplyBatch mutated an input image")
 		}
 	}
 }
@@ -74,10 +73,7 @@ func TestApplyPreservesMean(t *testing.T) {
 	// guarantee.
 	b := testBatch(3, 2)
 	def := New(augment.NewCompose(augment.Shearing{}, augment.MinorRotation{}))
-	out, err := def.Apply(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := def.ApplyBatch(b)
 	kPer := (out.Size() - b.Size()) / b.Size()
 	for ti := 0; ti < b.Size(); ti++ {
 		want := b.Images[ti].Mean()
@@ -93,10 +89,7 @@ func TestApplyPreservesMean(t *testing.T) {
 func TestApplyWithoutPreserveMeanShiftsShears(t *testing.T) {
 	b := testBatch(4, 1)
 	def := &Defense{Policy: augment.Shearing{}, PreserveMean: false}
-	out, err := def.Apply(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := def.ApplyBatch(b)
 	// Zero-fill shearing loses bright mass; without restoration the means
 	// must differ noticeably.
 	src := b.Images[0].Mean()
@@ -111,24 +104,16 @@ func TestApplyWithoutPreserveMeanShiftsShears(t *testing.T) {
 	}
 }
 
+// TestApplyNilPolicy: a Defense without a policy is the "WO" baseline, the
+// identity on the batch.
 func TestApplyNilPolicy(t *testing.T) {
 	def := &Defense{}
-	if _, err := def.Apply(testBatch(5, 2)); !errors.Is(err, ErrNoPolicy) {
-		t.Errorf("err = %v, want ErrNoPolicy", err)
+	b := testBatch(5, 2)
+	if out := def.ApplyBatch(b); out != b {
+		t.Errorf("nil-policy ApplyBatch returned a %d-image batch, want the input unchanged", out.Size())
 	}
 	if def.Name() != "WO" {
 		t.Errorf("nil-policy name = %q, want WO", def.Name())
-	}
-}
-
-func TestExpansionFactor(t *testing.T) {
-	def := New(augment.NewCompose(augment.MajorRotation{}, augment.Shearing{}))
-	f, err := def.ExpansionFactor(3, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 7 {
-		t.Errorf("expansion factor = %g, want 7", f)
 	}
 }
 
@@ -206,36 +191,13 @@ func TestAnalyzeProp1WOBaseline(t *testing.T) {
 	}
 }
 
-func TestStandardDefenses(t *testing.T) {
-	defs := StandardDefenses()
-	if len(defs) != 6 {
-		t.Fatalf("%d standard defenses, want 6", len(defs))
-	}
-	names := map[string]bool{}
-	for _, d := range defs {
-		names[d.Name()] = true
-		if !d.PreserveMean {
-			t.Errorf("defense %s does not preserve mean by default", d.Name())
-		}
-	}
-	for _, want := range []string{"MR", "mR", "SH", "HFlip", "VFlip", "MR+SH"} {
-		if !names[want] {
-			t.Errorf("missing standard defense %s", want)
-		}
-	}
-}
-
 func TestRandomizedDefense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	def, err := RandomizedDefense("SH", 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := def.Apply(testBatch(8, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Size() != 6 {
+	if out := def.ApplyBatch(testBatch(8, 2)); out.Size() != 6 {
 		t.Errorf("|D′| = %d, want 6", out.Size())
 	}
 	if _, err := RandomizedDefense("nope", 2, rng); err == nil {

@@ -11,13 +11,6 @@ import (
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// GradientDefense post-processes a client's gradient tensors before upload.
-type GradientDefense interface {
-	// Apply transforms the gradients in place.
-	Apply(grads []*tensor.Tensor)
-	Name() string
-}
-
 // DPSGD clips the global gradient norm to Clip and adds Gaussian noise with
 // standard deviation Sigma·Clip to every coordinate.
 type DPSGD struct {
@@ -26,19 +19,24 @@ type DPSGD struct {
 	Rng   *rand.Rand
 }
 
-var _ GradientDefense = (*DPSGD)(nil)
+var _ Defense = (*DPSGD)(nil)
 
 // NewDPSGD constructs the defense; clip must be finite and positive, sigma
-// finite and non-negative.
+// finite and non-negative, and the noise scale sigma·clip finite (1e200 each
+// would turn every uploaded coordinate into ±Inf).
 func NewDPSGD(clip, sigma float64, rng *rand.Rand) (*DPSGD, error) {
-	if math.IsNaN(clip) || math.IsInf(clip, 0) || clip <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0 {
-		return nil, fmt.Errorf("defense: DPSGD needs finite clip > 0 and finite sigma ≥ 0, got clip=%g sigma=%g", clip, sigma)
+	if math.IsNaN(clip) || math.IsInf(clip, 0) || clip <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0 ||
+		math.IsInf(sigma*clip, 0) {
+		return nil, fmt.Errorf("defense: DPSGD needs finite clip > 0, finite sigma ≥ 0 and a finite noise scale sigma·clip, got clip=%g sigma=%g", clip, sigma)
 	}
 	return &DPSGD{Clip: clip, Sigma: sigma, Rng: rng}, nil
 }
 
-// Apply clips the joint norm and perturbs every gradient coordinate.
-func (d *DPSGD) Apply(grads []*tensor.Tensor) {
+// ApplyBatch is the identity: DPSGD acts on the gradients only.
+func (d *DPSGD) ApplyBatch(b *data.Batch) *data.Batch { return b }
+
+// ApplyGrads clips the joint norm and perturbs every gradient coordinate.
+func (d *DPSGD) ApplyGrads(grads []*tensor.Tensor) {
 	norm := 0.0
 	for _, g := range grads {
 		n := g.L2Norm()
@@ -67,7 +65,7 @@ type Pruning struct {
 	Keep float64 // fraction of coordinates kept, in (0, 1]
 }
 
-var _ GradientDefense = (*Pruning)(nil)
+var _ Defense = (*Pruning)(nil)
 
 // NewPruning constructs the defense; keep must be in (0, 1].
 func NewPruning(keep float64) (*Pruning, error) {
@@ -77,11 +75,14 @@ func NewPruning(keep float64) (*Pruning, error) {
 	return &Pruning{Keep: keep}, nil
 }
 
-// Apply zeroes every coordinate below the global magnitude threshold. The
-// threshold is the k-th smallest magnitude (k = total·(1−Keep)), found by
-// quickselect in O(total) instead of a full O(total·log total) sort — the
+// ApplyBatch is the identity: pruning acts on the gradients only.
+func (p *Pruning) ApplyBatch(b *data.Batch) *data.Batch { return b }
+
+// ApplyGrads zeroes every coordinate below the global magnitude threshold.
+// The threshold is the k-th smallest magnitude (k = total·(1−Keep)), found
+// by quickselect in O(total) instead of a full O(total·log total) sort — the
 // same cut a sort would yield, so the output is identical.
-func (p *Pruning) Apply(grads []*tensor.Tensor) {
+func (p *Pruning) ApplyGrads(grads []*tensor.Tensor) {
 	if p.Keep >= 1 {
 		return
 	}
@@ -174,6 +175,8 @@ type ATS struct {
 	Rng    *rand.Rand
 }
 
+var _ Defense = (*ATS)(nil)
+
 // NewATS constructs the replacement defense.
 func NewATS(policy augment.Policy, rng *rand.Rand) (*ATS, error) {
 	if policy == nil {
@@ -182,9 +185,9 @@ func NewATS(policy augment.Policy, rng *rand.Rand) (*ATS, error) {
 	return &ATS{Policy: policy, Rng: rng}, nil
 }
 
-// Apply returns a new batch where each image is one randomly chosen
+// ApplyBatch returns a new batch where each image is one randomly chosen
 // transform of the original.
-func (a *ATS) Apply(b *data.Batch) *data.Batch {
+func (a *ATS) ApplyBatch(b *data.Batch) *data.Batch {
 	out := &data.Batch{}
 	for i, im := range b.Images {
 		variants := a.Policy.Expand(im)
@@ -193,6 +196,9 @@ func (a *ATS) Apply(b *data.Batch) *data.Batch {
 	}
 	return out
 }
+
+// ApplyGrads is a no-op: ATS acts on the batch only.
+func (a *ATS) ApplyGrads([]*tensor.Tensor) {}
 
 // Name returns the defense label.
 func (a *ATS) Name() string { return "ats(" + a.Policy.Name() + ")" }

@@ -35,7 +35,7 @@ func TestDPSGDClipsWithoutNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := grads(rng, 5) // norm >> clip
-	d.Apply(gs)
+	d.ApplyGrads(gs)
 	if n := totalNorm(gs); math.Abs(n-1.0) > 1e-9 {
 		t.Errorf("clipped norm = %g, want 1", n)
 	}
@@ -49,7 +49,7 @@ func TestDPSGDLeavesSmallGradientsUnclipped(t *testing.T) {
 	}
 	gs := grads(rng, 0.1)
 	before := totalNorm(gs)
-	d.Apply(gs)
+	d.ApplyGrads(gs)
 	if after := totalNorm(gs); math.Abs(after-before) > 1e-9 {
 		t.Errorf("small gradients were rescaled: %g → %g", before, after)
 	}
@@ -63,7 +63,7 @@ func TestDPSGDNoisePerturbsEveryTensor(t *testing.T) {
 	}
 	gs := grads(rng, 0.001)
 	orig := []*tensor.Tensor{gs[0].Clone(), gs[1].Clone()}
-	d.Apply(gs)
+	d.ApplyGrads(gs)
 	for i := range gs {
 		if gs[i].EqualApprox(orig[i], 1e-6) {
 			t.Errorf("tensor %d unchanged by σ=0.5 noise", i)
@@ -79,6 +79,11 @@ func TestDPSGDValidation(t *testing.T) {
 	if _, err := NewDPSGD(1, -1, rng); err == nil {
 		t.Error("negative sigma accepted")
 	}
+	// Each factor is finite, but the noise scale σ·clip overflows to +Inf
+	// and would write ±Inf into every uploaded coordinate.
+	if _, err := NewDPSGD(1e200, 1e200, rng); err == nil {
+		t.Error("overflowing noise scale σ·clip accepted")
+	}
 }
 
 func TestPruningZeroesFraction(t *testing.T) {
@@ -89,7 +94,7 @@ func TestPruningZeroesFraction(t *testing.T) {
 	}
 	gs := grads(rng, 1)
 	total := gs[0].Len() + gs[1].Len()
-	p.Apply(gs)
+	p.ApplyGrads(gs)
 	zeros := 0
 	for _, g := range gs {
 		for _, v := range g.Data() {
@@ -110,7 +115,7 @@ func TestPruningKeepsLargest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Apply([]*tensor.Tensor{g})
+	p.ApplyGrads([]*tensor.Tensor{g})
 	d := g.Data()
 	if d[1] != -5 || d[3] != 4 {
 		t.Errorf("large entries pruned: %v", d)
@@ -128,7 +133,7 @@ func TestPruningKeepOneIsNoop(t *testing.T) {
 	}
 	gs := grads(rng, 1)
 	orig := gs[0].Clone()
-	p.Apply(gs)
+	p.ApplyGrads(gs)
 	if !gs[0].EqualApprox(orig, 0) {
 		t.Error("keep=1 modified gradients")
 	}
@@ -157,7 +162,7 @@ func TestATSReplacesInsteadOfExpanding(t *testing.T) {
 		}
 		b.Append(im, i)
 	}
-	out := a.Apply(b)
+	out := a.ApplyBatch(b)
 	if out.Size() != b.Size() {
 		t.Fatalf("ATS changed batch size: %d → %d (it must replace, not expand)", b.Size(), out.Size())
 	}

@@ -17,6 +17,8 @@
 //
 // The Defense interface carries both stages (ApplyBatch, ApplyGrads); a
 // defense implements the stage it acts in and leaves the other the identity.
+// It is fl.Defense, the type of fl.LocalClient's one Defense field, so every
+// defense and pipeline plugs into a client as is.
 // That single contract is what lets defenses compose: a Pipeline chains any
 // ordered mix of stages, applying every batch rewrite before training and
 // every gradient transform after, which is what real deployments do (e.g.

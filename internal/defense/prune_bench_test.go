@@ -56,7 +56,7 @@ func TestPruningMatchesSortReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := []*tensor.Tensor{a, b}
-		p.Apply(got)
+		p.ApplyGrads(got)
 		for i := range got {
 			if !got[i].EqualApprox(want[i], 0) {
 				t.Errorf("keep=%g tensor %d: quickselect output diverges from sort reference", keep, i)
@@ -76,7 +76,7 @@ func TestPruningTieAtCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Apply([]*tensor.Tensor{g})
+	p.ApplyGrads([]*tensor.Tensor{g})
 	want := []float64{2, 0, 2, 3, -2, 0, -3, 2}
 	for i, v := range g.Data() {
 		if v != want[i] {
@@ -90,7 +90,7 @@ func TestPruningTieAtCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2.Apply([]*tensor.Tensor{eq})
+	p2.ApplyGrads([]*tensor.Tensor{eq})
 	for i, v := range eq.Data() {
 		if v == 0 {
 			t.Fatalf("all-ties input lost coordinate %d", i)
@@ -106,12 +106,12 @@ func TestPruningEdgeInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := tensor.MustFromSlice([]float64{3, -1, 2}, 3)
-	p.Apply([]*tensor.Tensor{g}) // must keep only the largest magnitude
+	p.ApplyGrads([]*tensor.Tensor{g}) // must keep only the largest magnitude
 	if d := g.Data(); d[0] != 3 || d[1] != 0 || d[2] != 0 {
 		t.Errorf("tiny keep fraction: got %v, want only the max kept", d)
 	}
-	p.Apply(nil)
-	p.Apply([]*tensor.Tensor{})
+	p.ApplyGrads(nil)
+	p.ApplyGrads([]*tensor.Tensor{})
 }
 
 // benchGrads builds an MLP-shaped gradient set (~210k coordinates).
@@ -141,7 +141,7 @@ func BenchmarkPruningApply(b *testing.B) {
 			work[j] = orig[j].Clone()
 		}
 		b.StartTimer()
-		p.Apply(work)
+		p.ApplyGrads(work)
 	}
 }
 

@@ -11,27 +11,18 @@ import (
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// Defense is the unified two-stage contract every registered defense
-// implements. A defense may rewrite the training batch before gradients are
-// computed (ApplyBatch), post-process the gradients before upload
-// (ApplyGrads), or both; the unused stage is the identity. The split mirrors
-// where the paper's countermeasures act: OASIS and ATS are batch-stage,
-// DPSGD and pruning are gradient-stage, and a Pipeline stacks any of them.
-type Defense interface {
-	// Name returns the resolved label shown in reports, e.g. "oasis(MR)" or
-	// "dpsgd(σ=0.1)"; a Pipeline joins its stages with "|".
-	Name() string
-	// ApplyBatch rewrites the local batch D before gradient computation.
-	// Batch-neutral defenses return b unchanged. Implementations must not
-	// mutate b.
-	ApplyBatch(b *data.Batch) *data.Batch
-	// ApplyGrads transforms the uploaded gradients in place.
-	// Gradient-neutral defenses are a no-op.
-	ApplyGrads(grads []*tensor.Tensor)
-}
+// Defense is the two-stage client defense contract (fl.Defense): a batch
+// rewrite before gradients are computed (ApplyBatch), a gradient transform
+// before upload (ApplyGrads), or both, with the unused stage the identity.
+// The split mirrors where the paper's countermeasures act: OASIS and ATS
+// are batch-stage, DPSGD and pruning are gradient-stage, and a Pipeline
+// stacks any of them. The protocol layer declares it because its clients
+// call it; every registered family implements it.
+type Defense = fl.Defense
 
 // Config carries everything a registered constructor may need. The zero
 // value is valid for parse-only validation.
@@ -201,10 +192,11 @@ func (p *Pipeline) ApplyGrads(grads []*tensor.Tensor) {
 
 // --- Built-in stages -------------------------------------------------------
 
-// oasisStage adapts the OASIS batch expansion (internal/core) to the
-// two-stage contract.
+// oasisStage is the OASIS batch expansion (internal/core) labelled
+// "oasis(<policy>)" for pipelines; core.Defense's own Name is the bare
+// policy label the figure and Proposition-1 tables print.
 type oasisStage struct {
-	def *core.Defense
+	*core.Defense
 }
 
 func newOASISStage(arg string, _ Config) (Defense, error) {
@@ -215,32 +207,10 @@ func newOASISStage(arg string, _ Config) (Defense, error) {
 	if p == nil {
 		return nil, fmt.Errorf("defense: %q is the no-defense baseline; omit the defense instead", "oasis:"+arg)
 	}
-	return oasisStage{def: core.New(p)}, nil
+	return oasisStage{core.New(p)}, nil
 }
 
-func (s oasisStage) Name() string { return "oasis(" + s.def.Name() + ")" }
-
-func (s oasisStage) ApplyBatch(b *data.Batch) *data.Batch {
-	out, err := s.def.Apply(b)
-	if err != nil {
-		// Unreachable: the constructor guarantees a policy, the only Apply
-		// failure mode. Returning b keeps the stage total.
-		return b
-	}
-	return out
-}
-
-func (s oasisStage) ApplyGrads([]*tensor.Tensor) {}
-
-// gradStage adapts a GradientDefense (DPSGD, pruning) to the two-stage
-// contract; the batch stage is the identity.
-type gradStage struct {
-	GradientDefense
-}
-
-func (s gradStage) ApplyBatch(b *data.Batch) *data.Batch { return b }
-
-func (s gradStage) ApplyGrads(grads []*tensor.Tensor) { s.GradientDefense.Apply(grads) }
+func (s oasisStage) Name() string { return "oasis(" + s.Defense.Name() + ")" }
 
 func newDPSGDStage(arg string, cfg Config) (Defense, error) {
 	clipStr, sigmaStr, ok := strings.Cut(arg, ",")
@@ -256,7 +226,7 @@ func newDPSGDStage(arg string, cfg Config) (Defense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gradStage{d}, nil
+	return d, nil
 }
 
 func newPruneStage(arg string, _ Config) (Defense, error) {
@@ -268,12 +238,7 @@ func newPruneStage(arg string, _ Config) (Defense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gradStage{d}, nil
-}
-
-// atsStage adapts the ATS replacement defense to the two-stage contract.
-type atsStage struct {
-	ats *ATS
+	return d, nil
 }
 
 func newATSStage(arg string, cfg Config) (Defense, error) {
@@ -288,35 +253,5 @@ func newATSStage(arg string, cfg Config) (Defense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return atsStage{ats: d}, nil
+	return d, nil
 }
-
-func (s atsStage) Name() string                         { return s.ats.Name() }
-func (s atsStage) ApplyBatch(b *data.Batch) *data.Batch { return s.ats.Apply(b) }
-func (s atsStage) ApplyGrads([]*tensor.Tensor)          {}
-
-// --- Protocol adapters ------------------------------------------------------
-
-// BatchAdapter exposes a Defense's batch stage in the fl.BatchPreprocessor
-// shape (Apply with error) without this package importing the protocol layer.
-type BatchAdapter struct {
-	D Defense
-}
-
-// Apply runs the defense's batch stage; it never fails.
-func (a BatchAdapter) Apply(b *data.Batch) (*data.Batch, error) { return a.D.ApplyBatch(b), nil }
-
-// Name labels the wrapped defense.
-func (a BatchAdapter) Name() string { return a.D.Name() }
-
-// GradAdapter exposes a Defense's gradient stage in the fl.GradientDefense
-// shape.
-type GradAdapter struct {
-	D Defense
-}
-
-// Apply runs the defense's gradient stage in place.
-func (a GradAdapter) Apply(grads []*tensor.Tensor) { a.D.ApplyGrads(grads) }
-
-// Name labels the wrapped defense.
-func (a GradAdapter) Name() string { return a.D.Name() }

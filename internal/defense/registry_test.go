@@ -192,35 +192,27 @@ func TestPipelineDuplicateStagesStack(t *testing.T) {
 	}
 }
 
-// TestComposeAndAdapters: Compose wraps constructed defenses, and the
-// Batch/Grad adapters expose the two stages in the protocol-layer shapes.
-func TestComposeAndAdapters(t *testing.T) {
+// TestComposeReachesBothStages: Compose wraps constructed defenses, and the
+// pipeline passes the batch through a gradient-only stage unchanged while its
+// gradient stage still reaches the gradients.
+func TestComposeReachesBothStages(t *testing.T) {
 	dp, err := NewDPSGD(1, 0, testRng(9, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Compose(gradStage{dp})
+	p := Compose(dp)
 	if p.Name() != "dpsgd(σ=0)" {
 		t.Errorf("composed name = %q", p.Name())
 	}
-	ba := BatchAdapter{D: p}
 	b := testBatch(testRng(10, 10), 3)
-	out, err := ba.Apply(b)
-	if err != nil || out.Size() != 3 {
-		t.Errorf("BatchAdapter.Apply = (%v, %v), want identity pass-through", out.Size(), err)
-	}
-	if ba.Name() != p.Name() {
-		t.Errorf("BatchAdapter name %q != pipeline name %q", ba.Name(), p.Name())
+	if out := p.ApplyBatch(b); out != b {
+		t.Errorf("ApplyBatch = %d-image batch, want the input passed through", out.Size())
 	}
 	g := tensor.New(8)
 	g.FillRandn(testRng(11, 11), 10)
-	ga := GradAdapter{D: p}
-	ga.Apply([]*tensor.Tensor{g})
+	p.ApplyGrads([]*tensor.Tensor{g})
 	if n := g.L2Norm(); math.Abs(n-1) > 1e-9 {
-		t.Errorf("GradAdapter did not reach the gradient stage: norm %g", n)
-	}
-	if ga.Name() != p.Name() {
-		t.Errorf("GradAdapter name %q != pipeline name %q", ga.Name(), p.Name())
+		t.Errorf("ApplyGrads did not reach the gradient stage: norm %g", n)
 	}
 }
 
@@ -241,7 +233,7 @@ func TestRegisterValidation(t *testing.T) {
 		t.Error("kind containing '|' accepted")
 	}
 	if err := Register("noop-test", func(arg string, cfg Config) (Defense, error) {
-		return gradStage{mustPrune(t, 1)}, nil
+		return mustPrune(t, 1), nil
 	}); err != nil {
 		t.Fatalf("custom registration failed: %v", err)
 	}

@@ -81,13 +81,13 @@ func DPTradeoff(cfg Config) (*Result, error) {
 		// Initialization and batch order are pinned so σ is the only
 		// variable across rows.
 		net := nn.NewResNetLite(nn.ResNetLiteConfig{InChannels: c, NumClasses: trainSet.NumClasses(), Width: 4}, nn.RandSource(0xdb0, 7))
-		var gd fl.GradientDefense
+		var def fl.Defense
 		if sigma > 0 {
-			if gd, err = defense.NewDPSGD(clip, sigma, rng); err != nil {
+			if def, err = defense.NewDPSGD(clip, sigma, rng); err != nil {
 				return nil, err
 			}
 		}
-		if _, err := fl.TrainCentralized(net, trainSet, nil, gd, epochs, 24, nn.RandSource(0xdb1, 8)); err != nil {
+		if _, err := fl.TrainCentralized(net, trainSet, def, epochs, 24, nn.RandSource(0xdb1, 8)); err != nil {
 			return nil, err
 		}
 		acc, err := fl.EvaluateAccuracy(net, testSet, 24)
@@ -129,7 +129,7 @@ func dpAttackPSNR(ds data.Dataset, rtf *attack.Imprint, victim *attack.Victim, c
 			if err != nil {
 				return 0, err
 			}
-			dp.Apply([]*tensor.Tensor{gw, gb})
+			dp.ApplyGrads([]*tensor.Tensor{gw, gb})
 		}
 		ev := attack.Evaluate(rtf.Reconstruct(gw, gb), batch.Images)
 		best = append(best, ev.PerOriginalBest...)

@@ -50,10 +50,10 @@ func Fig14(cfg Config) (*Result, error) {
 		name   string
 		defend defendFunc
 	}{
-		{"ats(MR)", func(batch *data.Batch) (*data.Batch, []*imaging.Image, error) {
+		{"ats(MR)", func(batch *data.Batch) (*data.Batch, []*imaging.Image) {
 			// ATS trains on the replaced images; those are the secrets.
-			replaced := ats.Apply(batch)
-			return replaced, replaced.Images, nil
+			replaced := ats.ApplyBatch(batch)
+			return replaced, replaced.Images
 		}},
 		{"oasis(MR)", oasisDefense(mr)},
 	}

@@ -39,10 +39,7 @@ func Fig2(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// With OASIS (major rotation).
-	defended, err := core.New(augment.MajorRotation{}).Apply(batch)
-	if err != nil {
-		return nil, err
-	}
+	defended := core.New(augment.MajorRotation{}).ApplyBatch(batch)
 	_, reconsDef, err := rtf.Run(defended, batch.Images, rng)
 	if err != nil {
 		return nil, err

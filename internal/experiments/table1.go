@@ -71,11 +71,12 @@ func Table1(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			var pre fl.BatchPreprocessor
+			// A nil *core.Defense ("WO") must stay a nil interface.
+			var fd fl.Defense
 			if def != nil {
-				pre = def
+				fd = def
 			}
-			loss, err := fl.TrainCentralized(net, trainSet, pre, nil, sc.epochs, sc.batch, trRng)
+			loss, err := fl.TrainCentralized(net, trainSet, fd, sc.epochs, sc.batch, trRng)
 			if err != nil {
 				return nil, err
 			}

@@ -19,17 +19,16 @@ type trialAttack interface {
 
 // defendFunc turns a drawn batch into the batch the victim trains on and the
 // images its reconstructions are scored against.
-type defendFunc func(*data.Batch) (client *data.Batch, originals []*imaging.Image, err error)
+type defendFunc func(*data.Batch) (client *data.Batch, originals []*imaging.Image)
 
 // oasisDefense defends with def (nil attacks the raw batch) and scores the
 // reconstructions against the drawn images.
 func oasisDefense(def *core.Defense) defendFunc {
-	return func(b *data.Batch) (*data.Batch, []*imaging.Image, error) {
+	return func(b *data.Batch) (*data.Batch, []*imaging.Image) {
 		if def == nil {
-			return b, b.Images, nil
+			return b, b.Images
 		}
-		client, err := def.Apply(b)
-		return client, b.Images, err
+		return def.ApplyBatch(b), b.Images
 	}
 }
 
@@ -81,10 +80,7 @@ func (l trialLoop) run(rng *rand.Rand) (trialRun, error) {
 		if err != nil {
 			return trialRun{}, err
 		}
-		client, originals, err := defend(batch)
-		if err != nil {
-			return trialRun{}, err
-		}
+		client, originals := defend(batch)
 		ev, recons, err := l.atk.Run(client, originals, rng)
 		if err != nil {
 			return trialRun{}, err

@@ -26,25 +26,29 @@ type Update struct {
 	BatchSize int
 }
 
-// BatchPreprocessor transforms a client's local batch before gradients are
-// computed. The OASIS defense (internal/core.Defense) implements this.
-// Implementations shared across clients must be goroutine-safe when the
-// server runs with Workers > 1; core.Defense is pure — and therefore
-// shareable — only when its augmentation policy is deterministic (the
-// standard MR/mR/SH/flip policies are; augment.Randomized is not).
-type BatchPreprocessor interface {
-	Apply(b *data.Batch) (*data.Batch, error)
+// Defense is the two-stage client defense contract. Each of the paper's
+// countermeasures acts at one point of a client's round: OASIS (and ATS)
+// rewrites the batch D before gradients are computed (Eq. 7), while the §V
+// baselines (DPSGD, pruning) transform the gradients before upload. A
+// defense implements both stages and leaves the one it does not use as the
+// identity. internal/defense registers the concrete families and chains
+// them into pipelines.
+//
+// Stateful defenses (DPSGD and ATS draw from their own *rand.Rand) must not
+// be shared across clients when the server runs with Workers > 1; give each
+// client its own instance. An OASIS defense over a deterministic policy is
+// pure and shareable.
+type Defense interface {
+	// Name returns the label shown in reports, e.g. "oasis(MR)" or
+	// "dpsgd(σ=0.1)".
 	Name() string
-}
-
-// GradientDefense post-processes gradients before upload (DPSGD, pruning).
-// It mirrors internal/defense.GradientDefense without importing it, keeping
-// the protocol layer free of defense policy. Stateful implementations
-// (DPSGD mutates its RNG) must not be shared across clients when the server
-// runs with Workers > 1; give each client its own instance.
-type GradientDefense interface {
-	Apply(grads []*tensor.Tensor)
-	Name() string
+	// ApplyBatch rewrites the local batch before gradient computation.
+	// Batch-neutral defenses return b unchanged. Implementations must not
+	// mutate b.
+	ApplyBatch(b *data.Batch) *data.Batch
+	// ApplyGrads transforms the uploaded gradients in place.
+	// Gradient-neutral defenses are a no-op.
+	ApplyGrads(grads []*tensor.Tensor)
 }
 
 // Client executes local training rounds.
@@ -53,20 +57,23 @@ type GradientDefense interface {
 // the SAME Client — each client handles at most one in-flight round request.
 // But when ServerConfig.Workers > 1 DIFFERENT clients run concurrently, so
 // any state shared between client instances (a common *rand.Rand, a stateful
-// GradientDefense such as DPSGD, a shared network connection) must either be
+// Defense such as DPSGD, a shared network connection) must either be
 // synchronized or duplicated per client. State owned exclusively by one
 // client needs no locking. An OASIS Defense (internal/core) over a
 // deterministic policy is pure and safe to share; one built with
-// core.RandomizedDefense draws from its policy's *rand.Rand on every Apply
-// and must be per-client. Datasets are read-only and safe to share.
+// core.RandomizedDefense draws from its policy's *rand.Rand on every
+// ApplyBatch and must be per-client. Datasets are read-only and safe to
+// share.
 type Client interface {
 	ID() string
 	HandleRound(ctx context.Context, req RoundRequest) (Update, error)
 }
 
 // LocalClient is the standard client: it owns a data shard, samples one
-// batch per round, optionally applies OASIS and/or a gradient defense, and
-// returns the gradients an honest participant would upload.
+// batch per round, optionally runs it and the resulting gradients through a
+// Defense, and returns the gradients an honest participant would upload. The
+// defense's batch stage runs on every local step's batch and its gradient
+// stage once, on the upload.
 //
 // Setting LocalSteps > 1 switches the client to FedAvg-style local training:
 // it runs that many SGD steps (learning rate LocalLR, fresh defended batch
@@ -75,15 +82,15 @@ type Client interface {
 // attacks still apply — the first local step's gradient dominates the
 // malicious layer's pseudo-gradient — so OASIS matters in this mode too.
 //
-// A LocalClient satisfies the Client concurrency contract as long as Rng,
-// GradDef, and any randomized Pre policy are not shared with other clients:
-// Shard is only read, and a deterministic-policy OASIS defense is pure.
+// A LocalClient satisfies the Client concurrency contract as long as Rng and
+// a stateful Defense (DPSGD, ATS, a randomized OASIS policy) are not shared
+// with other clients: Shard is only read, and a deterministic-policy OASIS
+// defense is pure.
 type LocalClient struct {
 	Name      string
 	Shard     data.Dataset
 	BatchSize int
-	Pre       BatchPreprocessor
-	GradDef   GradientDefense
+	Defense   Defense
 	Loss      nn.Loss
 	Rng       *rand.Rand
 
@@ -193,8 +200,8 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 			grads = append(grads, p.G)
 		}
 	}
-	if c.GradDef != nil {
-		c.GradDef.Apply(grads)
+	if c.Defense != nil {
+		c.Defense.ApplyGrads(grads)
 	}
 	return Update{
 		ClientID:  c.Name,
@@ -212,11 +219,8 @@ func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, 
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
-	if c.Pre != nil {
-		batch, err = c.Pre.Apply(batch)
-		if err != nil {
-			return 0, 0, fmt.Errorf("fl: client %s defense: %w", c.Name, err)
-		}
+	if c.Defense != nil {
+		batch = c.Defense.ApplyBatch(batch)
 	}
 	x, err := batchInput(batch, kind)
 	if err != nil {

@@ -191,7 +191,7 @@ func TestDishonestModifierSwapsModelAndSkipsAggregation(t *testing.T) {
 func TestLocalClientAppliesGradientDefense(t *testing.T) {
 	shards := testShards(t, 1)
 	client := NewLocalClient("c0", shards[0], 8, nn.RandSource(4, 4))
-	client.GradDef = zeroingDefense{}
+	client.Defense = zeroingDefense{}
 	spec, err := EncodeModel(testModel(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,8 @@ func TestLocalClientAppliesGradientDefense(t *testing.T) {
 
 type zeroingDefense struct{}
 
-func (zeroingDefense) Apply(grads []*tensor.Tensor) {
+func (zeroingDefense) ApplyBatch(b *data.Batch) *data.Batch { return b }
+func (zeroingDefense) ApplyGrads(grads []*tensor.Tensor) {
 	for _, g := range grads {
 		g.Zero()
 	}

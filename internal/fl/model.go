@@ -12,9 +12,10 @@
 //   - UpdateObserver taps every raw client update before aggregation (this
 //     is where the attacker runs gradient inversion).
 //
-// Clients defend themselves with a BatchPreprocessor (OASIS) and/or a
-// GradientDefense (DPSGD, pruning). Transports are pluggable: in-memory for
-// simulation and benchmarks, TCP/gob for genuinely distributed runs.
+// Clients defend themselves with one two-stage Defense: a batch rewrite
+// before training (OASIS) and a gradient transform before upload (DPSGD,
+// pruning). Transports are pluggable: in-memory for simulation and
+// benchmarks, TCP/gob for genuinely distributed runs.
 //
 // The round engine is concurrent: a bounded worker pool
 // (ServerConfig.Workers) runs HandleRound for the selected clients in
@@ -266,10 +267,12 @@ func validateLayer(s LayerSpec) error {
 			return fmt.Errorf("fl: linear spec %q missing parameters", s.Name)
 		}
 	case "conv":
-		// A padding of K or more only adds output cells that see nothing
-		// but zeros, and it is the one field that would let a server grow
-		// the client's activations without bound.
-		if s.InC <= 0 || s.OutC <= 0 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 || s.Pad >= s.K {
+		// Padding is the one field that would let a server grow the
+		// client's activations past its input: an 86-wide kernel padded by
+		// 76 turns an 8×8 image into a 75×75 output and sizes im2col for
+		// it. Capping it at (K−1)/2 ("same" padding) keeps every conv
+		// output no wider than its input.
+		if s.InC <= 0 || s.OutC <= 0 || s.K <= 0 || s.Stride <= 0 || s.Pad < 0 || s.Pad > (s.K-1)/2 {
 			return fmt.Errorf("fl: conv spec %q has invalid geometry in=%d out=%d k=%d stride=%d pad=%d",
 				s.Name, s.InC, s.OutC, s.K, s.Stride, s.Pad)
 		}

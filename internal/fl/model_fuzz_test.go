@@ -15,10 +15,11 @@ import (
 const maxFuzzElems = 1 << 14
 
 // maxFuzzWorkspace bounds the im2col workspace of the conv layers the
-// harness runs. A model may legitimately need a large one: a kernel k wide
-// with padding up to k−1 has up to (H+k−1)² output cells of k² values each,
-// so an 86-wide kernel padded by 76 needs 1.3 GB for a batch of four 8×8
-// images. Such specs decode, but the harness does not run them.
+// harness runs. A model may legitimately need a large one: padding is capped
+// at (k−1)/2, so a conv output is no wider than its H×H input, but each of
+// its up to H² cells still holds k² values per input channel, and the spec's
+// weights grow only with k². Such specs decode, but the harness does not run
+// them.
 const maxFuzzWorkspace = 1 << 22
 
 // FuzzDecodeModel: a ModelSpec is what a dishonest server sends every
@@ -57,6 +58,7 @@ func FuzzDecodeModel(f *testing.F) {
 		{kind: "linear", in: 3, out: 2, wLen: 6, bLen: 2, tail: "linear"},
 		{kind: "conv", in: 2, out: 3, k: 3, stride: 1, pad: 1, wLen: -1, bLen: -1, tail: "batchnorm"},
 		{kind: "conv", in: 1, out: 2, k: 2, stride: 1, pad: 1, wLen: 8, bLen: 2, tail: "maxpool"},
+		{kind: "conv", in: 1, out: 2, k: 2, stride: 1, pad: 0, wLen: 8, bLen: 2, tail: "maxpool"},
 		{kind: "batchnorm", in: 2, wLen: 2, bLen: 2, tail: "gap"},
 		{kind: "dropout", k: 3, tail: "flatten"},
 		{kind: "residual", out: 2, k: 1, stride: 1, tail: "conv"},
@@ -90,9 +92,9 @@ func FuzzDecodeModel(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The first layer's output on the shard is at most 2·pad wider
-		// than its input.
-		if !fuzzConvTooLarge(first, fuzzShardSide) && !fuzzConvTooLarge(second, fuzzShardSide+2*pad) {
+		// The first layer's output on the shard is no wider than its
+		// input: DecodeModel caps a conv's padding at (k−1)/2.
+		if !fuzzConvTooLarge(first, fuzzShardSide) && !fuzzConvTooLarge(second, fuzzShardSide) {
 			fuzzHandleRound(t, ModelSpec{Layers: []LayerSpec{first, second}, InputKind: inputKind(net)}, net)
 		}
 		if fuzzAccepts(net.Layers[1], y.Shape()) && !fuzzConvTooLarge(second, y.Dim(y.Dims()-1)) {

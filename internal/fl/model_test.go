@@ -141,6 +141,7 @@ func TestDecodeRejectsCorruptConv(t *testing.T) {
 		"zero stride":                   func(s *LayerSpec) { s.Stride = 0 },
 		"negative padding":              func(s *LayerSpec) { s.Pad = -1 },
 		"padding as wide as the kernel": func(s *LayerSpec) { s.Pad = 3 },
+		"padding past half the kernel":  func(s *LayerSpec) { s.Pad = 2 },
 		// A constructor run on this geometry would allocate 2·2^40·9 floats;
 		// the test finishing at all shows the check runs first.
 		"huge input channels": func(s *LayerSpec) { s.InC = 1 << 40 },

@@ -95,7 +95,7 @@ type ServerConfig struct {
 	// 0 means runtime.NumCPU(); 1 reproduces the sequential engine. The
 	// resulting History is bit-identical for every Workers value under the
 	// same seed: only wall-clock time changes. Rosters whose clients share
-	// mutable state (a common *rand.Rand, a stateful GradientDefense, a
+	// mutable state (a common *rand.Rand, a stateful Defense such as DPSGD, a
 	// randomized augmentation policy) must set Workers to 1 or synchronize
 	// that state — see the Client concurrency contract.
 	Workers int

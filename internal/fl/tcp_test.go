@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,13 +132,10 @@ func TestTCPClientErrorSurfacesAtServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// A client whose shard is too small to satisfy its batch size errors
-	// on every round.
-	shards := testShards(t, 1)
-	client := NewLocalClient("broken", shards[0], 8, nn.RandSource(23, 1))
-	client.BatchSize = 8
-	client.Shard = shards[0]
-	client.Pre = errPre{}
+	// A client whose 4×4 images do not fit the dispatched 64-input model
+	// errors on every round.
+	shard := data.NewSynthCustom("misfit", 4, 1, 4, 4, 64, 7)
+	client := NewLocalClient("broken", shard, 8, nn.RandSource(23, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { _ = ServeTCP(ctx, srv.Addr(), client) }()
@@ -147,15 +145,11 @@ func TestTCPClientErrorSurfacesAtServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := NewServer(ServerConfig{Rounds: 1}, testModel(nil), srv)
-	if _, err := server.Run(context.Background()); err == nil {
-		t.Error("client-side error did not surface at the server")
+	_, err = server.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "does not run on the local batch") {
+		t.Errorf("client-side error did not surface at the server: %v", err)
 	}
 }
-
-type errPre struct{}
-
-func (errPre) Apply(*data.Batch) (*data.Batch, error) { return nil, fmt.Errorf("defense exploded") }
-func (errPre) Name() string                           { return "errpre" }
 
 func TestTCPDuplicateClientIDReplacesOld(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", TCPServerOptions{})

@@ -12,11 +12,11 @@ import (
 
 // TrainCentralized trains net on trainSet for the given epochs with Adam (lr
 // 1e-3, weight decay 1e-4, the paper's Table I optimizer). Each epoch walks
-// a fresh rng permutation in full batches, dropping the remainder. pre, when
-// non-nil, rewrites every batch before the forward pass (OASIS); gd, when
-// non-nil, transforms the gradients in place before each step (DPSGD). It
-// returns the last epoch's mean training loss.
-func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, pre BatchPreprocessor, gd GradientDefense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
+// a fresh rng permutation in full batches, dropping the remainder. def, when
+// non-nil, rewrites every batch before the forward pass (OASIS) and
+// transforms the gradients in place before each step (DPSGD). It returns the
+// last epoch's mean training loss.
+func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, def Defense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
 	optimizer := opt.NewAdam(1e-3, 1e-4)
 	loss := nn.SoftmaxCrossEntropy{}
 	kind := inputKind(net)
@@ -31,10 +31,8 @@ func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, pre BatchPrepro
 			if err != nil {
 				return 0, err
 			}
-			if pre != nil {
-				if batch, err = pre.Apply(batch); err != nil {
-					return 0, err
-				}
+			if def != nil {
+				batch = def.ApplyBatch(batch)
 			}
 			x, err := batchInput(batch, kind)
 			if err != nil {
@@ -44,12 +42,12 @@ func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, pre BatchPrepro
 			logits := net.Forward(x, true)
 			l, g := loss.Compute(logits, batch.Labels)
 			net.Backward(g)
-			if gd != nil {
+			if def != nil {
 				grads := make([]*tensor.Tensor, 0, len(params))
 				for _, p := range params {
 					grads = append(grads, p.G)
 				}
-				gd.Apply(grads)
+				def.ApplyGrads(grads)
 			}
 			optimizer.Step(params)
 			epochLoss += l

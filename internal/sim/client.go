@@ -11,6 +11,7 @@ import (
 	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/obs"
+	"github.com/oasisfl/oasis/internal/tensor"
 )
 
 // Failure classes a simulated client reports to the server. The engine also
@@ -138,17 +139,17 @@ func (o *roundOutcome) waitedMS(deadlineMS float64) float64 {
 	}
 }
 
-// batchRecorder sits in the LocalClient's preprocessor slot: when armed it
-// clones the raw (pre-defense) batch for later PSNR ground truth, then hands
-// the batch to the real defense (if any). Unarmed it adds one branch per
-// batch — cheap enough to leave in place on every client.
+// batchRecorder is every sim client's Defense: when armed it clones the raw
+// (pre-defense) batch for later PSNR ground truth, then hands the batch to
+// the real defense (if any); the gradient stage delegates. Unarmed it adds
+// one branch per batch — cheap enough to leave in place on every client.
 type batchRecorder struct {
-	inner fl.BatchPreprocessor
+	inner fl.Defense
 	armed bool
 	batch *data.Batch
 }
 
-var _ fl.BatchPreprocessor = (*batchRecorder)(nil)
+var _ fl.Defense = (*batchRecorder)(nil)
 
 // Name labels the wrapped defense (or "none").
 func (r *batchRecorder) Name() string {
@@ -158,24 +159,31 @@ func (r *batchRecorder) Name() string {
 	return "none"
 }
 
-// Apply records the first raw batch of an armed round, then delegates.
+// ApplyBatch records the first raw batch of an armed round, then delegates.
 //
 //oasis:allow-walltime measures real defense latency for the obs histogram; never feeds results
-func (r *batchRecorder) Apply(b *data.Batch) (*data.Batch, error) {
+func (r *batchRecorder) ApplyBatch(b *data.Batch) *data.Batch {
 	if r.armed && r.batch == nil {
 		r.batch = b.Clone()
 	}
 	if r.inner == nil {
-		return b, nil
+		return b
 	}
 	if !obs.Enabled() {
-		return r.inner.Apply(b)
+		return r.inner.ApplyBatch(b)
 	}
 	obsDefenseApply.Inc()
 	start := time.Now()
-	out, err := r.inner.Apply(b)
+	out := r.inner.ApplyBatch(b)
 	obsDefenseApplyMS.Observe(float64(time.Since(start).Microseconds()) / 1000)
-	return out, err
+	return out
+}
+
+// ApplyGrads runs the wrapped defense's gradient stage.
+func (r *batchRecorder) ApplyGrads(grads []*tensor.Tensor) {
+	if r.inner != nil {
+		r.inner.ApplyGrads(grads)
+	}
 }
 
 // arm resets the recorder for a new round.

@@ -184,10 +184,9 @@ func (vp *virtualPopulation) instantiate(d virtualClient) (*simClient, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec.inner = defense.BatchAdapter{D: pl}
-		lc.GradDef = defense.GradAdapter{D: pl}
+		rec.inner = pl
 	}
-	lc.Pre = rec
+	lc.Defense = rec
 	return &simClient{
 		inner:        lc,
 		index:        d.index,

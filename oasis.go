@@ -21,7 +21,7 @@
 //	atk, _ := oasis.NewAttack("rtf", ds, 500, 0, rng) // dishonest server
 //	def, _ := oasis.NewDefense("MR")                  // client-side OASIS
 //
-//	defended, _ := def.Apply(batch)
+//	defended := def.ApplyBatch(batch)
 //	ev, _, _ := atk.Run(defended, batch.Images, rng)
 //	fmt.Printf("mean PSNR %.1f dB\n", ev.MeanPSNR()) // ~17 dB: unrecognizable
 //
@@ -53,7 +53,8 @@ type (
 	Dataset = data.Dataset
 	// Policy produces the augmented counterparts X′_t of an image.
 	Policy = augment.Policy
-	// Defense is the OASIS batch preprocessor (D → D′, Eq. 7).
+	// Defense is the OASIS batch-stage defense (D → D′, Eq. 7); it is a
+	// ClientDefense with an identity gradient stage.
 	Defense = core.Defense
 	// Prop1Report quantifies the Proposition-1 condition for a defense.
 	Prop1Report = core.Prop1Report
@@ -108,9 +109,6 @@ func NewDefense(label string) (*Defense, error) {
 	return core.New(p), nil
 }
 
-// NewDefenseWithPolicy builds the OASIS defense around a custom policy.
-func NewDefenseWithPolicy(p Policy) *Defense { return core.New(p) }
-
 // PolicyNames lists the standard policy labels in the order the paper's
 // tables use them.
 func PolicyNames() []string { return []string{"MR", "mR", "SH", "HFlip", "VFlip", "MR+SH"} }
@@ -141,8 +139,10 @@ var AnalyzeProp1 = core.AnalyzeProp1
 // '|'-chain of them, e.g. "oasis:MR|dpsgd:1,0.1".
 type (
 	// ClientDefense is the unified two-stage defense contract
-	// (ApplyBatch/ApplyGrads/Name); pipelines and every registered kind
-	// implement it.
+	// (ApplyBatch/ApplyGrads/Name); pipelines, every registered kind and
+	// *Defense implement it. Assign one to a client's Defense field;
+	// stateful defenses (DPSGD, ATS) must not be shared between clients,
+	// so build one pipeline per client.
 	ClientDefense = defense.Defense
 	// DefensePipeline chains registered defenses in order; its Name() is
 	// the deterministic composite label, e.g. "oasis(MR)|dpsgd(σ=0.1)".
@@ -174,15 +174,6 @@ func DefenseNames() []string { return defense.Names() }
 // segment.
 func RegisterDefense(kind string, ctor DefenseConstructor) error {
 	return defense.Register(kind, ctor)
-}
-
-// AttachDefense wires a defense's two stages into a federated client: the
-// batch stage becomes the client's preprocessor and the gradient stage its
-// upload transform. Stateful defenses (DPSGD, ATS) must not be attached to
-// more than one client; build one pipeline per client.
-func AttachDefense(c *FLLocalClient, d ClientDefense) {
-	c.Pre = defense.BatchAdapter{D: d}
-	c.GradDef = defense.GradAdapter{D: d}
 }
 
 // Experiment access.

@@ -23,10 +23,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defended, err := def.Apply(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defended := def.ApplyBatch(batch)
 	evRaw, _, err := atk.Run(batch, batch.Images, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +125,7 @@ func TestFLIntegrationWithDishonestServer(t *testing.T) {
 	roster := NewMemoryRoster()
 	for i, shard := range shards {
 		c := NewFLClient(fmt.Sprintf("c%d", i), shard, 6, NewRand(9, uint64(i+2)))
-		c.Pre = def
+		c.Defense = def
 		roster.Add(c)
 	}
 	atk, err := NewAttack("cah", ds, 200, 16, rng)
@@ -229,16 +226,13 @@ func TestDefensePipelineFacade(t *testing.T) {
 		}
 	}
 
-	// The pipeline attaches to a federated client and the client still
-	// trains: the batch stage expands D, the gradient stage noises uploads.
+	// The pipeline is a federated client's one defense, both stages under
+	// the pipeline's label.
 	ds := NewSynthDataset("def-api", 4, 1, 8, 8, 64, 9)
 	client := NewFLClient("c0", ds, 4, NewRand(9, 1))
-	AttachDefense(client, pl)
-	if client.Pre == nil || client.GradDef == nil {
-		t.Fatal("AttachDefense left a stage unwired")
-	}
-	if client.Pre.Name() != pl.Name() || client.GradDef.Name() != pl.Name() {
-		t.Error("attached stages do not carry the pipeline label")
+	client.Defense = pl
+	if client.Defense.Name() != pl.Name() {
+		t.Error("the client's defense does not carry the pipeline label")
 	}
 
 	// Custom registration flows through the public surface into pipelines.
