@@ -17,7 +17,6 @@ package augment
 
 import (
 	"fmt"
-	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/imaging"
 )
@@ -155,50 +154,6 @@ func (c Compose) Name() string {
 	}
 	return name
 }
-
-// Randomized wraps a base policy kind with per-call parameter resampling so
-// the server cannot assume fixed transformation parameters. Only parametric
-// policies (minor rotation, shearing) have anything to resample.
-type Randomized struct {
-	Kind string // "mR" or "SH"
-	N    int    // number of transforms to generate
-	Rng  *rand.Rand
-}
-
-var _ Policy = (*Randomized)(nil)
-
-// NewRandomized constructs a randomized policy of the given kind ("mR" or
-// "SH") generating n transforms per image.
-func NewRandomized(kind string, n int, rng *rand.Rand) (*Randomized, error) {
-	switch kind {
-	case "mR", "SH":
-	default:
-		return nil, fmt.Errorf("augment: randomized policy kind %q not supported (want mR or SH)", kind)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("augment: randomized policy needs n > 0, got %d", n)
-	}
-	return &Randomized{Kind: kind, N: n, Rng: rng}, nil
-}
-
-// Expand samples fresh parameters for each transformed copy.
-func (r *Randomized) Expand(im *imaging.Image) []*imaging.Image {
-	out := make([]*imaging.Image, 0, r.N)
-	for i := 0; i < r.N; i++ {
-		switch r.Kind {
-		case "mR":
-			deg := 15 + r.Rng.Float64()*60 // angle in [15°, 75°)
-			out = append(out, imaging.Rotate(im, deg*degToRad))
-		case "SH":
-			mu := 0.4 + r.Rng.Float64()*0.7 // factor in [0.4, 1.1)
-			out = append(out, imaging.Shear(im, mu))
-		}
-	}
-	return out
-}
-
-// Name returns the randomized label, e.g. "rand-SH".
-func (r *Randomized) Name() string { return "rand-" + r.Kind }
 
 // ByName returns the standard policy for a short label used across the
 // experiment tables: WO (nil), MR, mR, SH, HFlip, VFlip, MR+SH.

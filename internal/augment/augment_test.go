@@ -115,40 +115,3 @@ func TestExpandDoesNotMutateInput(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomizedPolicy(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	p, err := NewRandomized("SH", 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im := probeImage(6)
-	a := p.Expand(im)
-	b := p.Expand(im)
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("randomized expansion counts: %d, %d", len(a), len(b))
-	}
-	// Parameters are re-sampled per call, so the two expansions differ.
-	same := true
-	for i := range a {
-		if imaging.MSE(a[i], b[i]) > 1e-12 {
-			same = false
-		}
-	}
-	if same {
-		t.Error("randomized policy produced identical parameters twice")
-	}
-	if p.Name() != "rand-SH" {
-		t.Errorf("name = %q", p.Name())
-	}
-}
-
-func TestRandomizedPolicyValidation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
-	if _, err := NewRandomized("MR", 2, rng); err == nil {
-		t.Error("non-parametric kind accepted")
-	}
-	if _, err := NewRandomized("SH", 0, rng); err == nil {
-		t.Error("n=0 accepted")
-	}
-}

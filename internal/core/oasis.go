@@ -14,8 +14,6 @@
 package core
 
 import (
-	rand "math/rand/v2"
-
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/imaging"
@@ -202,15 +200,4 @@ func jaccard(a, b []bool) float64 {
 		return 1 // both inactive everywhere: identical sets
 	}
 	return float64(inter) / float64(union)
-}
-
-// RandomizedDefense builds a defense whose parametric transforms are
-// re-sampled from rng on every batch, so a server cannot assume fixed
-// transformation parameters (paper §IV-C).
-func RandomizedDefense(kind string, n int, rng *rand.Rand) (*Defense, error) {
-	p, err := augment.NewRandomized(kind, n, rng)
-	if err != nil {
-		return nil, err
-	}
-	return New(p), nil
 }

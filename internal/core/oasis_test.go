@@ -190,17 +190,3 @@ func TestAnalyzeProp1WOBaseline(t *testing.T) {
 		t.Error("WO baseline should report zero transform overlap")
 	}
 }
-
-func TestRandomizedDefense(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	def, err := RandomizedDefense("SH", 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := def.ApplyBatch(testBatch(8, 2)); out.Size() != 6 {
-		t.Errorf("|D′| = %d, want 6", out.Size())
-	}
-	if _, err := RandomizedDefense("nope", 2, rng); err == nil {
-		t.Error("invalid randomized kind accepted")
-	}
-}

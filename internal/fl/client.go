@@ -59,11 +59,10 @@ type Defense interface {
 // any state shared between client instances (a common *rand.Rand, a stateful
 // Defense such as DPSGD, a shared network connection) must either be
 // synchronized or duplicated per client. State owned exclusively by one
-// client needs no locking. An OASIS Defense (internal/core) over a
-// deterministic policy is pure and safe to share; one built with
-// core.RandomizedDefense draws from its policy's *rand.Rand on every
-// ApplyBatch and must be per-client. Datasets are read-only and safe to
-// share.
+// client needs no locking. An OASIS Defense (internal/core) is pure and
+// safe to share; the stochastic stages of internal/defense (DPSGD, ATS) draw
+// from their own *rand.Rand and must be per-client. Datasets are read-only
+// and safe to share.
 type Client interface {
 	ID() string
 	HandleRound(ctx context.Context, req RoundRequest) (Update, error)
@@ -83,9 +82,8 @@ type Client interface {
 // malicious layer's pseudo-gradient — so OASIS matters in this mode too.
 //
 // A LocalClient satisfies the Client concurrency contract as long as Rng and
-// a stateful Defense (DPSGD, ATS, a randomized OASIS policy) are not shared
-// with other clients: Shard is only read, and a deterministic-policy OASIS
-// defense is pure.
+// a stateful Defense (DPSGD, ATS) are not shared with other clients: Shard
+// is only read, and an OASIS defense is pure.
 type LocalClient struct {
 	Name      string
 	Shard     data.Dataset

@@ -25,39 +25,39 @@ var (
 )
 
 // roundOutcome is what happened to one client in one round, written by the
-// client's own HandleRound and read by the engine after the run completes
-// (Server.Run's worker barrier orders the accesses).
+// client's own HandleRound and read by the engine's round collection
+// (Server.Run's worker barrier orders the accesses). It carries its round so
+// an outcome is never counted for a round it does not describe.
 type roundOutcome struct {
+	round     int
 	dropped   bool
 	late      bool
 	delayMS   float64
 	completed bool
-	originals []*imaging.Image // pre-defense batch, recorded on attack rounds
 }
 
 // simClient wraps a LocalClient with the scenario's reliability model:
 // per-round dropout, straggler delays against a virtual deadline, and
 // original-batch recording on attack rounds (for post-hoc PSNR scoring).
+// One simClient lives for one lease; its cross-round state comes from, and
+// returns to, the population's departed record.
 //
 // Reliability draws come from a PCG stream keyed by (seed, client index,
 // round) — not from the shared training RNG and not from wall clock — so a
 // population's fate is identical for every worker count and every execution
 // order.
 type simClient struct {
-	inner  *fl.LocalClient
-	index  int
-	seed   uint64
-	record *batchRecorder
+	inner     *fl.LocalClient
+	pop       *virtualPopulation
+	index     int
+	straggler bool
+	record    *batchRecorder
 
-	dropout      float64
-	straggler    bool
-	baseMS       float64
-	meanMS       float64
-	deadlineMS   float64
-	realTime     bool
-	attackActive func(round int) bool
-
-	outcomes map[int]*roundOutcome
+	// outcome is the leased round's outcome; nil until HandleRound runs.
+	outcome *roundOutcome
+	// originals is the departed record's map of recorded pre-defense
+	// batches by attack round, allocated on the first one.
+	originals map[int][]*imaging.Image
 }
 
 var (
@@ -74,8 +74,9 @@ func (c *simClient) NumSamples() int { return c.inner.NumSamples() }
 // HandleRound applies the reliability model, then delegates to the wrapped
 // client. Dropped and late rounds return typed errors without training.
 func (c *simClient) HandleRound(ctx context.Context, req fl.RoundRequest) (fl.Update, error) {
+	sc := &c.pop.sc
 	out := c.draw(req.Round)
-	c.outcomes[req.Round] = out
+	c.outcome = out
 	if out.dropped {
 		obsDropouts.Inc()
 		return fl.Update{}, fmt.Errorf("%w (client %s, round %d)", ErrDropout, c.ID(), req.Round)
@@ -85,42 +86,49 @@ func (c *simClient) HandleRound(ctx context.Context, req fl.RoundRequest) (fl.Up
 		// cannot perturb the run it describes.
 		obsStragglerWait.Observe(out.delayMS)
 	}
-	if c.deadlineMS > 0 && out.delayMS > c.deadlineMS {
+	if sc.DeadlineMS > 0 && out.delayMS > sc.DeadlineMS {
 		out.late = true
 		obsLate.Inc()
 		return fl.Update{}, fmt.Errorf("%w (client %s, round %d: %.0f ms > %.0f ms)",
-			ErrDeadline, c.ID(), req.Round, out.delayMS, c.deadlineMS)
+			ErrDeadline, c.ID(), req.Round, out.delayMS, sc.DeadlineMS)
 	}
-	if c.realTime && out.delayMS > 0 {
+	if sc.RealTime && out.delayMS > 0 {
 		select {
 		case <-ctx.Done():
 			return fl.Update{}, ctx.Err()
 		case <-time.After(time.Duration(out.delayMS * float64(time.Millisecond))):
 		}
 	}
-	c.record.arm(c.attackActive != nil && c.attackActive(req.Round))
+	active := c.pop.attackActive
+	c.record.arm(active != nil && active(req.Round))
 	u, err := c.inner.HandleRound(ctx, req)
 	if err == nil {
 		out.completed = true
-		out.originals = c.record.take()
+		if ims := c.record.take(); ims != nil {
+			if c.originals == nil {
+				c.originals = make(map[int][]*imaging.Image, 1)
+			}
+			c.originals[req.Round] = ims
+		}
 	}
 	return u, err
 }
 
 // draw derives this round's reliability state deterministically.
 func (c *simClient) draw(round int) *roundOutcome {
+	sc := &c.pop.sc
 	rng := rand.New(rand.NewPCG(
-		c.seed^0x51D0_C1EA_7E55_0000+uint64(c.index)*0x9e3779b97f4a7c15,
+		sc.Seed^0x51D0_C1EA_7E55_0000+uint64(c.index)*0x9e3779b97f4a7c15,
 		uint64(round)*0xbf58476d1ce4e5b9+1,
 	))
-	out := &roundOutcome{delayMS: c.baseMS}
-	if c.dropout > 0 && rng.Float64() < c.dropout {
+	out := &roundOutcome{round: round, delayMS: sc.Straggler.BaseDelayMS}
+	if sc.Dropout > 0 && rng.Float64() < sc.Dropout {
 		out.dropped = true
 		out.delayMS = 0
 		return out
 	}
-	if c.straggler && c.meanMS > 0 {
-		out.delayMS += rng.ExpFloat64() * c.meanMS
+	if c.straggler && sc.Straggler.MeanDelayMS > 0 {
+		out.delayMS += rng.ExpFloat64() * sc.Straggler.MeanDelayMS
 	}
 	return out
 }

@@ -86,17 +86,20 @@
 // Lease materializes the cohort in index order; Release runs after the
 // server step and records the cohort in ascending index order, and the
 // round's report is collected from that cohort alone, since no other client
-// has an outcome for the round. Instantiated clients stay resident across
-// rounds — their
-// training rng and stateful defense pipelines (e.g. dpsgd) must continue,
-// and residency is bounded by rounds × cohort, not population — while the
-// heavy per-round buffers recycle through the internal/tensor pool: decoded
+// has an outcome for the round. Release also shrinks each cohort client to
+// a compact departed record holding only its cross-round state: its
+// training rng, its own defense pipeline when defended (stateful stages
+// such as dpsgd must continue), and the originals it recorded on attack
+// rounds, which scoring reads. A later Lease rebuilds the client from its
+// descriptor and that record, so a resampled client behaves exactly as one
+// never released, and a long cross-device run retains about a hundred
+// bytes per client it ever sampled rather than the whole client. The heavy
+// per-round buffers recycle through the internal/tensor pool: decoded
 // model weights are released by the client once its gradients are
 // computed, the gradient buffers themselves are uploaded and released by
 // the server once aggregated (fl.ServerConfig.ReleaseUpdates), and the
 // aggregate is released once the step is applied, holding live tensor
-// memory to
-// O(workers × model) instead of O(cohort × model).
+// memory to O(workers × model) instead of O(cohort × model).
 //
 // When Options.Workers is zero the per-round concurrency cap comes from a
 // cost model, min(NumCPU, budget/footprint, cohort) with a fixed round-state

@@ -178,7 +178,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Copied onto every client at instantiation; no cohort exists yet.
+		// Read by every leased client; set before the first round runs.
 		vp.attackActive = sc.Attack.Active
 		server.Modifier = sched
 		server.Observer = sched
@@ -199,7 +199,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	server.AfterRound = func(round int, stats fl.RoundStats) {
 		recordHeapPeak()
 		// Only the round's cohort has an outcome for it, so collecting just
-		// the released cohort is exact and O(cohort), not O(residents).
+		// the released cohort is exact and O(cohort), not O(population).
 		rr := collectRound(round, stats, vp.cohort, sc.DeadlineMS)
 		rr.AttackActive = sc.Attack.Active(round)
 		if round == sc.Rounds-1 || (sc.EvalEvery > 0 && (round+1)%sc.EvalEvery == 0) {
@@ -220,7 +220,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		return nil, err
 	}
 	_, scSpan := obs.Start(ctx, "sim.score")
-	scoreAttack(report, sched, vp.residents())
+	scoreAttack(report, sched, vp.recorded())
 	summarize(report)
 	scSpan.End()
 	return report, nil
@@ -325,8 +325,8 @@ func collectRound(round int, stats fl.RoundStats, cohort []*simClient, deadlineM
 		GradNorm: stats.GradNorm,
 	}
 	for _, c := range cohort {
-		o, ok := c.outcomes[round]
-		if !ok {
+		o := c.outcome
+		if o == nil || o.round != round {
 			continue // canceled before HandleRound ran (see below)
 		}
 		rr.Selected++
@@ -358,15 +358,12 @@ func collectRound(round int, stats fl.RoundStats, cohort []*simClient, deadlineM
 	return rr
 }
 
-// scoreAttack pairs the dishonest server's captures with the recorded
-// pre-defense batches and fills the per-round and total PSNR fields.
-func scoreAttack(report *Report, sched *scheduledAttack, population []*simClient) {
+// scoreAttack pairs the dishonest server's captures with the pre-defense
+// batches the clients recorded (by client ID, then attack round) and fills
+// the per-round and total PSNR fields.
+func scoreAttack(report *Report, sched *scheduledAttack, recorded map[string]map[int][]*imaging.Image) {
 	if sched == nil {
 		return
-	}
-	byID := make(map[string]*simClient, len(population))
-	for _, c := range population {
-		byID[c.ID()] = c
 	}
 	perRound := make(map[int][]float64)
 	reconPerRound := make(map[int]int)
@@ -375,19 +372,15 @@ func scoreAttack(report *Report, sched *scheduledAttack, population []*simClient
 	for _, cap := range caps {
 		reconPerRound[cap.Round] += len(cap.Reconstructions)
 		report.AttackReconstructions += len(cap.Reconstructions)
-		c := byID[cap.ClientID]
-		if c == nil || len(cap.Reconstructions) == 0 {
+		originals := recorded[cap.ClientID][cap.Round]
+		if len(cap.Reconstructions) == 0 || len(originals) == 0 {
 			continue
 		}
-		o := c.outcomes[cap.Round]
-		if o == nil || len(o.originals) == 0 {
-			continue
-		}
-		ev := attack.Evaluate(cap.Reconstructions, o.originals)
+		ev := attack.Evaluate(cap.Reconstructions, originals)
 		perRound[cap.Round] = append(perRound[cap.Round], ev.PSNRs...)
 		all = append(all, ev.PSNRs...)
 		for _, r := range cap.Reconstructions {
-			ssims = append(ssims, imaging.BestSSIM(r, o.originals))
+			ssims = append(ssims, imaging.BestSSIM(r, originals))
 		}
 	}
 	report.AttackCaptures = len(caps)

@@ -113,7 +113,7 @@ func TestReliabilityDrawsPrefixStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		vp := newVirtualPopulation(sc, ds, parts)
-		c, err := vp.instantiate(virtualClient{index: index, straggler: true})
+		c, err := vp.instantiate(virtualClient{index: index, straggler: true}, departed{})
 		if err != nil {
 			t.Fatal(err)
 		}

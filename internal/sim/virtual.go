@@ -3,12 +3,14 @@ package sim
 import (
 	"fmt"
 	"math"
+	rand "math/rand/v2"
 	"runtime"
 	"sort"
 
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/defense"
 	"github.com/oasisfl/oasis/internal/fl"
+	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
@@ -75,13 +77,15 @@ type virtualClient struct {
 
 // virtualPopulation implements fl.Roster over a scenario: the full
 // population exists only as keyed-stream descriptors (lazy partition, sorted
-// membership sets), and real simClient state is instantiated per sampled
-// cohort. Instantiated clients stay resident for the rest of the run —
-// cross-round state (training-rng position, stateful defense pipelines like
-// DPSGD) must advance exactly as an eagerly materialized client's would —
-// but the heavy per-round buffers (decoded models, upload gradients) are
-// leased from the tensor arena and recycled inside the round, so steady-state
-// memory is O(instantiated descriptors + workers × model), not O(population).
+// membership sets), and a real simClient exists only while a cohort leases
+// it. When Release ends a round, each cohort client shrinks to a departed
+// record of its cross-round state — training rng, defense pipeline, recorded
+// originals — and a later Lease rebuilds it from its descriptor and that
+// record, so a resampled client resumes exactly where an eagerly
+// materialized one would. The heavy per-round buffers (decoded models,
+// upload gradients) are leased from the tensor arena and recycled inside the
+// round, so memory is one small record per client ever sampled plus
+// O(workers × model), never O(population).
 type virtualPopulation struct {
 	sc      Scenario
 	trainDS data.Dataset
@@ -89,16 +93,28 @@ type virtualPopulation struct {
 
 	defended   membership
 	stragglers membership
-	// attackActive is copied onto clients at instantiation; the engine sets
-	// it (before the first round) only when the scenario schedules an attack.
+	// attackActive is read by clients on every round; the engine sets it
+	// (before the first round) only when the scenario schedules an attack.
 	attackActive func(round int) bool
 
-	// resident holds every client instantiated so far, keyed by index. All
-	// access is on the server goroutine (Lease/Release run there).
-	resident map[int]*simClient
+	// departed holds the record of every client released so far, keyed by
+	// index. All access is on the server goroutine (Lease/Release run
+	// there).
+	departed map[int]departed
 	// cohort is the last released round's cohort in ascending index order:
 	// the only clients with an outcome for that round.
 	cohort []*simClient
+}
+
+// departed is a released client's cross-round state: everything a rebuilt
+// client must resume, and nothing the descriptor can recompute. The zero
+// value is a client never leased.
+type departed struct {
+	rng     *rand.Rand // training stream, at the position the client left it
+	defense fl.Defense // the client's own pipeline; nil when undefended
+	// originals maps each attack round in which the client recorded its
+	// pre-defense batch to that batch; nil until the first such round.
+	originals map[int][]*imaging.Image
 }
 
 var _ fl.Roster = (*virtualPopulation)(nil)
@@ -112,7 +128,7 @@ func newVirtualPopulation(sc Scenario, trainDS data.Dataset, parts *data.LazyPar
 		parts:      parts,
 		defended:   defended,
 		stragglers: stragglers,
-		resident:   make(map[int]*simClient),
+		departed:   make(map[int]departed),
 	}
 }
 
@@ -134,87 +150,86 @@ func (vp *virtualPopulation) describe(i int) virtualClient {
 	}
 }
 
-// Lease instantiates the round's cohort in index-argument order, reusing
-// residents from earlier rounds so their cross-round state continues.
+// Lease instantiates the round's cohort in index-argument order, each client
+// from its descriptor and its departed record (the zero record on a first
+// lease), so its cross-round state continues.
 func (vp *virtualPopulation) Lease(round int, indices []int) ([]fl.Client, error) {
 	cohort := make([]fl.Client, len(indices))
 	for j, i := range indices {
-		c, ok := vp.resident[i]
-		if !ok {
-			var err error
-			c, err = vp.instantiate(vp.describe(i))
-			if err != nil {
-				return nil, err
-			}
-			vp.resident[i] = c
+		c, err := vp.instantiate(vp.describe(i), vp.departed[i])
+		if err != nil {
+			return nil, err
 		}
 		cohort[j] = c
 	}
 	return cohort, nil
 }
 
-// Release ends the cohort's round. Clients stay resident — their training
-// rng and defense pipelines must resume where they stopped if resampled —
-// and the round's heavy buffers were already recycled by the client and
-// server release paths. What remains is recording the cohort, in ascending
-// index order, for the engine's round collection.
+// Release ends the cohort's round: each client's cross-round state becomes
+// its departed record, and the round's heavy buffers were already recycled
+// by the client and server release paths. The cohort itself is kept, in
+// ascending index order, until the next Release, because the engine's round
+// collection (AfterRound) reads its outcomes after this call.
 func (vp *virtualPopulation) Release(_ int, cohort []fl.Client) {
+	clear(vp.cohort) // a smaller cohort must not pin the tail of the last one
 	vp.cohort = vp.cohort[:0]
-	for _, c := range cohort {
-		vp.cohort = append(vp.cohort, c.(*simClient))
+	for _, fc := range cohort {
+		c := fc.(*simClient)
+		vp.cohort = append(vp.cohort, c)
+		vp.departed[c.index] = departed{rng: c.inner.Rng, defense: c.record.inner, originals: c.originals}
 	}
 	sort.Slice(vp.cohort, func(a, b int) bool { return vp.cohort[a].index < vp.cohort[b].index })
 }
 
-// instantiate builds the real simClient for one descriptor, drawing from the
-// same keyed streams in the same way the eager population loop did, so a
-// client's behavior is independent of when (or whether) it is materialized.
-func (vp *virtualPopulation) instantiate(d virtualClient) (*simClient, error) {
-	sc := vp.sc
-	shard := data.NewSubset(vp.trainDS, vp.parts.Shard(d.index), fmt.Sprintf("%s-shard-%d", sc.Name, d.index))
-	lc := fl.NewLocalClient(fmt.Sprintf("client-%04d", d.index), shard, sc.BatchSize, nn.RandSource(sc.Seed+1, uint64(d.index)))
-	lc.LocalSteps = sc.LocalSteps
-	rec := &batchRecorder{}
-	if d.defended {
-		// Each defended client gets its own pipeline instance over a
-		// per-client seeded stream: stochastic stages (DPSGD, ATS) are
-		// stateful and must not be shared across concurrent clients.
-		pl, err := defense.NewPipeline(sc.Defense.Kind,
-			defense.Config{Rng: nn.RandSource(sc.Seed+2, uint64(d.index))})
-		if err != nil {
-			return nil, err
+// instantiate builds the real simClient for one descriptor. A first lease
+// (zero record) draws the client's training stream and defense pipeline from
+// the same keyed streams the eager population loop used, so a client's
+// behavior is independent of when (or whether) it is materialized; a
+// re-lease adopts the record's rng and pipeline as they stand.
+func (vp *virtualPopulation) instantiate(d virtualClient, rec departed) (*simClient, error) {
+	sc := &vp.sc
+	if rec.rng == nil {
+		rec.rng = nn.RandSource(sc.Seed+1, uint64(d.index))
+		if d.defended {
+			// Each defended client gets its own pipeline instance over a
+			// per-client seeded stream: stochastic stages (DPSGD, ATS) are
+			// stateful and must not be shared across concurrent clients.
+			pl, err := defense.NewPipeline(sc.Defense.Kind,
+				defense.Config{Rng: nn.RandSource(sc.Seed+2, uint64(d.index))})
+			if err != nil {
+				return nil, err
+			}
+			rec.defense = pl
 		}
-		rec.inner = pl
 	}
-	lc.Defense = rec
+	shard := data.NewSubset(vp.trainDS, vp.parts.Shard(d.index), fmt.Sprintf("%s-shard-%d", sc.Name, d.index))
+	lc := fl.NewLocalClient(clientName(d.index), shard, sc.BatchSize, rec.rng)
+	lc.LocalSteps = sc.LocalSteps
+	recorder := &batchRecorder{inner: rec.defense}
+	lc.Defense = recorder
 	return &simClient{
-		inner:        lc,
-		index:        d.index,
-		seed:         sc.Seed,
-		record:       rec,
-		dropout:      sc.Dropout,
-		straggler:    d.straggler,
-		baseMS:       sc.Straggler.BaseDelayMS,
-		meanMS:       sc.Straggler.MeanDelayMS,
-		deadlineMS:   sc.DeadlineMS,
-		realTime:     sc.RealTime,
-		attackActive: vp.attackActive,
-		// No size hint: a cross-device client is sampled about once, so a
-		// map sized for every round would dominate its retained bytes.
-		outcomes: make(map[int]*roundOutcome),
+		inner:     lc,
+		pop:       vp,
+		index:     d.index,
+		straggler: d.straggler,
+		record:    recorder,
+		originals: rec.originals,
 	}, nil
 }
 
-// residents returns every instantiated client in ascending index order — the
-// iteration order the eager engine's population slice gave scoreAttack.
-// Clients never sampled have no outcomes and would contribute nothing, so
-// iterating residents only is an exact optimization.
-func (vp *virtualPopulation) residents() []*simClient {
-	out := make([]*simClient, 0, len(vp.resident))
-	for _, c := range vp.resident {
-		out = append(out, c)
+// clientName is client i's ID.
+func clientName(i int) string { return fmt.Sprintf("client-%04d", i) }
+
+// recorded indexes every departed client's recorded originals by client ID
+// and attack round, for scoring. Clients that never recorded originals are
+// absent.
+func (vp *virtualPopulation) recorded() map[string]map[int][]*imaging.Image {
+	out := make(map[string]map[int][]*imaging.Image)
+	for i, d := range vp.departed {
+		if d.originals != nil {
+			out[clientName(i)] = d.originals
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].index < out[b].index })
 	return out
 }
 

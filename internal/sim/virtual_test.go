@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"context"
+	"math"
 	"runtime"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
@@ -58,26 +61,35 @@ func TestVirtualPopulationScale(t *testing.T) {
 	}
 }
 
-// TestVirtualLeaseSemantics pins the lease contract directly: cohort order
-// follows the index arguments, a resampled client is the same instance (its
-// cross-round rng/defense state must continue), and descriptors resolve
-// without instantiation.
-func TestVirtualLeaseSemantics(t *testing.T) {
-	sc := scaleScenario()
-	sc.Clients = 1000
-	sc.Dataset.Samples = 3000
+// testPopulation builds the virtual population of a scenario over an IID
+// lazy partition, as run does.
+func testPopulation(t *testing.T, sc Scenario) *virtualPopulation {
+	t.Helper()
 	d := sc.Dataset
-	ds := data.NewSynthCustom("lease", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
+	ds := data.NewSynthCustom(sc.Name, d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
 	parts, err := data.IID{}.PartitionLazy(ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp := newVirtualPopulation(sc, ds, parts)
+	return newVirtualPopulation(sc, ds, parts)
+}
+
+// TestVirtualLeaseSemantics pins the lease contract: cohort order follows
+// the index arguments, Release records the cohort in index order, and
+// descriptors resolve without instantiation. A released client keeps only a
+// departed record, so a re-leased client is a new instance; what must hold
+// instead is that it behaves exactly like one that was never released, which
+// the subtests check for an undefended, an OASIS and a DP-SGD client.
+func TestVirtualLeaseSemantics(t *testing.T) {
+	sc := scaleScenario()
+	sc.Clients = 1000
+	sc.Dataset.Samples = 3000
+	vp := testPopulation(t, sc)
 	if got := vp.NumClients(); got != 1000 {
 		t.Fatalf("NumClients = %d, want 1000", got)
 	}
-	if got := vp.NumSamples(7); got != parts.ShardLen(7) {
-		t.Fatalf("NumSamples(7) = %d, want %d", got, parts.ShardLen(7))
+	if got := vp.NumSamples(7); got != vp.parts.ShardLen(7) {
+		t.Fatalf("NumSamples(7) = %d, want %d", got, vp.parts.ShardLen(7))
 	}
 
 	first, err := vp.Lease(0, []int{42, 7, 999})
@@ -96,34 +108,115 @@ func TestVirtualLeaseSemantics(t *testing.T) {
 	if len(vp.cohort) != 3 || vp.cohort[0].index != 7 || vp.cohort[1].index != 42 || vp.cohort[2].index != 999 {
 		t.Errorf("released cohort not recorded in index order")
 	}
-
-	second, err := vp.Lease(1, []int{7, 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second[0] != first[1] {
-		t.Error("re-leasing client 7 built a new instance; cross-round state would restart")
-	}
-	if len(vp.resident) != 4 {
-		t.Errorf("%d residents after leasing 4 distinct clients, want 4", len(vp.resident))
-	}
-
-	res := vp.residents()
-	for j := 1; j < len(res); j++ {
-		if res[j-1].index >= res[j].index {
-			t.Fatal("residents() not in ascending index order")
-		}
+	if len(vp.departed) != 3 {
+		t.Errorf("%d departed records after releasing 3 clients, want 3", len(vp.departed))
 	}
 
 	// The descriptor table is a pure function of the keyed streams: asking
 	// about clients never leased must not instantiate them.
 	desc := vp.describe(500_000 % sc.Clients)
-	if desc.shardLen != parts.ShardLen(desc.index) {
-		t.Errorf("describe shardLen %d, want %d", desc.shardLen, parts.ShardLen(desc.index))
+	if desc.shardLen != vp.parts.ShardLen(desc.index) {
+		t.Errorf("describe shardLen %d, want %d", desc.shardLen, vp.parts.ShardLen(desc.index))
 	}
-	if len(vp.resident) != 4 {
+	if len(vp.departed) != 3 {
 		t.Error("describe() instantiated a client")
 	}
+
+	for _, kind := range []string{"", "oasis:MR", "dpsgd:1,0.1"} {
+		name := kind
+		if name == "" {
+			name = "undefended"
+		}
+		t.Run(name, func(t *testing.T) { checkReleasedClientResumes(t, kind) })
+	}
+}
+
+// checkReleasedClientResumes drives one client for three attack rounds
+// twice: leased, released and re-leased through the population each round,
+// and as one instance that is never released. Both must upload bit-identical
+// gradients and record bit-identical originals every round, which holds only
+// if the departed record carries the training rng and the defense pipeline
+// where the client left them.
+func checkReleasedClientResumes(t *testing.T, defenseKind string) {
+	const client = 7
+	sc := scaleScenario()
+	sc.Clients, sc.Dataset.Samples = 1000, 20_000
+	// Every round trains: no dropout, no deadline to miss.
+	sc.Dropout, sc.Straggler, sc.DeadlineMS = 0, StragglerSpec{}, 0
+	sc.Defense = DefenseSpec{Kind: defenseKind}
+	if defenseKind != "" {
+		sc.Defense.Fraction = 1
+	}
+	leased, kept := testPopulation(t, sc), testPopulation(t, sc)
+	always := func(int) bool { return true }
+	leased.attackActive, kept.attackActive = always, always
+	if got := leased.describe(client).defended; got != (defenseKind != "") {
+		t.Fatalf("client %d defended = %v under defense %q", client, got, defenseKind)
+	}
+	ref, err := kept.instantiate(kept.describe(client), departed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := buildModel(sc, leased.trainDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := fl.EncodeModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for round := 0; round < 3; round++ {
+		req := fl.RoundRequest{Round: round, Model: spec}
+		cohort, err := leased.Lease(round, []int{client, 3 + round})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got fl.Update
+		for j, c := range cohort {
+			u, err := c.HandleRound(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j == 0 {
+				got = u
+			}
+		}
+		leased.Release(round, cohort)
+		want, err := ref.HandleRound(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Grads) != len(want.Grads) {
+			t.Fatalf("round %d: %d gradients, want %d", round, len(got.Grads), len(want.Grads))
+		}
+		for i := range want.Grads {
+			if !bitsEqual(got.Grads[i].Data(), want.Grads[i].Data()) {
+				t.Fatalf("round %d: re-leased client's gradient %d differs from the never-released client's", round, i)
+			}
+		}
+		gotIms, wantIms := leased.departed[client].originals[round], ref.originals[round]
+		if len(wantIms) == 0 || len(gotIms) != len(wantIms) {
+			t.Fatalf("round %d: %d recorded originals, want %d (> 0)", round, len(gotIms), len(wantIms))
+		}
+		for i := range wantIms {
+			if !bitsEqual(gotIms[i].Pix, wantIms[i].Pix) {
+				t.Fatalf("round %d: recorded original %d differs from the never-released client's", round, i)
+			}
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCostModelWorkers pins the worker-cap cost model's envelope: never more
@@ -146,19 +239,22 @@ func TestCostModelWorkers(t *testing.T) {
 	}
 }
 
-// residentBytesPerClient leases 256 clients of a scenario with the given round
-// count and returns the live heap they retain per client.
-func residentBytesPerClient(t *testing.T, rounds int) float64 {
+// departedBytesPerClient leases 256 clients of a scenario with the given
+// round count, runs one (attack-free) round on them, releases them and
+// returns the live heap each one retains afterwards.
+func departedBytesPerClient(t *testing.T, rounds int) float64 {
 	t.Helper()
 	sc := scaleScenario()
 	sc.Clients, sc.Dataset.Samples, sc.Rounds = 1000, 3000, rounds
-	d := sc.Dataset
-	ds := data.NewSynthCustom("resident", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
-	parts, err := data.IID{}.PartitionLazy(ds, sc.Clients, nn.RandSource(sc.Seed, saltPartition))
+	vp := testPopulation(t, sc)
+	model, err := buildModel(sc, vp.trainDS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp := newVirtualPopulation(sc, ds, parts)
+	spec, err := fl.EncodeModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
 	indices := make([]int, 256)
 	for i := range indices {
 		indices[i] = 3 * i
@@ -167,24 +263,53 @@ func residentBytesPerClient(t *testing.T, rounds int) float64 {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := vp.Lease(0, indices); err != nil {
+	cohort, err := vp.Lease(0, indices)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range cohort {
+		// Dropped and late clients error by design; either way the round
+		// ran its reliability draw.
+		_, _ = c.HandleRound(context.Background(), fl.RoundRequest{Round: 0, Model: spec})
+	}
+	vp.Release(0, cohort)
+	// The next Release replaces the cohort kept for round collection; what
+	// stays is the departed clients' own state.
+	cohort, vp.cohort = nil, nil
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(vp)
+	runtime.KeepAlive(spec)
 	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(indices))
 }
 
-// TestResidentClientBytesIndependentOfRounds pins that an instantiated
-// client's retained state does not scale with the scenario's round count. A
+// TestResidentClientBytesIndependentOfRounds pins that a departed client's
+// retained state does not scale with the scenario's round count. A
 // cross-device client is sampled about once, so state sized for every round
-// made the resident heap grow superlinearly with run length.
+// made the retained heap grow superlinearly with run length.
 func TestResidentClientBytesIndependentOfRounds(t *testing.T) {
-	short := residentBytesPerClient(t, 2)
-	long := residentBytesPerClient(t, 4096)
-	t.Logf("retained bytes per resident client: %.0f at 2 rounds, %.0f at 4096", short, long)
+	short := departedBytesPerClient(t, 2)
+	long := departedBytesPerClient(t, 4096)
+	t.Logf("retained bytes per departed client: %.0f at 2 rounds, %.0f at 4096", short, long)
 	if long > 1.25*short+512 {
-		t.Errorf("a resident client retains %.0f B at 4096 rounds vs %.0f B at 2: per-client state grows with Rounds", long, short)
+		t.Errorf("a departed client retains %.0f B at 4096 rounds vs %.0f B at 2: per-client state grows with Rounds", long, short)
+	}
+}
+
+// departedClientBudget bounds the heap one released client retains: its
+// training rng, a map entry and, for the tenth of clients that are
+// defended, an OASIS pipeline. Keeping whole clients resident retained about
+// 670 B each after one round; the compact record measures 126 B on amd64.
+const departedClientBudget = 200
+
+// TestDepartedClientBytes pins the compact record: after one round and its
+// Release, each departed client retains at most departedClientBudget bytes,
+// so a cross-device run's live heap grows by records, not by clients.
+func TestDepartedClientBytes(t *testing.T) {
+	got := departedBytesPerClient(t, 2)
+	t.Logf("retained bytes per departed client: %.0f", got)
+	if got > departedClientBudget {
+		t.Errorf("a departed client retains %.0f B, budget %d B", got, departedClientBudget)
 	}
 }
