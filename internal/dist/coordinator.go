@@ -101,7 +101,7 @@ func StartCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator,
 			c.logf("resumed %d/%d jobs from %s", len(loaded), grid.NumJobs(), cfg.Checkpoint)
 		}
 	}
-	for id := 0; id < grid.NumJobs(); id++ {
+	for _, id := range grid.Order() {
 		if c.results[id] == nil {
 			c.queue = append(c.queue, id)
 		}

@@ -317,6 +317,70 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestResumeAscendingCheckpoint: a checkpoint whose result lines are in
+// ascending job-ID order, as a serial run wrote them before jobs were
+// dispatched attack-major, resumes to the serial report, both served to a
+// worker and in-process. Its jobs are not contiguous in dispatch order.
+func TestResumeAscendingCheckpoint(t *testing.T) {
+	golden := serialGolden(t)
+	grid, err := experiments.NewSweepGrid(testSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	w, err := OpenCheckpoint(ckpt, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for id := range grid.NumJobs() / 2 {
+		if err := w.Append(grid.RunJob(ctx, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pre, err := LoadCheckpoint(ckpt, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testSweep()
+	cfg.CellWorkers, cfg.Preloaded = 1, pre
+	rep, err := experiments.RunSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := rep.JSON(); !bytes.Equal(golden, raw) {
+		t.Fatalf("in-process resume diverges from serial:\n%s\nvs\n%s", raw, golden)
+	}
+
+	c := startTestCoordinator(t, ctx, CoordinatorConfig{Checkpoint: ckpt})
+	go RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: "resumer", BaseBackoff: time.Millisecond}) //nolint:errcheck
+	rep, err = c.Wait(ctx)
+	if err != nil {
+		t.Fatalf("resumed Wait: %v", err)
+	}
+	if raw, _ := rep.JSON(); !bytes.Equal(golden, raw) {
+		t.Fatalf("served resume diverges from serial:\n%s\nvs\n%s", raw, golden)
+	}
+	after, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) {
+		t.Fatal("resuming rewrote the checkpoint's existing lines")
+	}
+	if lines := bytes.Count(after, []byte("\n")); lines != 1+grid.NumJobs() {
+		t.Fatalf("checkpoint has %d lines, want a header and one per job", lines)
+	}
+}
+
 // TestLoadCheckpointValidation pins the checkpoint loader's failure modes:
 // missing file, foreign grid, corrupt interior line, torn final line, failed
 // and duplicate result lines.

@@ -55,7 +55,7 @@ func TestAllocationBudget(t *testing.T) {
 			},
 		},
 		{
-			name: "sweep-grid", bytes: 6_760_000, mallocs: 32_290,
+			name: "sweep-grid", bytes: 6_153_000, mallocs: 28_620,
 			run: func() error {
 				_, err := RunSweep(SweepConfig{
 					Attacks:     []string{"rtf", "qbi"},

@@ -16,10 +16,12 @@ import (
 // jobs whose layout depends only on the axes and the replicate count — never
 // on scheduling — so the same enumeration, execution, and merge code backs
 // the in-process pool (RunSweep), checkpoint resume, and the internal/dist
-// coordinator/worker scale-out. Merge folds any assignment of job results
-// back in deterministic grid order, which is what makes the final report
-// byte-identical across worker counts, processes, and crash/resume
-// histories.
+// coordinator/worker scale-out. Jobs are identified in cell-major order
+// (JobID) but handed out attack-major (Order), so the defense columns of one
+// (attack, replicate) run back to back. Merge folds any assignment of job
+// results back in deterministic grid order, which is what makes the final
+// report byte-identical across worker counts, processes, dispatch orders,
+// and crash/resume histories.
 
 // SweepJob identifies one (cell, replicate) scenario run of a sweep grid.
 type SweepJob struct {
@@ -61,7 +63,9 @@ type SweepJobResult struct {
 // SweepGrid is a resolved sweep configuration: validated axes, derived
 // replicate seeds, and the per-job scenario recipe. It is immutable after
 // NewSweepGrid, so any number of goroutines (or processes holding an
-// identical config) can enumerate and run jobs against it.
+// identical config) can enumerate and run jobs against it. A job's ID
+// (JobID) is cell-major and is what results, checkpoints and Merge key on;
+// Order is only the sequence jobs are dispatched in.
 type SweepGrid struct {
 	Base       sim.Scenario
 	Attacks    []string
@@ -122,6 +126,23 @@ func (g *SweepGrid) NumJobs() int { return g.NumCells() * g.Replicates }
 
 // JobID maps grid coordinates to the dense job index.
 func (g *SweepGrid) JobID(cell, rep int) int { return cell*g.Replicates + rep }
+
+// Order lists every job ID in dispatch order: attack-major, then by
+// replicate, then by defense. The defense columns of one (attack,
+// replicate) calibrate the identical attack, so running them back to back
+// lets sim reuse that calibration while one of them still holds it.
+func (g *SweepGrid) Order() []int {
+	nd := len(g.Defenses)
+	ids := make([]int, 0, g.NumJobs())
+	for a := range g.Attacks {
+		for rep := range g.Replicates {
+			for d := range nd {
+				ids = append(ids, g.JobID(a*nd+d, rep))
+			}
+		}
+	}
+	return ids
+}
 
 // Job returns the job at the given dense index.
 func (g *SweepGrid) Job(id int) SweepJob {

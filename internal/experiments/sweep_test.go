@@ -226,6 +226,42 @@ func TestSweepGridShape(t *testing.T) {
 	}
 }
 
+// TestSweepGridOrder: Order hands out every job exactly once, and the
+// defense columns of each (attack, replicate), which calibrate the same
+// attack, come out next to each other.
+func TestSweepGridOrder(t *testing.T) {
+	grid, err := NewSweepGrid(SweepConfig{
+		Attacks:    []string{"cah", "rtf", "qbi"},
+		Defenses:   []string{"none", "prune:0.3", "dpsgd:1,0.1", "ats:MR"},
+		Replicates: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := grid.Order()
+	if len(order) != grid.NumJobs() {
+		t.Fatalf("Order has %d jobs, want %d", len(order), grid.NumJobs())
+	}
+	seen := make([]bool, grid.NumJobs())
+	for _, id := range order {
+		if id < 0 || id >= grid.NumJobs() || seen[id] {
+			t.Fatalf("Order %v is not a permutation of 0..%d", order, grid.NumJobs()-1)
+		}
+		seen[id] = true
+	}
+	nd := len(grid.Defenses)
+	for start := 0; start < len(order); start += nd {
+		first := grid.Job(order[start])
+		for i, id := range order[start : start+nd] {
+			job := grid.Job(id)
+			if job.Attack != first.Attack || job.Rep != first.Rep || job.Defense != grid.Defenses[i] {
+				t.Fatalf("Order position %d is %s×%s rep %d; want the %s rep %d columns together, in defense order",
+					start+i, job.Attack, job.Defense, job.Rep, first.Attack, first.Rep)
+			}
+		}
+	}
+}
+
 // TestSweepRejectsUnknownAttack keeps the axis validation wired to the
 // registry.
 func TestSweepRejectsUnknownAttack(t *testing.T) {

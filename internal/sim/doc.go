@@ -71,6 +71,21 @@
 // spec) alone, so toggling one knob — say, switching Defense.Kind between
 // sweep cells — can never reshuffle an unrelated draw.
 //
+// # Calibration reuse
+//
+// A built-in attack (rtf, cah, qbi, loki) calibrates its planted layer from
+// the scenario's own train data and a stream keyed by the seed, so its
+// result depends only on the attack kind, neurons, anticipated batch,
+// dataset geometry and seed. Runs that agree on all five — the defense
+// columns of one sweep (attack, replicate) — reuse one calibration: the
+// memo keeps the calibrated attack and the calibration stream's state after
+// it, and restores that state before building the victim, so the dispatched
+// model and the report are bit-identical to a cold calibration. Each run
+// still builds its own dishonest server, so captures stay per run. The memo
+// holds entries weakly; a run holds its own strongly, so an entry outlives
+// its last run only until the next GC, and a finished run pins no layer. A
+// kind added through attack.Register calibrates on every run.
+//
 // # Virtual clients and memory
 //
 // The engine never allocates O(population) training state. Each client

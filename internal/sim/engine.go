@@ -6,7 +6,9 @@ import (
 	"io"
 	"math"
 	rand "math/rand/v2"
+	"sync"
 	"time"
+	"weak"
 
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
@@ -173,7 +175,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	var sched *scheduledAttack
 	if sc.Attack.Kind != "" {
 		_, calSpan := obs.Start(ctx, "sim.calibrate_attack", obs.String("attack", sc.Attack.Kind))
-		sched, err = buildAttack(sc, trainDS, nn.RandSource(sc.Seed+3, 0xa77ac))
+		sched, err = buildAttack(sc, trainDS)
 		calSpan.End()
 		if err != nil {
 			return nil, err
@@ -254,25 +256,97 @@ func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, error) {
 }
 
 // buildAttack calibrates the scheduled dishonest server through the attack
-// registry, so every registered family is a valid scenario kind.
-func buildAttack(sc Scenario, ds data.Dataset, rng *rand.Rand) (*scheduledAttack, error) {
-	c, h, w := ds.Shape()
-	atk, err := attack.New(sc.Attack.Kind, attack.Config{
-		Dims:    attack.ImageDims{C: c, H: h, W: w},
-		Classes: ds.NumClasses(),
-		Neurons: sc.Attack.Neurons,
-		Probe:   ds,
-		Batch:   sc.Attack.AnticipatedBatch,
-		Rng:     rng,
-	})
-	var srv *attack.DishonestServer
-	if err == nil {
-		srv, err = attack.NewAttackServer(atk, rng)
+// registry, so every registered family is a valid scenario kind. A built-in
+// family's calibration is reused from a concurrent or recent run with the
+// same calKey (see calibrations), so the defense columns of a sweep
+// calibrate each (attack, replicate) once.
+func buildAttack(sc Scenario, ds data.Dataset) (*scheduledAttack, error) {
+	key := calKeyOf(sc)
+	cal := cachedCalibration(key)
+	if cal == nil {
+		pcg := rand.NewPCG(sc.Seed+3, 0xa77ac)
+		c, h, w := ds.Shape()
+		atk, err := attack.New(sc.Attack.Kind, attack.Config{
+			Dims:    attack.ImageDims{C: c, H: h, W: w},
+			Classes: ds.NumClasses(),
+			Neurons: sc.Attack.Neurons,
+			Probe:   ds,
+			Batch:   sc.Attack.AnticipatedBatch,
+			Rng:     rand.New(pcg),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sim: calibrate %s attack: %w", sc.Attack.Kind, err)
+		}
+		cal = &calibration{atk: atk, pcg: *pcg}
+		// Only the built-in families are Imprints named after their kind,
+		// and they are immutable once calibrated. A registered constructor
+		// may not be pure, so its kind calibrates on every run.
+		if imp, ok := atk.(*attack.Imprint); ok && imp.Name() == sc.Attack.Kind {
+			rememberCalibration(key, cal)
+		}
 	}
+	// The victim's other layers draw from the calibration stream where
+	// calibration left it, so a reused calibration dispatches the same spec.
+	pcg := cal.pcg
+	srv, err := attack.NewAttackServer(cal.atk, rand.New(&pcg))
 	if err != nil {
 		return nil, fmt.Errorf("sim: calibrate %s attack: %w", sc.Attack.Kind, err)
 	}
-	return &scheduledAttack{inner: srv, active: sc.Attack.Active}, nil
+	return &scheduledAttack{inner: srv, active: sc.Attack.Active, cal: cal}, nil
+}
+
+// calKey is everything attack calibration reads from a normalized
+// scenario: the family and its layer shape, the probe dataset (the train
+// Synth, seeded with the scenario seed) and the seed of the calibration
+// stream.
+type calKey struct {
+	kind           string
+	neurons, batch int
+	dataset        DatasetSpec
+	seed           uint64
+}
+
+func calKeyOf(sc Scenario) calKey {
+	return calKey{
+		kind: sc.Attack.Kind, neurons: sc.Attack.Neurons, batch: sc.Attack.AnticipatedBatch,
+		dataset: sc.Dataset, seed: sc.Seed,
+	}
+}
+
+// calibration is a calibrated attack and the calibration stream's state
+// right after it.
+type calibration struct {
+	atk attack.Attack
+	pcg rand.PCG
+}
+
+// calibrations memoizes built-in calibrations by key. It holds them weakly:
+// each run's scheduledAttack holds its calibration strongly, so an entry
+// lives while a run uses it and until the next GC after, and a finished run
+// pins nothing. Two concurrent misses on one key both calibrate, to the same
+// result.
+var (
+	calMu        sync.Mutex
+	calibrations = map[calKey]weak.Pointer[calibration]{}
+)
+
+func cachedCalibration(key calKey) *calibration {
+	calMu.Lock()
+	defer calMu.Unlock()
+	return calibrations[key].Value()
+}
+
+// rememberCalibration stores cal under key, dropping the entries whose
+// calibration has been collected.
+func rememberCalibration(key calKey, cal *calibration) {
+	calMu.Lock()
+	defer calMu.Unlock()
+	for k, p := range calibrations {
+		if p.Value() == nil {
+			delete(calibrations, k)
+		}
+	}
+	calibrations[key] = weak.Make(cal)
 }
 
 // scheduledAttack gates a DishonestServer behind the scenario's attack
@@ -280,6 +354,7 @@ func buildAttack(sc Scenario, ds data.Dataset, rng *rand.Rand) (*scheduledAttack
 type scheduledAttack struct {
 	inner  *attack.DishonestServer
 	active func(round int) bool
+	cal    *calibration // keeps the memo entry alive for the run
 }
 
 var (
