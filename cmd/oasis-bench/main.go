@@ -5,9 +5,12 @@
 //	oasis-bench -list
 //	oasis-bench -run fig5 -out results
 //	oasis-bench -run all -quick
+//	oasis-bench -run fig2,visual,fig14 -out results
 //
 // Every experiment prints the same rows/series the paper reports; -out
-// additionally writes CSV tables and PNG figures.
+// additionally writes CSV tables and PNG figures. The fig2,visual,fig14 run
+// writes the visual-reconstruction montages (figures 2, 7–12 and 14): raw
+// input images beside the dishonest server's reconstructions.
 package main
 
 import (

@@ -87,7 +87,7 @@ func (v *Victim) Gradients(b *data.Batch) (gw, gb *tensor.Tensor, loss float64) 
 	v.Net.ZeroGrad()
 	x := b.Flatten()
 	logits := v.Net.Forward(x, true)
-	loss, g := nn.SoftmaxCrossEntropy{}.Compute(logits, b.Labels)
+	loss, g := nn.SoftmaxCrossEntropy(logits, b.Labels)
 	v.Net.Backward(g)
 	return v.Mal.Weight.G.Clone(), v.Mal.Bias.G.Clone(), loss
 }

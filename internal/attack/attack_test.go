@@ -32,7 +32,7 @@ func TestVictimGradientsAreExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nn.CheckGradients(victim.Net, nn.SoftmaxCrossEntropy{}, batch.Flatten(), batch.Labels, 1e-5)
+	res, err := nn.CheckGradients(victim.Net, batch.Flatten(), batch.Labels, 1e-5)
 	if err != nil {
 		t.Fatalf("victim gradients not exact: %v", err)
 	}
@@ -362,7 +362,7 @@ func TestVictimGradientsMatchFullChain(t *testing.T) {
 	gw, gb, _ := victim.Gradients(batch)
 
 	victim.Net.ZeroGrad()
-	_, g := nn.SoftmaxCrossEntropy{}.Compute(victim.Net.Forward(batch.Flatten(), true), batch.Labels)
+	_, g := nn.SoftmaxCrossEntropy(victim.Net.Forward(batch.Flatten(), true), batch.Labels)
 	for i := len(victim.Net.Layers) - 1; i >= 0; i-- {
 		g = victim.Net.Layers[i].Backward(g)
 	}

@@ -47,7 +47,7 @@ func (a *LinearInversion) BuildModel(rng *rand.Rand) *nn.Sequential {
 func (a *LinearInversion) Gradients(model *nn.Sequential, b *data.Batch) (gw, gb *tensor.Tensor, loss float64) {
 	model.ZeroGrad()
 	logits := model.Forward(b.Flatten(), true)
-	loss, g := nn.SoftmaxCrossEntropy{}.Compute(logits, b.Labels)
+	loss, g := nn.SoftmaxCrossEntropy(logits, b.Labels)
 	model.Backward(g)
 	params := model.Params()
 	return params[0].G.Clone(), params[1].G.Clone(), loss

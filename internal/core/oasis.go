@@ -89,7 +89,7 @@ func (d *Defense) Name() string {
 func ActivationSets(w *tensor.Tensor, bias *tensor.Tensor, inputs *tensor.Tensor) [][]bool {
 	bN := inputs.Dim(0)
 	n := w.Dim(0)
-	// One batched inputs·Wᵀ product instead of a per-row MatVec loop: the
+	// One batched inputs·Wᵀ product instead of per-row dot products: the
 	// blocked kernel amortizes W across the whole batch (the row-at-a-time
 	// loop re-streamed all of W per image). Each element is the same dot
 	// product the per-row path computed, so the sets are unchanged.

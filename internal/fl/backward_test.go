@@ -32,7 +32,7 @@ func fullChainUpdate(t *testing.T, shard data.Dataset, spec ModelSpec, batchSize
 			x = batch.Flatten()
 		}
 		net.ZeroGrad()
-		_, g := nn.SoftmaxCrossEntropy{}.Compute(net.Forward(x, true), batch.Labels)
+		_, g := nn.SoftmaxCrossEntropy(net.Forward(x, true), batch.Labels)
 		for i := len(net.Layers) - 1; i >= 0; i-- {
 			g = net.Layers[i].Backward(g)
 		}

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
@@ -91,27 +90,4 @@ func ReadModel(r io.Reader) (ModelSpec, error) {
 		return ModelSpec{}, fmt.Errorf("fl: checkpoint magic %q is not %q", file.Magic, checkpointMagic)
 	}
 	return file.Spec, nil
-}
-
-// MarshalModel returns the checkpoint bytes for a network (convenience for
-// embedding models in tests or shipping them through other channels).
-func MarshalModel(net *nn.Sequential) ([]byte, error) {
-	spec, err := EncodeModel(net)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := WriteModel(&buf, spec); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalModel reverses MarshalModel.
-func UnmarshalModel(raw []byte) (*nn.Sequential, error) {
-	spec, err := ReadModel(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeModel(spec)
 }

@@ -40,11 +40,19 @@ func TestCheckpointResumesTraining(t *testing.T) {
 		nn.NewReLU("r"),
 		nn.NewLinear("fc2", 12, 3, rng),
 	)
-	raw, err := MarshalModel(net)
+	spec, err := EncodeModel(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalModel(raw)
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, spec); err != nil {
+		t.Fatal(err)
+	}
+	spec, err = ReadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeModel(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestCheckpointResumesTraining(t *testing.T) {
 	run := func(m *nn.Sequential) float64 {
 		m.ZeroGrad()
 		out := m.Forward(x, true)
-		loss, g := nn.SoftmaxCrossEntropy{}.Compute(out, labels)
+		loss, g := nn.SoftmaxCrossEntropy(out, labels)
 		m.Backward(g)
 		return loss
 	}

@@ -89,7 +89,6 @@ type LocalClient struct {
 	Shard     data.Dataset
 	BatchSize int
 	Defense   Defense
-	Loss      nn.Loss
 	Rng       *rand.Rand
 
 	LocalSteps int     // ≤ 1 means single-gradient FedSGD (the paper's setting)
@@ -104,7 +103,6 @@ func NewLocalClient(name string, shard data.Dataset, batchSize int, rng *rand.Ra
 		Name:      name,
 		Shard:     shard,
 		BatchSize: batchSize,
-		Loss:      nn.SoftmaxCrossEntropy{},
 		Rng:       rng,
 	}
 }
@@ -224,7 +222,7 @@ func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, 
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
-	loss, err = runModel(net, c.Loss, x, batch.Labels)
+	loss, err = runModel(net, x, batch.Labels)
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
@@ -237,14 +235,14 @@ func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, 
 // width does not match its input panics in nn's shape checks, which run on
 // this goroutine, so the panic becomes an error instead of killing the
 // client (or, in process, the server).
-func runModel(net *nn.Sequential, lossFn nn.Loss, x *tensor.Tensor, labels []int) (loss float64, err error) {
+func runModel(net *nn.Sequential, x *tensor.Tensor, labels []int) (loss float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dispatched model does not run on the local batch: %v", r)
 		}
 	}()
 	logits := net.Forward(x, true)
-	loss, g := lossFn.Compute(logits, labels)
+	loss, g := nn.SoftmaxCrossEntropy(logits, labels)
 	net.Backward(g)
 	return loss, nil
 }

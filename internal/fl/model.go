@@ -41,7 +41,7 @@ import (
 // server the power the paper analyzes: clients execute whatever model they
 // receive.
 type LayerSpec struct {
-	Kind string // linear | relu | sigmoid | tanh | dropout | flatten | conv | batchnorm | maxpool | gap | residual
+	Kind string // linear | relu | flatten | conv | batchnorm | gap | residual
 	Name string
 
 	// linear / conv parameters
@@ -56,12 +56,6 @@ type LayerSpec struct {
 	RunningMean, RunningVar []float64
 	Eps, Momentum           float64
 	Channels                int
-
-	// pooling
-	Window int
-
-	// dropout
-	DropP float64
 
 	// residual
 	Body []LayerSpec
@@ -126,12 +120,6 @@ func encodeLayer(l nn.Layer) (LayerSpec, error) {
 		return LayerSpec{Kind: "linear", Name: v.Name(), W: v.Weight.W.Clone(), B: v.Bias.W.Clone()}, nil
 	case *nn.ReLU:
 		return LayerSpec{Kind: "relu", Name: v.Name()}, nil
-	case *nn.Sigmoid:
-		return LayerSpec{Kind: "sigmoid", Name: v.Name()}, nil
-	case *nn.Tanh:
-		return LayerSpec{Kind: "tanh", Name: v.Name()}, nil
-	case *nn.Dropout:
-		return LayerSpec{Kind: "dropout", Name: v.Name(), DropP: v.P}, nil
 	case *nn.Flatten:
 		return LayerSpec{Kind: "flatten", Name: v.Name()}, nil
 	case *nn.Conv2D:
@@ -147,8 +135,6 @@ func encodeLayer(l nn.Layer) (LayerSpec, error) {
 			RunningVar:  append([]float64(nil), v.RunningVar...),
 			Eps:         v.Eps, Momentum: v.Momentum,
 		}, nil
-	case *nn.MaxPool2D:
-		return LayerSpec{Kind: "maxpool", Name: v.Name(), Window: v.K}, nil
 	case *nn.GlobalAvgPool:
 		return LayerSpec{Kind: "gap", Name: v.Name()}, nil
 	case *nn.Residual:
@@ -211,14 +197,6 @@ func decodeLayer(s LayerSpec) (nn.Layer, error) {
 		return nn.NewLinearFrom(s.Name, s.W, s.B)
 	case "relu":
 		return nn.NewReLU(s.Name), nil
-	case "sigmoid":
-		return nn.NewSigmoid(s.Name), nil
-	case "tanh":
-		return nn.NewTanh(s.Name), nil
-	case "dropout":
-		// The receiving client supplies its own randomness; dropout masks
-		// are inherently local state, not part of the dispatched model.
-		return nn.NewDropout(s.Name, s.DropP, nn.RandSource(0xd20b, 1))
 	case "flatten":
 		return nn.NewFlatten(s.Name), nil
 	case "conv":
@@ -234,8 +212,6 @@ func decodeLayer(s LayerSpec) (nn.Layer, error) {
 		copy(bn.RunningVar, s.RunningVar)
 		bn.Eps, bn.Momentum = s.Eps, s.Momentum
 		return bn, nil
-	case "maxpool":
-		return nn.NewMaxPool2D(s.Name, s.Window), nil
 	case "gap":
 		return nn.NewGlobalAvgPool(s.Name), nil
 	case "residual":
@@ -287,10 +263,6 @@ func validateLayer(s LayerSpec) error {
 			!hasShape(s.Gamma, s.Channels) || !hasShape(s.Beta, s.Channels) ||
 			len(s.RunningMean) != s.Channels || len(s.RunningVar) != s.Channels {
 			return fmt.Errorf("fl: batchnorm spec %q has inconsistent shapes", s.Name)
-		}
-	case "maxpool":
-		if s.Window <= 0 {
-			return fmt.Errorf("fl: maxpool spec %q has non-positive window %d", s.Name, s.Window)
 		}
 	}
 	return nil

@@ -48,7 +48,9 @@ func FuzzDecodeModel(f *testing.F) {
 		// maxpool window, a linear layer 7 wide that decodes but
 		// panicked the client on its 64-wide batch, and an 86-wide conv
 		// kernel whose two negative output extents sized a 1.3 GB
-		// workspace for the client's 8×8 images.
+		// workspace for the client's 8×8 images. The maxpool and
+		// dropout kinds have since been removed; their seeds now
+		// exercise the unknown-kind reject path.
 		{kind: "linear", in: 3, out: 2, bLen: 2},
 		{kind: "linear", in: 7, out: 3, wLen: -1, bLen: -1},
 		{kind: "conv", in: 1, out: 2, k: 86, stride: 1, pad: 1, wLen: -1, bLen: -1},
@@ -143,7 +145,7 @@ func fuzzLayerSpec(name, kind string, in, out, k, stride, pad, wLen, bLen int) L
 	s := LayerSpec{
 		Kind: kind, Name: name,
 		InC: in, OutC: out, K: k, Stride: stride, Pad: pad,
-		Channels: in, Window: k, DropP: float64(k) / 8, Eps: 1e-5,
+		Channels: in, Eps: 1e-5,
 		W: fuzzParam(wLen, out, in), B: fuzzParam(bLen, out),
 		Gamma: fuzzParam(wLen, in), Beta: fuzzParam(bLen, in),
 	}
@@ -194,8 +196,6 @@ func fuzzInputShape(l nn.Layer) []int {
 		return []int{2, l.InC, l.K, l.K}
 	case *nn.BatchNorm2D:
 		return []int{2, l.C, 2, 2}
-	case *nn.MaxPool2D:
-		return []int{2, 1, max(l.K, 2), max(l.K, 2)}
 	default:
 		return []int{2, 2, 2, 2}
 	}
@@ -210,8 +210,6 @@ func fuzzAccepts(l nn.Layer, shape []int) bool {
 		return len(shape) == 4 && shape[1] == l.InC && min(shape[2], shape[3])+2*l.Pad >= l.K
 	case *nn.BatchNorm2D:
 		return len(shape) == 4 && shape[1] == l.C
-	case *nn.MaxPool2D:
-		return len(shape) == 4 && min(shape[2], shape[3]) >= l.K
 	case *nn.GlobalAvgPool:
 		return len(shape) == 4
 	default:

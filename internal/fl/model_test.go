@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/nn"
@@ -67,12 +68,11 @@ func TestModelSpecRoundTripResNet(t *testing.T) {
 	}
 	// Gradients must match too: the attacks depend on exact gradients of
 	// the dispatched model.
-	lossFn := nn.SoftmaxCrossEntropy{}
 	labels := []int{0, 3}
 	run := func(m *nn.Sequential) []*tensor.Tensor {
 		m.ZeroGrad()
 		out := m.Forward(x4, true)
-		_, g := lossFn.Compute(out, labels)
+		_, g := nn.SoftmaxCrossEntropy(out, labels)
 		m.Backward(g)
 		return m.Gradients()
 	}
@@ -91,9 +91,8 @@ func TestModelSpecRoundTripPooling(t *testing.T) {
 	rng := nn.RandSource(3, 1)
 	net := nn.NewSequential(
 		nn.NewConv2D("c", 1, 2, 3, 1, 1, rng),
-		nn.NewMaxPool2D("mp", 2),
-		nn.NewFlatten("fl"),
-		nn.NewLinear("fc", 2*3*3, 2, rng),
+		nn.NewGlobalAvgPool("gap"),
+		nn.NewLinear("fc", 2, 2, rng),
 	)
 	spec, err := EncodeModel(net)
 	if err != nil {
@@ -168,10 +167,14 @@ func TestDecodeRejectsCorruptBatchNorm(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruptMaxPool(t *testing.T) {
-	for _, w := range []int{0, -2} {
-		if _, err := decodeLayer(LayerSpec{Kind: "maxpool", Name: "mp", Window: w}); err == nil {
-			t.Errorf("maxpool with window %d accepted", w)
+// TestDecodeRejectsRemovedKinds: sigmoid, tanh, dropout and maxpool were
+// wire kinds once, and no model this repository builds uses them; a spec
+// that still names one is an unknown kind.
+func TestDecodeRejectsRemovedKinds(t *testing.T) {
+	for _, kind := range []string{"sigmoid", "tanh", "dropout", "maxpool"} {
+		_, err := DecodeModel(ModelSpec{Layers: []LayerSpec{{Kind: kind, Name: kind}}})
+		if err == nil || !strings.Contains(err.Error(), "unknown layer kind") {
+			t.Errorf("%s: err = %v, want an unknown layer kind error", kind, err)
 		}
 	}
 }
@@ -204,41 +207,5 @@ func TestMaliciousSwapIsExpressible(t *testing.T) {
 	}
 	if got := len(back.Layers); got != 3 {
 		t.Errorf("decoded malicious model has %d layers", got)
-	}
-}
-
-func TestModelSpecRoundTripExtraLayers(t *testing.T) {
-	rng := nn.RandSource(5, 1)
-	drop, err := nn.NewDropout("drop", 0.25, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := nn.NewSequential(
-		nn.NewLinear("fc1", 6, 8, rng),
-		nn.NewSigmoid("sig"),
-		nn.NewTanh("tanh"),
-		drop,
-		nn.NewLinear("fc2", 8, 3, rng),
-	)
-	spec, err := EncodeModel(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inference forward must agree exactly (dropout is identity there).
-	x := randInput(rng, 4, 6)
-	if !net.Forward(x, false).EqualApprox(back.Forward(x, false), 1e-12) {
-		t.Error("decoded net with extra layers differs in inference mode")
-	}
-	// The dropout probability must survive the round trip.
-	decoded, ok := back.Layers[3].(*nn.Dropout)
-	if !ok {
-		t.Fatalf("layer 3 decoded as %T", back.Layers[3])
-	}
-	if decoded.P != 0.25 {
-		t.Errorf("dropout P = %g after round trip", decoded.P)
 	}
 }

@@ -2,11 +2,11 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
@@ -17,8 +17,7 @@ import (
 // transforms the gradients in place before each step (DPSGD). It returns the
 // last epoch's mean training loss.
 func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, def Defense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
-	optimizer := opt.NewAdam(1e-3, 1e-4)
-	loss := nn.SoftmaxCrossEntropy{}
+	optimizer := newAdam(1e-3, 1e-4)
 	kind := inputKind(net)
 	params := net.Params()
 	lastLoss := 0.0
@@ -40,7 +39,7 @@ func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, def Defense, ep
 			}
 			net.ZeroGrad()
 			logits := net.Forward(x, true)
-			l, g := loss.Compute(logits, batch.Labels)
+			l, g := nn.SoftmaxCrossEntropy(logits, batch.Labels)
 			net.Backward(g)
 			if def != nil {
 				grads := make([]*tensor.Tensor, 0, len(params))
@@ -58,6 +57,57 @@ func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, def Defense, ep
 		}
 	}
 	return lastLoss, nil
+}
+
+// adam is the Adam optimizer (Kingma & Ba) with decoupled weight decay,
+// matching the paper's Table I training recipe (Adam, lr 1e-3, weight decay).
+type adam struct {
+	lr          float64
+	beta1       float64
+	beta2       float64
+	eps         float64
+	weightDecay float64
+
+	t int
+	m map[*nn.Param]*tensor.Tensor
+	v map[*nn.Param]*tensor.Tensor
+}
+
+// newAdam constructs an Adam optimizer with the usual β defaults.
+func newAdam(lr, weightDecay float64) *adam {
+	return &adam{
+		lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weightDecay: weightDecay,
+		m: make(map[*nn.Param]*tensor.Tensor),
+		v: make(map[*nn.Param]*tensor.Tensor),
+	}
+}
+
+// Step applies one Adam update with bias correction.
+func (a *adam) Step(params []*nn.Param) {
+	a.t++
+	c1 := 1 - math.Pow(a.beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.beta2, float64(a.t))
+	for _, p := range params {
+		m, ok := a.m[p]
+		if !ok {
+			m = tensor.New(p.W.Shape()...)
+			a.m[p] = m
+			a.v[p] = tensor.New(p.W.Shape()...)
+		}
+		v := a.v[p]
+		gd := p.G.Data()
+		md, vd, wd := m.Data(), v.Data(), p.W.Data()
+		for i, g := range gd {
+			if a.weightDecay != 0 {
+				g += a.weightDecay * wd[i]
+			}
+			md[i] = a.beta1*md[i] + (1-a.beta1)*g
+			vd[i] = a.beta2*vd[i] + (1-a.beta2)*g*g
+			mh := md[i] / c1
+			vh := vd[i] / c2
+			wd[i] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
+		}
+	}
 }
 
 // EvaluateAccuracy computes net's classification accuracy over the whole of

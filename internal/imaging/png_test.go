@@ -95,39 +95,3 @@ func TestMontageDefaultColumns(t *testing.T) {
 		t.Errorf("montage height %d, want 6", m.H)
 	}
 }
-
-func TestWritePGM(t *testing.T) {
-	im := randImage(60, 3, 5, 7)
-	path := filepath.Join(t.TempDir(), "gray.pgm")
-	if err := im.WritePGM(path); err != nil {
-		t.Fatalf("WritePGM: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHeader := "P5\n7 5\n255\n"
-	if string(raw[:len(wantHeader)]) != wantHeader {
-		t.Errorf("PGM header = %q", raw[:len(wantHeader)])
-	}
-	if len(raw) != len(wantHeader)+5*7 {
-		t.Errorf("PGM payload %d bytes, want %d", len(raw)-len(wantHeader), 35)
-	}
-}
-
-func TestWritePGMGrayscalePassthrough(t *testing.T) {
-	im := NewImage(1, 1, 2)
-	im.Pix[0], im.Pix[1] = 0, 1
-	path := filepath.Join(t.TempDir(), "bw.pgm")
-	if err := im.WritePGM(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := raw[len(raw)-2:]
-	if payload[0] != 0 || payload[1] != 255 {
-		t.Errorf("PGM bytes = %v", payload)
-	}
-}

@@ -67,9 +67,9 @@ func TestBackwardSkipsOnlyInputGradient(t *testing.T) {
 			for step := 0; step < 2; step++ {
 				tc.net.ZeroGrad()
 				ref.ZeroGrad()
-				_, g := SoftmaxCrossEntropy{}.Compute(tc.net.Forward(x, true), labels)
+				_, g := SoftmaxCrossEntropy(tc.net.Forward(x, true), labels)
 				tc.net.Backward(g)
-				_, gr := SoftmaxCrossEntropy{}.Compute(ref.Forward(x, true), labels)
+				_, gr := SoftmaxCrossEntropy(ref.Forward(x, true), labels)
 				fullChainBackward(ref, gr)
 				requireSameGrads(t, tc.net, ref)
 			}
@@ -90,7 +90,7 @@ func (b badInputGrad) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 func TestCheckGradientsCatchesInputGradient(t *testing.T) {
 	rng := RandSource(22, 1)
 	net := NewSequential(badInputGrad{NewLinear("fc", 6, 4, rng)})
-	res, err := CheckGradients(net, SoftmaxCrossEntropy{}, randInput(rng, 3, 6), []int{0, 2, 3}, 1e-5)
+	res, err := CheckGradients(net, randInput(rng, 3, 6), []int{0, 2, 3}, 1e-5)
 	if err == nil {
 		t.Fatalf("wrong input gradient passed the check (max rel err %.3e)", res.MaxRelErr)
 	}

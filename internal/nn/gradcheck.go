@@ -14,26 +14,27 @@ type GradCheckResult struct {
 	Index     int
 }
 
-// CheckGradients compares the analytic gradients of net for (x, labels, loss)
-// against central finite differences with step eps. It checks every
-// parameter and the input gradient, returning the worst relative error.
+// CheckGradients compares the analytic gradients of net's softmax
+// cross-entropy on (x, labels) against central finite differences with step
+// eps. It checks every parameter and the input gradient, returning the
+// worst relative error.
 //
 // This is the correctness anchor of the whole substrate: the inversion
 // attacks are only meaningful if the gradients they invert are exact.
-func CheckGradients(net *Sequential, loss Loss, x *tensor.Tensor, labels []int, eps float64) (GradCheckResult, error) {
+func CheckGradients(net *Sequential, x *tensor.Tensor, labels []int, eps float64) (GradCheckResult, error) {
 	// Evaluate in training mode: layers like batch norm compute the loss
 	// from batch statistics there, which is the function the analytic
 	// backward pass differentiates. (Training-mode side effects — caches,
 	// running-stat updates — do not influence the returned loss.)
 	eval := func() float64 {
 		out := net.Forward(x, true)
-		l, _ := loss.Compute(out, labels)
+		l, _ := SoftmaxCrossEntropy(out, labels)
 		return l
 	}
 	// Analytic pass.
 	net.ZeroGrad()
 	out := net.Forward(x, true)
-	_, gx := loss.Compute(out, labels)
+	_, gx := SoftmaxCrossEntropy(out, labels)
 	// Sequential.Backward skips the input gradient, so walk the full
 	// per-layer chain to get it.
 	for i := len(net.Layers) - 1; i >= 0; i-- {

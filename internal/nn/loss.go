@@ -7,23 +7,12 @@ import (
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// Loss maps network outputs and integer labels to a scalar loss and the
-// gradient of that loss with respect to the outputs.
-type Loss interface {
-	// Compute returns the mean loss over the batch and ∂loss/∂logits.
-	Compute(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
-	Name() string
-}
-
 // SoftmaxCrossEntropy is the standard multi-class classification loss
-// averaged over the batch. This is the loss the FL clients in the paper
-// minimize, and whose gradients the dishonest server inverts.
-type SoftmaxCrossEntropy struct{}
-
-var _ Loss = SoftmaxCrossEntropy{}
-
-// Compute returns mean cross-entropy and its gradient (softmax − onehot)/B.
-func (SoftmaxCrossEntropy) Compute(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+// averaged over the batch, and the one loss in this repository: the FL
+// clients in the paper minimize it, and the dishonest server inverts its
+// gradients. It returns mean cross-entropy and its gradient with respect
+// to the logits, (softmax − onehot)/B.
+func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.Dims() != 2 {
 		panic(fmt.Sprintf("nn: cross-entropy expects [B,K] logits, got %v", logits.Shape()))
 	}
@@ -63,9 +52,6 @@ func (SoftmaxCrossEntropy) Compute(logits *tensor.Tensor, labels []int) (float64
 	return loss * inv, grad
 }
 
-// Name identifies the loss.
-func (SoftmaxCrossEntropy) Name() string { return "softmax-cross-entropy" }
-
 // Softmax returns row-wise softmax probabilities of a [B,K] tensor.
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	b, k := logits.Dim(0), logits.Dim(1)
@@ -91,39 +77,6 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
-
-// MSE is mean squared error against one-hot targets; used in ablation tests.
-type MSE struct{}
-
-var _ Loss = MSE{}
-
-// Compute returns mean squared error to the one-hot encoding of labels.
-func (MSE) Compute(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	b, k := logits.Dim(0), logits.Dim(1)
-	if len(labels) != b {
-		panic(fmt.Sprintf("nn: mse got %d labels for batch %d", len(labels), b))
-	}
-	grad := tensor.New(b, k)
-	loss := 0.0
-	n := float64(b * k)
-	for i := 0; i < b; i++ {
-		row := logits.RowView(i)
-		g := grad.RowView(i)
-		for j, v := range row {
-			t := 0.0
-			if j == labels[i] {
-				t = 1
-			}
-			d := v - t
-			loss += d * d / n
-			g[j] = 2 * d / n
-		}
-	}
-	return loss, grad
-}
-
-// Name identifies the loss.
-func (MSE) Name() string { return "mse" }
 
 // Accuracy returns the fraction of rows whose argmax equals the label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {

@@ -58,7 +58,7 @@ func TestGradientsAreCopies(t *testing.T) {
 	net := NewSequential(NewLinear("fc", 3, 2, rng))
 	x := randInput(rng, 2, 3)
 	out := net.Forward(x, true)
-	_, g := SoftmaxCrossEntropy{}.Compute(out, []int{0, 1})
+	_, g := SoftmaxCrossEntropy(out, []int{0, 1})
 	net.Backward(g)
 	grads := net.Gradients()
 	grads[0].Fill(0)
@@ -73,7 +73,7 @@ func TestGradientAccumulation(t *testing.T) {
 	x := randInput(rng, 2, 3)
 	run := func() {
 		out := net.Forward(x, true)
-		_, g := SoftmaxCrossEntropy{}.Compute(out, []int{0, 1})
+		_, g := SoftmaxCrossEntropy(out, []int{0, 1})
 		net.Backward(g)
 	}
 	net.ZeroGrad()
@@ -137,7 +137,7 @@ func TestCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits over k classes ⇒ loss = ln k.
 	k := 5
 	logits := tensor.New(1, k)
-	loss, grad := SoftmaxCrossEntropy{}.Compute(logits, []int{2})
+	loss, grad := SoftmaxCrossEntropy(logits, []int{2})
 	if math.Abs(loss-math.Log(float64(k))) > 1e-12 {
 		t.Errorf("uniform CE loss = %g, want ln %d", loss, k)
 	}
@@ -155,7 +155,7 @@ func TestCrossEntropyKnownValue(t *testing.T) {
 
 func TestCrossEntropyNumericalStability(t *testing.T) {
 	logits := tensor.MustFromSlice([]float64{1e4, -1e4, 0}, 1, 3)
-	loss, grad := SoftmaxCrossEntropy{}.Compute(logits, []int{0})
+	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss = %g with extreme logits", loss)
 	}

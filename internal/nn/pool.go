@@ -6,95 +6,6 @@ import (
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// MaxPool2D applies non-overlapping k×k max pooling over [B, C, H, W].
-type MaxPool2D struct {
-	K int
-
-	lastArg []int // index of the max element per output cell
-	inShape []int
-	name    string
-}
-
-var _ Layer = (*MaxPool2D)(nil)
-
-// NewMaxPool2D constructs a max-pooling layer with window and stride k.
-func NewMaxPool2D(name string, k int) *MaxPool2D { return &MaxPool2D{K: k, name: name} }
-
-// Forward pools each k×k window to its maximum.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: %s expects [B,C,H,W], got %v", m.name, x.Shape()))
-	}
-	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := h/m.K, w/m.K
-	if oh == 0 || ow == 0 {
-		panic(fmt.Sprintf("nn: %s window %d too large for input %v", m.name, m.K, x.Shape()))
-	}
-	out := tensor.New(b, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	var args []int
-	if train {
-		args = make([]int, out.Len())
-	}
-	oi := 0
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			base := ((bi * c) + ci) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := base + (oy*m.K)*w + ox*m.K
-					bv := xd[best]
-					for ky := 0; ky < m.K; ky++ {
-						rowBase := base + (oy*m.K+ky)*w + ox*m.K
-						for kx := 0; kx < m.K; kx++ {
-							if xd[rowBase+kx] > bv {
-								bv = xd[rowBase+kx]
-								best = rowBase + kx
-							}
-						}
-					}
-					od[oi] = bv
-					if train {
-						args[oi] = best
-					}
-					oi++
-				}
-			}
-		}
-	}
-	if train {
-		m.lastArg = args
-		m.inShape = x.Shape()
-	}
-	return out
-}
-
-// Backward routes each output gradient to the argmax input location.
-func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if m.lastArg == nil {
-		panic(fmt.Sprintf("nn: %s Backward before Forward(train)", m.name))
-	}
-	out := tensor.New(m.inShape...)
-	od := out.Data()
-	gd := gradOut.Data()
-	if len(gd) != len(m.lastArg) {
-		panic(fmt.Sprintf("nn: %s Backward gradient length %d != %d", m.name, len(gd), len(m.lastArg)))
-	}
-	for i, a := range m.lastArg {
-		od[a] += gd[i]
-	}
-	return out
-}
-
-// Params returns nil: pooling has no parameters.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
-// Clone returns a fresh pool layer.
-func (m *MaxPool2D) Clone() Layer { return NewMaxPool2D(m.name, m.K) }
-
-// Name returns the layer name.
-func (m *MaxPool2D) Name() string { return m.name }
-
 // GlobalAvgPool reduces [B, C, H, W] to [B, C] by spatial averaging.
 type GlobalAvgPool struct {
 	inShape []int

@@ -79,7 +79,7 @@ func TestGradResNetLiteFull(t *testing.T) {
 	rng := RandSource(55, 1)
 	net := NewResNetLite(ResNetLiteConfig{InChannels: 1, NumClasses: 3, Width: 2}, rng)
 	x := randInput(rng, 2, 1, 8, 8)
-	res, err := CheckGradients(net, SoftmaxCrossEntropy{}, x, []int{0, 2}, 1e-5)
+	res, err := CheckGradients(net, x, []int{0, 2}, 1e-5)
 	if err != nil {
 		t.Fatalf("full ResNet-lite gradient check: %v", err)
 	}

@@ -149,9 +149,6 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
 // Uint64 annotates a span with a uint64 value (seeds, IDs).
 func Uint64(k string, v uint64) Attr { return Attr{Key: k, Value: v} }
 
-// Float annotates a span with a float value.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
 // Bool annotates a span with a boolean value.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 

@@ -31,6 +31,13 @@ func forgetCalibrations() {
 	clear(calibrations)
 }
 
+// heldCalibration is the live memo entry under key, or nil.
+func heldCalibration(key calKey) *calibration {
+	calMu.Lock()
+	defer calMu.Unlock()
+	return calibrations[key].Value()
+}
+
 func normalized(t *testing.T, sc Scenario) Scenario {
 	t.Helper()
 	sc, err := sc.Normalize()
@@ -114,7 +121,7 @@ func TestCalibrationMemoBitExact(t *testing.T) {
 				t.Error("two runs share one dishonest server and would share its captures")
 			}
 			warmReport := reportJSON(t, sc)
-			if got := cachedCalibration(calKeyOf(normalized(t, sc))); got != cold.cal {
+			if got := heldCalibration(calKeyOf(normalized(t, sc))); got != cold.cal {
 				t.Error("the run calibrated again instead of reusing the held calibration")
 			}
 			if !bytes.Equal(warmReport, coldReport) {
@@ -157,9 +164,9 @@ func TestRegisteredAttackCalibratesEveryRun(t *testing.T) {
 	}
 }
 
-// TestCalibrationMemoConcurrentRuns: runs on one key at once may both miss
-// and both calibrate, or one may reuse the other's calibration; either way
-// each reports the bytes of a cold run. Run it under -race.
+// TestCalibrationMemoConcurrentRuns: runs on one key at once share one
+// calibration, whichever of them calibrates, and each reports the bytes of
+// a cold run. Run it under -race.
 func TestCalibrationMemoConcurrentRuns(t *testing.T) {
 	sc := memoScenario("cah")
 	forgetCalibrations()
@@ -187,5 +194,39 @@ func TestCalibrationMemoConcurrentRuns(t *testing.T) {
 		if !bytes.Equal(raw, want) {
 			t.Errorf("concurrent run %d reported different bytes:\n%s", i, diffHint(raw, want))
 		}
+	}
+}
+
+// TestCalibrationSingleFlight: two buildAttack calls on one built-in key at
+// once share one calibration; the second waits for the first instead of
+// calibrating again. Run it under -race.
+func TestCalibrationSingleFlight(t *testing.T) {
+	sc := normalized(t, memoScenario("rtf"))
+	d := sc.Dataset
+	ds := data.NewSynthCustom(sc.Name+"-train", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
+	forgetCalibrations()
+	var wg sync.WaitGroup
+	got := make([]*scheduledAttack, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sched, err := buildAttack(sc, ds)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = sched
+		}()
+	}
+	wg.Wait()
+	if got[0] == nil || got[1] == nil {
+		t.FailNow()
+	}
+	if got[0].cal != got[1].cal {
+		t.Error("two concurrent calibrations of one key did not share one calibration")
+	}
+	if got[0].inner == got[1].inner {
+		t.Error("two runs share one dishonest server and would share its captures")
 	}
 }

@@ -80,11 +80,15 @@
 // columns of one sweep (attack, replicate) — reuse one calibration: the
 // memo keeps the calibrated attack and the calibration stream's state after
 // it, and restores that state before building the victim, so the dispatched
-// model and the report are bit-identical to a cold calibration. Each run
-// still builds its own dishonest server, so captures stay per run. The memo
-// holds entries weakly; a run holds its own strongly, so an entry outlives
-// its last run only until the next GC, and a finished run pins no layer. A
-// kind added through attack.Register calibrates on every run.
+// model and the report are bit-identical to a cold calibration. The memo is
+// single-flight: a run that finds an entry another run is still
+// calibrating waits for that calibration instead of starting its own, so
+// two cell workers that pick up the first two defense columns of an
+// (attack, replicate) together calibrate once. Each run still builds its
+// own dishonest server, so captures stay per run. The memo holds entries
+// weakly; a run holds its own strongly, so an entry outlives its last run
+// only until the next GC, and a finished run pins no layer. A kind added
+// through attack.Register calibrates on every run.
 //
 // # Virtual clients and memory
 //

@@ -257,16 +257,18 @@ func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, error) {
 
 // buildAttack calibrates the scheduled dishonest server through the attack
 // registry, so every registered family is a valid scenario kind. A built-in
-// family's calibration is reused from a concurrent or recent run with the
-// same calKey (see calibrations), so the defense columns of a sweep
+// family's calibration is shared with every concurrent or recent run with
+// the same calKey (see calibrations), so the defense columns of a sweep
 // calibrate each (attack, replicate) once.
 func buildAttack(sc Scenario, ds data.Dataset) (*scheduledAttack, error) {
-	key := calKeyOf(sc)
-	cal := cachedCalibration(key)
-	if cal == nil {
+	cal := &calibration{}
+	if builtinAttacks[sc.Attack.Kind] {
+		cal = memoCalibration(calKeyOf(sc))
+	}
+	cal.once.Do(func() {
 		pcg := rand.NewPCG(sc.Seed+3, 0xa77ac)
 		c, h, w := ds.Shape()
-		atk, err := attack.New(sc.Attack.Kind, attack.Config{
+		cal.atk, cal.err = attack.New(sc.Attack.Kind, attack.Config{
 			Dims:    attack.ImageDims{C: c, H: h, W: w},
 			Classes: ds.NumClasses(),
 			Neurons: sc.Attack.Neurons,
@@ -274,16 +276,10 @@ func buildAttack(sc Scenario, ds data.Dataset) (*scheduledAttack, error) {
 			Batch:   sc.Attack.AnticipatedBatch,
 			Rng:     rand.New(pcg),
 		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: calibrate %s attack: %w", sc.Attack.Kind, err)
-		}
-		cal = &calibration{atk: atk, pcg: *pcg}
-		// Only the built-in families are Imprints named after their kind,
-		// and they are immutable once calibrated. A registered constructor
-		// may not be pure, so its kind calibrates on every run.
-		if imp, ok := atk.(*attack.Imprint); ok && imp.Name() == sc.Attack.Kind {
-			rememberCalibration(key, cal)
-		}
+		cal.pcg = *pcg
+	})
+	if cal.err != nil {
+		return nil, fmt.Errorf("sim: calibrate %s attack: %w", sc.Attack.Kind, cal.err)
 	}
 	// The victim's other layers draw from the calibration stream where
 	// calibration left it, so a reused calibration dispatches the same spec.
@@ -294,6 +290,13 @@ func buildAttack(sc Scenario, ds data.Dataset) (*scheduledAttack, error) {
 	}
 	return &scheduledAttack{inner: srv, active: sc.Attack.Active, cal: cal}, nil
 }
+
+// builtinAttacks are the attack families whose calibrations are shared.
+// attack.Register cannot shadow them, and their constructors are pure and
+// return an Imprint that is immutable once calibrated. A constructor added
+// through attack.Register may not be pure, so its kind calibrates on every
+// run.
+var builtinAttacks = map[string]bool{"rtf": true, "cah": true, "qbi": true, "loki": true}
 
 // calKey is everything attack calibration reads from a normalized
 // scenario: the family and its layer shape, the probe dataset (the train
@@ -313,40 +316,42 @@ func calKeyOf(sc Scenario) calKey {
 	}
 }
 
-// calibration is a calibrated attack and the calibration stream's state
-// right after it.
+// calibration is a calibrated attack (or the error calibrating it) and the
+// calibration stream's state right after it. once runs the calibration; a
+// run that finds the entry while another run calibrates waits for it.
 type calibration struct {
-	atk attack.Attack
-	pcg rand.PCG
+	once sync.Once
+	atk  attack.Attack
+	err  error
+	pcg  rand.PCG
 }
 
 // calibrations memoizes built-in calibrations by key. It holds them weakly:
 // each run's scheduledAttack holds its calibration strongly, so an entry
 // lives while a run uses it and until the next GC after, and a finished run
-// pins nothing. Two concurrent misses on one key both calibrate, to the same
-// result.
+// pins nothing.
 var (
 	calMu        sync.Mutex
 	calibrations = map[calKey]weak.Pointer[calibration]{}
 )
 
-func cachedCalibration(key calKey) *calibration {
-	calMu.Lock()
-	defer calMu.Unlock()
-	return calibrations[key].Value()
-}
-
-// rememberCalibration stores cal under key, dropping the entries whose
+// memoCalibration returns the live entry under key, or stores and returns a
+// new one that is not yet calibrated, first dropping the entries whose
 // calibration has been collected.
-func rememberCalibration(key calKey, cal *calibration) {
+func memoCalibration(key calKey) *calibration {
 	calMu.Lock()
 	defer calMu.Unlock()
+	if cal := calibrations[key].Value(); cal != nil {
+		return cal
+	}
 	for k, p := range calibrations {
 		if p.Value() == nil {
 			delete(calibrations, k)
 		}
 	}
+	cal := &calibration{}
 	calibrations[key] = weak.Make(cal)
+	return cal
 }
 
 // scheduledAttack gates a DishonestServer behind the scenario's attack

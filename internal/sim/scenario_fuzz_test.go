@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	rand "math/rand/v2"
 	"strings"
 	"testing"
@@ -234,6 +235,8 @@ func TestScenarioRandomSpecCorpus(t *testing.T) {
 // FuzzScenarioDecode hardens the JSON front door: whatever bytes arrive,
 // Decode and Normalize must fail cleanly instead of panicking, and a spec
 // that normalizes must survive a JSON round trip to the same resolved form.
+// A small spec that normalizes is then run for one round, where RunContext
+// must return a report or an error, never panic.
 func FuzzScenarioDecode(f *testing.F) {
 	seed := func(sc Scenario) {
 		raw, err := sc.JSON()
@@ -259,6 +262,16 @@ func FuzzScenarioDecode(f *testing.F) {
 	duplicate := validBase()
 	duplicate.Defense = DefenseSpec{Kind: "prune:0.3|prune:0.3"}
 	seed(duplicate)
+	// Strikes in round 0, so the attack still runs under the one-round cap.
+	strike := validBase()
+	strike.Attack = AttackSpec{Kind: "rtf", Neurons: 16, Rounds: []int{0}}
+	strike.Defense = DefenseSpec{Kind: "oasis:MR|dpsgd:1,0.1", Fraction: 0.5}
+	seed(strike)
+	resnet := validBase()
+	resnet.Attack = AttackSpec{Kind: "cah", Neurons: 8}
+	resnet.Model = ArchSpec{Kind: "resnet", Hidden: 4}
+	resnet.LocalSteps, resnet.Dropout, resnet.Partition = 2, 0.2, "dirichlet:0.5"
+	seed(resnet)
 	f.Add([]byte(`{"name":"x","attack":{"kind":"qbi","neurons":1e9}}`))
 	f.Add([]byte(`{"clients":1,"rounds":1,"dataset":{"classes":2,"channels":1,"height":1,"width":1,"samples":1}}`))
 	f.Add([]byte(`{`))
@@ -294,5 +307,26 @@ func FuzzScenarioDecode(f *testing.F) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("normalization is not a fixed point:\n%s\nvs\n%s", a, b)
 		}
+		if !fuzzRunnable(norm) {
+			return
+		}
+		norm.Rounds = 1
+		rep, err := RunContext(context.Background(), norm, Options{Quick: true, Workers: 1})
+		if err == nil && rep == nil {
+			t.Fatal("RunContext returned neither a report nor an error")
+		}
 	})
+}
+
+// fuzzRunnable reports whether a normalized spec is small enough for the
+// fuzzer to run: every size that scales the run's memory, time or
+// goroutines is capped. Each image dimension is capped before their
+// product, so the product cannot overflow.
+func fuzzRunnable(sc Scenario) bool {
+	d := sc.Dataset
+	return sc.Clients <= 64 && d.Samples <= 256 && d.Classes <= 64 &&
+		d.Channels <= 256 && d.Height <= 256 && d.Width <= 256 &&
+		d.Channels*d.Height*d.Width <= 256 &&
+		sc.Attack.Neurons <= 64 && sc.Attack.AnticipatedBatch <= 64 &&
+		sc.Model.Hidden <= 64 && sc.LocalSteps <= 4
 }

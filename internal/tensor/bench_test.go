@@ -97,16 +97,6 @@ func BenchmarkMatMulTransB_Ref_64x3072x500(b *testing.B) {
 	}
 }
 
-func BenchmarkTranspose2D_768x3072(b *testing.B) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	x := New(768, 3072)
-	x.FillRandn(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Transpose2D(x)
-	}
-}
-
 // BenchmarkConvLowering measures the fused Im2ColInto+ConvOut pipeline with
 // a reused workspace; ReportAllocs shows the arena holding steady-state
 // allocations near zero.

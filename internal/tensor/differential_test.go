@@ -65,7 +65,7 @@ func mustBitIdentical(t *testing.T, op string, got, want *Tensor) {
 }
 
 // differentialShapes covers the blocking edge cases: dimensions of 1, sizes
-// straddling transBRowBlock, mulColBlock, transposeTile and the dot unroll
+// straddling transBRowBlock, mulColBlock and the dot unroll
 // width, plus ragged tails and an odd row count (the dot2 pairing tail).
 func differentialShapes(rng *rand.Rand) [][3]int {
 	shapes := [][3]int{
@@ -78,7 +78,7 @@ func differentialShapes(rng *rand.Rand) [][3]int {
 		{transBRowBlock + 3, 17, 2*transBRowBlock - 1},
 		{2, mulColBlock + 7, 3},
 		{3, 130, mulColBlock + 9}, // n straddling the packed panel width
-		{transposeTile + 1, 8, transposeTile*2 + 5},
+		{33, 8, 69},
 		{63, 31, 65}, // odd m: dot2 pairing leaves a tail row
 	}
 	// A few fully random shapes for luck.
@@ -133,19 +133,6 @@ func TestMatMulTransABitIdenticalToReference(t *testing.T) {
 		want := matMulTransARef(a, b)
 		withWorkers(t, func(t *testing.T, w int) {
 			mustBitIdentical(t, fmt.Sprintf("MatMulTransA %dx%dx%d workers=%d", m, k, n, w), MatMulTransA(a, b), want)
-		})
-	}
-}
-
-func TestTranspose2DBitIdenticalToReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 37))
-	for _, sh := range differentialShapes(rng) {
-		m, n := sh[0], sh[2]
-		a := New(m, n)
-		fillMixed(a, rng)
-		want := transpose2DRef(a)
-		withWorkers(t, func(t *testing.T, w int) {
-			mustBitIdentical(t, fmt.Sprintf("Transpose2D %dx%d workers=%d", m, n, w), Transpose2D(a), want)
 		})
 	}
 }
@@ -279,10 +266,10 @@ func TestReleaseIsIdempotentAndNilSafe(t *testing.T) {
 	}
 }
 
-// TestMatVecMatchesBatchedTransB pins the equivalence the core package's
+// TestDotMatchesBatchedTransB pins the equivalence the core package's
 // ActivationSets batching relies on: one MatMulTransB row equals the per-row
-// MatVec, bit for bit.
-func TestMatVecMatchesBatchedTransB(t *testing.T) {
+// dot products, bit for bit.
+func TestDotMatchesBatchedTransB(t *testing.T) {
 	rng := rand.New(rand.NewPCG(67, 71))
 	w := New(37, 53)
 	fillMixed(w, rng)
@@ -290,11 +277,11 @@ func TestMatVecMatchesBatchedTransB(t *testing.T) {
 	fillMixed(inputs, rng)
 	z := MatMulTransB(inputs, w)
 	for j := 0; j < inputs.Dim(0); j++ {
-		mv := MatVec(w, inputs.RowView(j))
 		zr := z.RowView(j)
-		for i := range mv {
-			if math.Float64bits(mv[i]) != math.Float64bits(zr[i]) {
-				t.Fatalf("row %d neuron %d: MatVec %g != batched %g", j, i, mv[i], zr[i])
+		for i := range zr {
+			d := dot(w.RowView(i), inputs.RowView(j))
+			if math.Float64bits(d) != math.Float64bits(zr[i]) {
+				t.Fatalf("row %d neuron %d: dot %g != batched %g", j, i, d, zr[i])
 			}
 		}
 	}

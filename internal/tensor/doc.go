@@ -8,8 +8,8 @@
 //
 // # Kernel blocking and parallelism
 //
-// The matmul family (MatMul, MatMulTransA, MatMulTransB) and Transpose2D are
-// cache-blocked and goroutine-tiled:
+// The matmul family (MatMul, MatMulTransA, MatMulTransB) is cache-blocked
+// and goroutine-tiled:
 //
 //   - MatMul packs B into contiguous column panels of mulColBlock columns so
 //     the inner axpy streams the panel instead of striding across B's full
@@ -22,8 +22,6 @@
 //     MatMulTransAInto is the same kernel writing into a caller's tensor,
 //     adding to it or storing over it; the layers form weight gradients
 //     with it.
-//   - Transpose2D copies transposeTile×transposeTile squares so both the
-//     row-major reads and the column-major writes stay inside L1.
 //
 // Work is distributed over goroutines by parallelRows: the output rows are
 // split into at most Workers() contiguous disjoint spans, and only when the

@@ -67,10 +67,6 @@ const (
 	// historical kk-outer order (the whole output stays cache-resident, so
 	// panel packing would only add copies).
 	transASmallOut = 1 << 14
-	// transposeTile is the square tile edge for Transpose2D: 32×32 float64
-	// tiles (8 KiB) keep both the row-major reads and the column-major
-	// writes inside L1 while a tile is live.
-	transposeTile = 32
 )
 
 // MatMul returns the matrix product a·b for 2-D tensors a (m×k) and b (k×n).
@@ -264,32 +260,6 @@ func transADims(op string, a, b *Tensor) (k, m, n int) {
 	return k, m, n
 }
 
-// Transpose2D returns the transpose of a 2-D tensor, copying tile-wise so
-// both the reads and the column-strided writes stay cache-resident (the
-// element-at-a-time loop thrashed on the 3072-wide attack matrices).
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D requires 2-D operand, got %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := NewPooled(n, m)
-	ad, od := a.data, out.data
-	parallelRows("transpose2d", m, 8*m*n, func(lo, hi int) {
-		for ib := lo; ib < hi; ib += transposeTile {
-			ie := min(ib+transposeTile, hi)
-			for jb := 0; jb < n; jb += transposeTile {
-				je := min(jb+transposeTile, n)
-				for j := jb; j < je; j++ {
-					for i := ib; i < ie; i++ {
-						od[j*m+i] = ad[i*n+j]
-					}
-				}
-			}
-		}
-	})
-	return out
-}
-
 // dot is a 4-way unrolled inner product; the unroll breaks the loop-carried
 // dependence that otherwise serializes FP adds on the scalar backend. Its
 // exact accumulation pattern (four strided partials, folded s0+s1+s2+s3,
@@ -411,22 +381,6 @@ func addTo(y, x []float64) {
 	for j, v := range x {
 		y[j] += v
 	}
-}
-
-// MatVec returns the matrix-vector product a·x for a (m×k) and x of length k.
-func MatVec(a *Tensor, x []float64) []float64 {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatVec requires 2-D matrix, got %v", a.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	if len(x) != k {
-		panic(fmt.Sprintf("tensor: MatVec length mismatch %v · vec(%d)", a.shape, len(x)))
-	}
-	out := make([]float64, m)
-	for i := 0; i < m; i++ {
-		out[i] = dot(a.data[i*k:(i+1)*k], x)
-	}
-	return out
 }
 
 // Row returns a copy of row i of a 2-D tensor. Call sites that only read the

@@ -74,15 +74,3 @@ func matMulTransARef(a, b *Tensor) *Tensor {
 	}
 	return out
 }
-
-// transpose2DRef is the historical element-at-a-time Transpose2D.
-func transpose2DRef(a *Tensor) *Tensor {
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out
-}
