@@ -80,10 +80,41 @@ func benchTransB(b *testing.B, m, k, n int) {
 	}
 }
 
+// benchTransAStore stores the imprint layer's weight gradient into one reused
+// dst, the way Linear.backwardParams writes its first gradient into G.
+func benchTransAStore(b *testing.B, m, k, n int) {
+	rng := rand.New(rand.NewPCG(17, 18))
+	g := New(k, m)
+	g.FillRandn(rng, 1)
+	x := New(k, n)
+	x.FillRandn(rng, 1)
+	dst := New(m, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTransAInto(dst, g, x, false)
+	}
+}
+
 func BenchmarkMatMulTransA_256x8x3072(b *testing.B)  { benchTransA(b, 256, 8, 3072) }
 func BenchmarkMatMulTransA_256x32x3072(b *testing.B) { benchTransA(b, 256, 32, 3072) }
 func BenchmarkMatMulTransB_8x3072x256(b *testing.B)  { benchTransB(b, 8, 3072, 256) }
 func BenchmarkMatMulTransB_32x3072x256(b *testing.B) { benchTransB(b, 32, 3072, 256) }
+
+func BenchmarkMatMulTransAInto_store_256x8x3072(b *testing.B)  { benchTransAStore(b, 256, 8, 3072) }
+func BenchmarkMatMulTransAInto_store_256x32x3072(b *testing.B) { benchTransAStore(b, 256, 32, 3072) }
+
+// BenchmarkAddInPlace_256x3072 adds one paper-attack update (the 256×3072
+// imprint weight) into a running sum, as FedAvgMean.Add does per client.
+func BenchmarkAddInPlace_256x3072(b *testing.B) {
+	rng := rand.New(rand.NewPCG(19, 20))
+	sum := New(256, 3072)
+	u := New(256, 3072)
+	u.FillRandn(rng, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum.AddInPlace(u)
+	}
+}
 
 // BenchmarkMatMulTransB_Ref pins the retained serial reference (with its
 // av == 0 sparse-skip branch) next to the production kernel, so the

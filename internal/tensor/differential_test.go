@@ -301,20 +301,29 @@ func withKernelModes(t *testing.T, f func(t *testing.T, avx2 bool)) {
 }
 
 // kernelShapeCoverage counts how often the property test drew each edge its
-// shapes must reach.
+// shapes must reach. MatMulTransA's store mode starts each sum with axpy4z
+// when k ≥ 4 and with a clear when k < 4, on either path: panelShortK and
+// panelRaggedK are panel-path draws with k < 4 and with k > 4, k%4 != 0, and
+// smallTransA draws store on the small-output path.
 type kernelShapeCoverage struct {
 	oddM, raggedK, raggedN, raggedPanel, multiPanel, smallTransA, largeTransA int
+	panelShortK, panelRaggedK                                                 int
 }
 
 // drawKernelShape picks (m, k, n) biased toward the edges of the vector
 // kernels and the blocking: odd m leaves a row for dot's tail, k%4 != 0 a
 // ragged tail after the 4-wide k steps, n%4 != 0 columns after the last
-// 4-wide block, and n beyond mulColBlock a last panel of any width. Roughly
-// half the draws take MatMulTransA's small-output path.
+// 4-wide block, k < 4 no 4-wide step at all, and n beyond mulColBlock a last
+// panel of any width. Roughly half the draws take MatMulTransA's small-output
+// path.
 func drawKernelShape(rng *rand.Rand, cov *kernelShapeCoverage) (m, k, n int) {
 	m = 1 + rng.IntN(40)
-	k = 1 + rng.IntN(12)
-	if rng.IntN(2) == 0 {
+	switch rng.IntN(4) {
+	case 0:
+		k = 1 + rng.IntN(3)
+	case 1:
+		k = 1 + rng.IntN(12)
+	default:
 		k = 1 + rng.IntN(160)
 	}
 	switch rng.IntN(3) {
@@ -344,6 +353,12 @@ func drawKernelShape(rng *rand.Rand, cov *kernelShapeCoverage) (m, k, n int) {
 		cov.smallTransA++
 	} else {
 		cov.largeTransA++
+		if k < 4 {
+			cov.panelShortK++
+		}
+		if k > 4 && k%4 != 0 {
+			cov.panelRaggedK++
+		}
 	}
 	return m, k, n
 }
@@ -423,7 +438,8 @@ func TestMatMulKernelsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cov.oddM == 0 || cov.raggedK == 0 || cov.raggedN == 0 || cov.raggedPanel == 0 ||
-		cov.multiPanel == 0 || cov.smallTransA == 0 || cov.largeTransA == 0 {
+		cov.multiPanel == 0 || cov.smallTransA == 0 || cov.largeTransA == 0 ||
+		cov.panelShortK == 0 || cov.panelRaggedK == 0 {
 		t.Fatalf("draws missed a kernel edge: %+v", cov)
 	}
 }
@@ -440,6 +456,8 @@ func TestVectorKernelsRejectShortOperands(t *testing.T) {
 	}{
 		{"axpy short y", func() { axpy(short, 1, long) }},
 		{"axpy4 short x", func() { axpy4(long, 1, 1, 1, 1, rows(31)) }},
+		{"axpy4z short x", func() { axpy4z(long, 1, 1, 1, 1, rows(31)) }},
+		{"addTo short y", func() { addTo(short, long) }},
 		{"dot2x4 short a1", func() { dot2x4(rows(4), rows(4), long, short, rows(32)) }},
 		{"dot2x4 short b", func() { dot2x4(rows(4), rows(4), long, long, rows(31)) }},
 		{"dot2x4 short o1", func() { dot2x4(rows(4), rows(3), long, long, rows(32)) }},
@@ -456,4 +474,53 @@ func TestVectorKernelsRejectShortOperands(t *testing.T) {
 			}()
 		}
 	})
+}
+
+// TestAddToKernelsAgree runs addTo with the AVX2 body as detected and forced
+// off over lengths 0–37, which take every ragged tail, and over one
+// paper-attack update (256×3072). Half the operands are ±0, ±Inf or NaN, so
+// signed-zero sums and Inf−Inf meet in the vector lanes as well as the tail.
+// Results must agree bit for bit, except that two NaNs need only both be NaN.
+func TestAddToKernelsAgree(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 on this machine: both passes run the pure-Go loop")
+	}
+	rng := rand.New(rand.NewPCG(83, 89))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	operand := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.IntN(2) == 0 {
+				v[i] = specials[rng.IntN(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	lengths := make([]int, 0, 39)
+	for n := 0; n <= 37; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 256*3*32*32)
+	detected := useAVX2
+	defer func() { useAVX2 = detected }()
+	for _, n := range lengths {
+		y, x := operand(n), operand(n)
+		got, want := append([]float64(nil), y...), append([]float64(nil), y...)
+		useAVX2 = detected
+		addTo(got, x)
+		useAVX2 = false
+		addTo(want, x)
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.IsNaN(g) && math.IsNaN(w) {
+				continue
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("len %d element %d: %g + %g = %x (%g) with avx2=%v, %x (%g) in Go",
+					n, i, y[i], x[i], math.Float64bits(g), g, detected, math.Float64bits(w), w)
+			}
+		}
+	}
 }

@@ -49,38 +49,47 @@
 //   - dot2 computes two output elements per B-panel pass but evaluates each
 //     one with exactly the same 4-way unrolled partial-sum pattern as dot,
 //     so pairing rows changes nothing in either row's rounding.
-//   - MatMulTransAInto forms each element's sum in an accumulator that
-//     starts at +0 and adds the k products in ascending order, then hands
-//     the sum to dst once. In add mode, dst + (p₀ + p₁ + …) is exactly what
-//     MatMulTransA followed by AddInPlace computes; (dst + p₀) + p₁ + …
-//     would not be, so the kernel never accumulates straight into dst. In
-//     store mode the sum is copied over dst, which is never read, and that
-//     is bit-exact against adding it into a zeroed dst: a sum that starts at
-//     +0 can never end at −0, so +0 + Σ = Σ. A sum started from the first
+//   - MatMulTransAInto forms each element's sum from +0 and adds the k
+//     products in ascending order. In store mode the sum accumulates in dst
+//     itself: the first four products come from axpy4z, which computes
+//     (((+0 + p₀) + p₁) + p₂) + p₃ without reading dst (with k < 4, dst is
+//     cleared first), so dst may hold anything, NaN included. That is
+//     bit-exact against adding the sum into a zeroed dst: a sum that starts
+//     at +0 can never end at −0, so +0 + Σ = Σ. A sum started from the first
 //     product would not be, because an element whose products are all −0
-//     would end at −0. MatMulTransA is the store mode over an unzeroed arena
-//     tensor, and nn.Linear stores its first weight gradient into a G that
-//     was never zeroed. TestMatMulKernelsProperty checks the add mode into a
-//     random non-zero dst against ref.go's MatMulTransA followed by
-//     AddInPlace, and the store mode into a NaN-filled dst, with one element
-//     whose products are all −0, against ref.go's MatMulTransA.
+//     would end at −0. In add mode the sum forms in an L1 accumulator and is
+//     added to dst once: dst + (p₀ + p₁ + …) is exactly what MatMulTransA
+//     followed by AddInPlace computes; (dst + p₀) + p₁ + … would not be, so
+//     that mode never accumulates straight into dst. MatMulTransA is the
+//     store mode over an unzeroed arena tensor, and nn.Linear stores its
+//     first weight gradient into a G that was never zeroed.
+//     TestMatMulKernelsProperty checks the add mode into a random non-zero
+//     dst against ref.go's MatMulTransA followed by AddInPlace, and the store
+//     mode into a NaN-filled dst, with one element whose products are all
+//     −0, against ref.go's MatMulTransA; its draws must include panel-path
+//     stores with k < 4 and with a ragged k > 4, and small-path stores.
 //
 // Simulation reports therefore stay byte-identical for a fixed seed across
 // tensor.SetWorkers values, machine core counts, and the kernel rewrites.
 //
 // # AVX2 kernels
 //
-// On amd64, three inner loops have Go-assembly versions in simd_amd64.s,
+// On amd64, five inner loops have Go-assembly versions in simd_amd64.s,
 // used when the unexported useAVX2 is set. It is set once at start-up from
 // CPUID (AVX and OSXSAVE in leaf 1, AVX2 in leaf 7) plus an XGETBV check
 // that the OS saves XMM and YMM state; there is no flag, environment
 // variable or build tag. Without AVX2, and on every other GOARCH, the
 // pure-Go loops run unchanged.
 //
-//   - axpy: y[j] += a·x[j], one output element per lane.
+//   - axpy: y[j] += a·x[j], one output element per lane; AddScaledInPlace
+//     (the SGD step) is one axpy call.
 //   - axpy4: y[j] = (((y[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j]
 //     with y held in a register, the roundings of four axpy calls in
 //     ascending k. It drives the k loops of MatMul and MatMulTransA.
+//   - axpy4z: axpy4 from a zeroed register instead of a load of y, the
+//     first k step of MatMulTransAInto.
+//   - addTo: y[j] += x[j], the body of AddInPlace (and so of the mean
+//     aggregator's sum) and of MatMulTransAInto's add mode.
 //   - dot2x4: a 2×4 block of MatMulTransB dot products in eight YMM
 //     accumulators, one per (A row, B row) pair. The four lanes of each are
 //     dot's strided partials s0…s3; Go folds s0+s1+s2+s3 and adds the ragged
@@ -90,8 +99,11 @@
 // because every product is a VMULPD and every sum a separate VADDPD: no FMA,
 // whose single rounding would differ, and no lane ever sums out of its
 // scalar order. TestMatMulKernelsProperty checks it on random shapes with
-// the kernels on and forced off; it also holds the pure-Go side to the same
-// rule, since a build that fused x*y+z into an FMA would fail it.
+// the kernels on and forced off, and TestAddToKernelsAgree checks addTo
+// over ±0, ±Inf and NaN operands; the property test also holds the pure-Go
+// side to the same rule, since a build that fused x*y+z into an FMA would
+// fail it. CI also runs the tensor and sim tests built with GOAMD64=v3, where
+// the compiler may use FMA instructions.
 //
 // The assembly reads its operands without bounds checks, so the Go wrappers
 // reslice every operand to the length the kernel will read before calling

@@ -23,16 +23,19 @@ import "fmt"
 //
 // Fused accumulate and store: MatMulTransAInto(dst, a, b, add) writes aᵀ·b
 // into dst, which is how the layers form weight gradients. Each output
-// element's sum starts at +0 in an L1 accumulator (one mulColBlock panel row,
-// or one row span on the small-output path) and takes its k products in
-// ascending order. With add set the sum is then added to dst once: dst + (p₀ +
-// p₁ + …), the rounding sequence of MatMulTransA followed by AddInPlace.
-// Accumulating straight into dst, (dst + p₀) + p₁ + …, would round
-// differently. With add clear the sum is copied into dst, which is never
-// read, so dst may hold anything, NaN included. That store is bit-identical
-// to adding the sum into a zeroed dst: a sum that starts at +0 can never end
-// at −0, so +0 + Σ is Σ bit for bit. Starting the sum from the first product
-// instead would not be: an element whose products are all −0 would end at −0.
+// element's sum starts at +0 and takes its k products in ascending order; the
+// first four come from axpy4z, which computes (((+0 + p₀) + p₁) + p₂) + p₃
+// without reading its destination (with k < 4 the destination is cleared and
+// axpy takes every product). With add clear the sum accumulates in dst
+// itself, which is never read before that first step, so dst may hold
+// anything, NaN included. That store is bit-identical to adding the sum into
+// a zeroed dst: a sum that starts at +0 can never end at −0, so +0 + Σ is Σ
+// bit for bit. Starting the sum from the first product instead would not be:
+// an element whose products are all −0 would end at −0. With add set the sum
+// forms in an L1 accumulator (one mulColBlock panel row, or one row span on
+// the small-output path) and is then added to dst once: dst + (p₀ + p₁ + …),
+// the rounding sequence of MatMulTransA followed by AddInPlace. Accumulating
+// straight into dst, (dst + p₀) + p₁ + …, would round differently.
 // MatMulTransA is the store mode over an unzeroed arena tensor.
 //
 // Blocking scheme: the output is tiled into column panels (mulColBlock wide);
@@ -42,14 +45,15 @@ import "fmt"
 // operand-sized. MatMulTransB's B rows are already contiguous, so it tiles
 // without packing and amortizes each B row over two A rows per pass (dot2).
 //
-// AVX2 path (amd64, simd_amd64.s): when useAVX2 is set, axpy, axpy4 and
-// dot2x4 hand their 4-aligned body to vector kernels and run the ragged rest
-// in Go. Rule 1 survives lane by lane: the kernels use separate VMULPD and
-// VADDPD, never FMA, so every product and sum rounds as the scalar Go
-// statement does; an axpy lane owns one output element; axpy4 keeps y in a
-// register across four ascending k steps; and dot2x4's accumulator lanes are
-// dot's four strided partials, folded s0+s1+s2+s3 in Go before the k tail.
-// MatMul and MatMulTransA step k four at a time through axpy4 on either
+// AVX2 path (amd64, simd_amd64.s): when useAVX2 is set, axpy, axpy4,
+// axpy4z, dot2x4 and addTo hand their 4-aligned body to vector kernels and
+// run the ragged rest in Go. Rule 1 survives lane by lane: the kernels use
+// separate VMULPD and VADDPD, never FMA, so every product and sum rounds as
+// the scalar Go statement does; an axpy or addTo lane owns one output
+// element; axpy4 keeps y in a register across four ascending k steps, and
+// axpy4z does the same from a zeroed register; and dot2x4's accumulator lanes
+// are dot's four strided partials, folded s0+s1+s2+s3 in Go before the k
+// tail. MatMul and MatMulTransA step k four at a time through axpy4 on either
 // path, and MatMulTransB takes four B rows per dot2x4 call when AVX2 is on.
 // useAVX2 is set once from CPUID and XGETBV (simd_amd64.go). The assembly
 // declarations are //go:noescape so that the operands, dot2x4's [32]float64
@@ -183,11 +187,24 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 	if m*n <= transASmallOut {
 		// Small output (conv weight gradients): the whole m×n result is
 		// cache-resident, so keep the historical kk-outer sweep — minus the
-		// sparse-skip branch — into one accumulator per row span, and split
-		// the output rows across workers.
+		// sparse-skip branch — into dst's row span (in add mode, into one
+		// accumulator per row span), and split the output rows across
+		// workers.
 		parallelRows("matmul_ta", m, flops, func(lo, hi int) {
-			acc := getBuf((hi - lo) * n)
+			acc := od[lo*n : hi*n]
+			if add {
+				acc, _ = getRawBuf((hi - lo) * n)
+			}
 			kk := 0
+			if k >= 4 {
+				brows := bd[:4*n]
+				for i := lo; i < hi; i++ {
+					axpy4z(acc[(i-lo)*n:(i-lo+1)*n], ad[i], ad[m+i], ad[2*m+i], ad[3*m+i], brows)
+				}
+				kk = 4
+			} else {
+				clear(acc)
+			}
 			for ; kk+4 <= k; kk += 4 {
 				arows := ad[kk*m : (kk+4)*m]
 				brows := bd[kk*n : (kk+4)*n]
@@ -204,17 +221,16 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 			}
 			if add {
 				addTo(od[lo*n:hi*n], acc)
-			} else {
-				copy(od[lo*n:hi*n], acc)
+				putBuf(acc)
 			}
-			putBuf(acc)
 		})
 		return
 	}
 	// Large output (malicious-layer weight gradients, e.g. 3072×500): tile
 	// output columns and pack B's panel once per span so each output tile
-	// accumulates from L1/L2-resident data into an L1 accumulator. Per
-	// element the k products still fold in ascending-k order.
+	// accumulates from L1/L2-resident data into its slice of a dst row (in
+	// add mode, into an L1 accumulator). Per element the k products still
+	// fold in ascending-k order.
 	parallelRows("matmul_ta", m, flops, func(lo, hi int) {
 		var accBlock [mulColBlock]float64
 		w0 := min(mulColBlock, n)
@@ -225,10 +241,18 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 			for kk := 0; kk < k; kk++ {
 				copy(panel[kk*w:(kk+1)*w], bd[kk*n+jb:kk*n+je])
 			}
-			acc := accBlock[:w]
 			for i := lo; i < hi; i++ {
-				clear(acc)
+				acc := od[i*n+jb : i*n+je]
+				if add {
+					acc = accBlock[:w]
+				}
 				kk := 0
+				if k >= 4 {
+					axpy4z(acc, ad[i], ad[m+i], ad[2*m+i], ad[3*m+i], panel[:4*w])
+					kk = 4
+				} else {
+					clear(acc)
+				}
 				for ; kk+4 <= k; kk += 4 {
 					axpy4(acc, ad[kk*m+i], ad[(kk+1)*m+i], ad[(kk+2)*m+i], ad[(kk+3)*m+i], panel[kk*w:(kk+4)*w])
 				}
@@ -237,8 +261,6 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 				}
 				if add {
 					addTo(od[i*n+jb:i*n+je], acc)
-				} else {
-					copy(od[i*n+jb:i*n+je], acc)
 				}
 			}
 		}
@@ -375,11 +397,36 @@ func axpy4(y []float64, a0, a1, a2, a3 float64, x []float64) {
 	}
 }
 
-// addTo computes y[j] += x[j], one rounding per element.
+// axpy4z is axpy4 into a y whose old contents are ignored: y[j] = (((+0 +
+// a0·x_0[j]) + a1·x_1[j]) + a2·x_2[j]) + a3·x_3[j], the roundings of axpy4
+// over a zeroed y. y is never read, so it may hold anything, NaN included.
+func axpy4z(y []float64, a0, a1, a2, a3 float64, x []float64) {
+	n := len(y)
+	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
+	j := 0
+	if useAVX2 {
+		j = n &^ 3
+		axpy4zAVX2(y[:j], a0, a1, a2, a3, x0[:j], x1[:j], x2[:j], x3[:j])
+	}
+	for ; j < n; j++ {
+		v := 0 + a0*x0[j]
+		v += a1 * x1[j]
+		v += a2 * x2[j]
+		y[j] = v + a3*x3[j]
+	}
+}
+
+// addTo computes y[j] += x[j], one rounding per element, so the AVX2 lanes
+// are exact.
 func addTo(y, x []float64) {
 	y = y[:len(x)]
-	for j, v := range x {
-		y[j] += v
+	j := 0
+	if useAVX2 {
+		j = len(x) &^ 3
+		addAVX2(y[:j], x[:j])
+	}
+	for ; j < len(x); j++ {
+		y[j] += x[j]
 	}
 }
 

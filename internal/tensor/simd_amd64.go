@@ -25,11 +25,11 @@ func cpuHasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// The kernels take lengths that are multiples of 4 and read every operand up
-// to that length unchecked; the Go wrappers in matmul.go reslice each operand
-// first. //go:noescape keeps the wrappers' operands, dot2x4's [32]float64
-// accumulator block among them, on the stack: without it every call would
-// heap-allocate that block.
+// The kernels behind axpy, axpy4, axpy4z, dot2x4 and addTo take lengths that
+// are multiples of 4 and read every operand up to that length unchecked; the
+// Go wrappers in matmul.go reslice each operand first. //go:noescape keeps
+// the wrappers' operands, dot2x4's [32]float64 accumulator block among them,
+// on the stack: without it every call would heap-allocate that block.
 
 //go:noescape
 func axpyAVX2(y []float64, a float64, x []float64)
@@ -38,7 +38,13 @@ func axpyAVX2(y []float64, a float64, x []float64)
 func axpy4AVX2(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64)
 
 //go:noescape
+func axpy4zAVX2(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64)
+
+//go:noescape
 func dot2x4AVX2(acc *[32]float64, a0, a1, b0, b1, b2, b3 []float64)
+
+//go:noescape
+func addAVX2(y, x []float64)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

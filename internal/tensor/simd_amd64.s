@@ -1,9 +1,9 @@
 #include "textflag.h"
 
-// AVX2 kernels behind axpy, axpy4 and dot2x4 in matmul.go. Every product is
-// a VMULPD and every sum a separate VADDPD, never an FMA, so each lane
-// rounds exactly like the scalar Go statement it replaces. Lengths are
-// multiples of 4; the Go wrappers reslice the operands and run the tails.
+// AVX2 kernels behind axpy, axpy4, axpy4z, dot2x4 and addTo in matmul.go.
+// Every product is a VMULPD and every sum a separate VADDPD, never an FMA, so
+// each lane rounds exactly like the scalar Go statement it replaces. Lengths
+// are multiples of 4; the Go wrappers reslice the operands and run the tails.
 
 // func axpyAVX2(y []float64, a float64, x []float64)
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
@@ -112,6 +112,69 @@ axpy4_done:
 	VZEROUPPER
 	RET
 
+// func axpy4zAVX2(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64)
+//
+// y[j] = (((+0 + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]: axpy4AVX2
+// with VXORPD where the loads of y were, so y is written but never read.
+TEXT ·axpy4zAVX2(SB), NOSPLIT, $0-152
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	VBROADCASTSD a0+24(FP), Y0
+	VBROADCASTSD a1+32(FP), Y1
+	VBROADCASTSD a2+40(FP), Y2
+	VBROADCASTSD a3+48(FP), Y3
+	MOVQ         x0_base+56(FP), R8
+	MOVQ         x1_base+80(FP), R9
+	MOVQ         x2_base+104(FP), R10
+	MOVQ         x3_base+128(FP), R11
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	JZ           axpy4z_vec
+
+axpy4z_loop8:
+	VXORPD  Y4, Y4, Y4
+	VXORPD  Y5, Y5, Y5
+	VMULPD  (R8)(AX*8), Y0, Y6
+	VMULPD  32(R8)(AX*8), Y0, Y7
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y5, Y5
+	VMULPD  (R9)(AX*8), Y1, Y8
+	VMULPD  32(R9)(AX*8), Y1, Y9
+	VADDPD  Y8, Y4, Y4
+	VADDPD  Y9, Y5, Y5
+	VMULPD  (R10)(AX*8), Y2, Y10
+	VMULPD  32(R10)(AX*8), Y2, Y11
+	VADDPD  Y10, Y4, Y4
+	VADDPD  Y11, Y5, Y5
+	VMULPD  (R11)(AX*8), Y3, Y12
+	VMULPD  32(R11)(AX*8), Y3, Y13
+	VADDPD  Y12, Y4, Y4
+	VADDPD  Y13, Y5, Y5
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JLT     axpy4z_loop8
+
+axpy4z_vec:
+	CMPQ AX, CX
+	JGE  axpy4z_done
+	VXORPD  Y4, Y4, Y4
+	VMULPD  (R8)(AX*8), Y0, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R9)(AX*8), Y1, Y8
+	VADDPD  Y8, Y4, Y4
+	VMULPD  (R10)(AX*8), Y2, Y10
+	VADDPD  Y10, Y4, Y4
+	VMULPD  (R11)(AX*8), Y3, Y12
+	VADDPD  Y12, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+
+axpy4z_done:
+	VZEROUPPER
+	RET
+
 // func dot2x4AVX2(acc *[32]float64, a0, a1, b0, b1, b2, b3 []float64)
 //
 // acc[4*(4*r+c)+l] = Σ a_r[k]*b_c[k] over k ≡ l (mod 4), summed in ascending
@@ -173,6 +236,52 @@ dot_store:
 	VMOVUPD Y5, 160(BX)
 	VMOVUPD Y6, 192(BX)
 	VMOVUPD Y7, 224(BX)
+	VZEROUPPER
+	RET
+
+// func addAVX2(y, x []float64)
+//
+// y[j] += x[j], one VADDPD per four elements with y as the first operand,
+// the order of the scalar y[j] += x[j].
+TEXT ·addAVX2(SB), NOSPLIT, $0-48
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	JZ   add_vec
+
+add_loop16:
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	VADDPD  (SI)(AX*8), Y0, Y0
+	VADDPD  32(SI)(AX*8), Y1, Y1
+	VADDPD  64(SI)(AX*8), Y2, Y2
+	VADDPD  96(SI)(AX*8), Y3, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, DX
+	JLT     add_loop16
+
+add_vec:
+	CMPQ AX, CX
+	JGE  add_done
+
+add_loop4:
+	VMOVUPD (DI)(AX*8), Y0
+	VADDPD  (SI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     add_loop4
+
+add_done:
 	VZEROUPPER
 	RET
 

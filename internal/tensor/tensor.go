@@ -192,9 +192,7 @@ func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 // AddScaledInPlace adds s*o into t and returns t.
 func (t *Tensor) AddScaledInPlace(s float64, o *Tensor) *Tensor {
 	t.mustMatch(o, "AddScaledInPlace")
-	for i, v := range o.data {
-		t.data[i] += s * v
-	}
+	axpy(t.data, s, o.data)
 	return t
 }
 
