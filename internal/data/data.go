@@ -27,8 +27,10 @@ type Dataset interface {
 	Shape() (c, h, w int)
 	// Len returns the number of samples.
 	Len() int
-	// Sample returns the image and label at index i. Implementations
-	// return a fresh image the caller may mutate.
+	// Sample returns the image and label at index i. The image may be
+	// shared with other callers and with later calls for the same index
+	// (see Synth.Cached): callers must not mutate it, and Clone it first
+	// when they need to write.
 	Sample(i int) (*imaging.Image, int)
 }
 

@@ -1,8 +1,10 @@
 package data
 
 import (
+	"math"
 	mrand "math/rand"
 	rand "math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +236,51 @@ func TestBatchAppend(t *testing.T) {
 	b.Append(im, 3)
 	if b.Size() != 1 || b.Labels[0] != 3 {
 		t.Error("Append failed")
+	}
+}
+
+// TestSynthCachedMatchesUncached: four goroutines sampling a Cached Synth at
+// once, each from its own starting index, get for every index the image an
+// uncached Synth renders, bit for bit, and all four get the one shared
+// image.
+func TestSynthCachedMatchesUncached(t *testing.T) {
+	plain := NewSynthCustom("cached", 5, 3, 6, 6, 97, 9)
+	cached := plain.Cached()
+	const goroutines = 4
+	got := make([][]*imaging.Image, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		got[g] = make([]*imaging.Image, plain.Len())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range plain.Len() {
+				i := (k + g*plain.Len()/goroutines) % plain.Len()
+				got[g][i], _ = cached.Sample(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range plain.Len() {
+		want, wantLabel := plain.Sample(i)
+		if _, label := cached.Sample(i); label != wantLabel {
+			t.Fatalf("Sample(%d) label %d, uncached %d", i, label, wantLabel)
+		}
+		for g := range goroutines {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("goroutines 0 and %d got different images for index %d", g, i)
+			}
+		}
+		for p, v := range got[0][i].Pix {
+			if math.Float64bits(v) != math.Float64bits(want.Pix[p]) {
+				t.Fatalf("Sample(%d) pixel %d is %v, uncached %v", i, p, v, want.Pix[p])
+			}
+		}
+	}
+	if again, _ := cached.Sample(3); again != got[0][3] {
+		t.Error("a later Sample(3) rendered a new image")
+	}
+	if out, _ := cached.Sample(plain.Len()); out == nil {
+		t.Error("Sample past Len returned no image")
 	}
 }

@@ -3,14 +3,17 @@ package data
 import (
 	"math"
 	rand "math/rand/v2"
+	"sync/atomic"
 
 	"github.com/oasisfl/oasis/internal/imaging"
 )
 
 // Synth is a deterministic procedural image dataset. Sample(i) derives its
 // own PCG stream from (seed, i), so the dataset behaves like a fixed on-disk
-// corpus: the same index always yields the same image, with no ordering or
-// caching effects.
+// corpus: the same index always yields the same image, with no ordering
+// effects. A Synth made by Cached also keeps each image it renders and hands
+// the same image to every later Sample of that index; either way the pixels
+// are the same.
 //
 // Class structure: each class owns a palette and a pattern family (stripes,
 // checkers, rings, radial gradient, blobs) with class-specific frequency and
@@ -25,6 +28,9 @@ type Synth struct {
 	n       int
 	seed    uint64
 	noise   float64
+	// cache holds the rendered image of each index, nil until first
+	// sampled; the slice itself is nil on a Synth that does not cache.
+	cache []atomic.Pointer[imaging.Image]
 }
 
 var _ Dataset = (*Synth)(nil)
@@ -63,12 +69,38 @@ func (s *Synth) Len() int { return s.n }
 // label Sample(i) produces.
 func (s *Synth) Label(i int) int { return i % s.classes }
 
-// Sample deterministically generates the image and label for index i.
+// Cached returns a copy of s that renders each index once and then returns
+// that same image from every Sample of the index. It is safe for concurrent
+// use: goroutines that race on an unrendered index may each render it, and
+// all of them get the image stored first. It holds n image pointers up
+// front and every image it has rendered until it is collected, so it suits
+// only datasets small enough to keep whole.
+func (s *Synth) Cached() *Synth {
+	c := *s
+	c.cache = make([]atomic.Pointer[imaging.Image], s.n)
+	return &c
+}
+
+// Sample deterministically generates the image and label for index i. On a
+// Cached Synth the image is shared with every other caller of the index.
 func (s *Synth) Sample(i int) (*imaging.Image, int) {
-	rng := rand.New(rand.NewPCG(s.seed, uint64(i)*0x9e3779b97f4a7c15+1))
 	label := i % s.classes
-	im := s.render(label, rng)
-	return im, label
+	if uint(i) >= uint(len(s.cache)) {
+		return s.sample(i, label), label
+	}
+	slot := &s.cache[i]
+	if im := slot.Load(); im != nil {
+		return im, label
+	}
+	if im := s.sample(i, label); slot.CompareAndSwap(nil, im) {
+		return im, label
+	}
+	return slot.Load(), label
+}
+
+// sample renders index i from its own keyed stream.
+func (s *Synth) sample(i, label int) *imaging.Image {
+	return s.render(label, rand.New(rand.NewPCG(s.seed, uint64(i)*0x9e3779b97f4a7c15+1)))
 }
 
 // render paints one sample of the given class.

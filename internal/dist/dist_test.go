@@ -319,7 +319,7 @@ func TestCheckpointResume(t *testing.T) {
 
 // TestResumeAscendingCheckpoint: a checkpoint whose result lines are in
 // ascending job-ID order, as a serial run wrote them before jobs were
-// dispatched attack-major, resumes to the serial report, both served to a
+// dispatched out of ID order, resumes to the serial report, both served to a
 // worker and in-process. Its jobs are not contiguous in dispatch order.
 func TestResumeAscendingCheckpoint(t *testing.T) {
 	golden := serialGolden(t)

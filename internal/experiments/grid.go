@@ -17,8 +17,9 @@ import (
 // on scheduling — so the same enumeration, execution, and merge code backs
 // the in-process pool (RunSweep), checkpoint resume, and the internal/dist
 // coordinator/worker scale-out. Jobs are identified in cell-major order
-// (JobID) but handed out attack-major (Order), so the defense columns of one
-// (attack, replicate) run back to back. Merge folds any assignment of job
+// (JobID) but handed out replicate-major (Order), so the cells of one
+// replicate, and within them the defense columns of one (attack,
+// replicate), run back to back. Merge folds any assignment of job
 // results back in deterministic grid order, which is what makes the final
 // report byte-identical across worker counts, processes, dispatch orders,
 // and crash/resume histories.
@@ -127,15 +128,17 @@ func (g *SweepGrid) NumJobs() int { return g.NumCells() * g.Replicates }
 // JobID maps grid coordinates to the dense job index.
 func (g *SweepGrid) JobID(cell, rep int) int { return cell*g.Replicates + rep }
 
-// Order lists every job ID in dispatch order: attack-major, then by
-// replicate, then by defense. The defense columns of one (attack,
+// Order lists every job ID in dispatch order: replicate-major, then by
+// attack, then by defense. Every cell of a replicate runs at its seed on the
+// same train and test images, and the defense columns of one (attack,
 // replicate) calibrate the identical attack, so running them back to back
-// lets sim reuse that calibration while one of them still holds it.
+// lets sim reuse the rendered images and the calibration while a run still
+// holds them.
 func (g *SweepGrid) Order() []int {
 	nd := len(g.Defenses)
 	ids := make([]int, 0, g.NumJobs())
-	for a := range g.Attacks {
-		for rep := range g.Replicates {
+	for rep := range g.Replicates {
+		for a := range g.Attacks {
 			for d := range nd {
 				ids = append(ids, g.JobID(a*nd+d, rep))
 			}

@@ -227,13 +227,13 @@ func ReplicateSeeds(base uint64, n int) []uint64 {
 // cfg.Attacks) against every defense spec (or DefaultSweepDefenses), one
 // scenario run per (cell, replicate), aggregated to mean±std per cell.
 // Cell×replicate runs dispatch onto a bounded pool of cfg.CellWorkers in
-// SweepGrid.Order (attack-major, so one (attack, replicate)'s defense
-// columns share a calibration) and merge in deterministic grid order
-// (SweepGrid.Merge), so the report is byte-identical for every CellWorkers
-// (and per-cell Workers) value — and to a distributed run of the same grid,
-// which shares this job layer. Progress lines follow completion, so even
-// with one cell worker they come in dispatch order, not in the cell-major
-// order of job IDs.
+// SweepGrid.Order (replicate-major, so a replicate's cells share rendered
+// images and one (attack, replicate)'s defense columns share a calibration)
+// and merge in deterministic grid order (SweepGrid.Merge), so the report is
+// byte-identical for every CellWorkers (and per-cell Workers) value — and
+// to a distributed run of the same grid, which shares this job layer.
+// Progress lines follow completion, so even with one cell worker they come
+// in dispatch order, not in the cell-major order of job IDs.
 //
 // On a cell failure the error is returned together with the partial report
 // holding every fully-completed cell in grid order, so callers can dump

@@ -226,9 +226,10 @@ func TestSweepGridShape(t *testing.T) {
 	}
 }
 
-// TestSweepGridOrder: Order hands out every job exactly once, and the
-// defense columns of each (attack, replicate), which calibrate the same
-// attack, come out next to each other.
+// TestSweepGridOrder: Order hands out every job exactly once, the cells of
+// each replicate, which share its rendered images, come out next to each
+// other, and so do the defense columns of each (attack, replicate), which
+// calibrate the same attack, in defense order.
 func TestSweepGridOrder(t *testing.T) {
 	grid, err := NewSweepGrid(SweepConfig{
 		Attacks:    []string{"cah", "rtf", "qbi"},
@@ -248,6 +249,15 @@ func TestSweepGridOrder(t *testing.T) {
 			t.Fatalf("Order %v is not a permutation of 0..%d", order, grid.NumJobs()-1)
 		}
 		seen[id] = true
+	}
+	perRep := grid.NumCells()
+	for start := 0; start < len(order); start += perRep {
+		rep := grid.Job(order[start]).Rep
+		for i, id := range order[start : start+perRep] {
+			if got := grid.Job(id).Rep; got != rep {
+				t.Fatalf("Order position %d is rep %d inside the rep %d run", start+i, got, rep)
+			}
+		}
 	}
 	nd := len(grid.Defenses)
 	for start := 0; start < len(order); start += nd {

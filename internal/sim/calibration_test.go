@@ -26,16 +26,16 @@ func memoScenario(kind string) Scenario {
 // forgetCalibrations empties the calibration memo, so the next run of any
 // scenario calibrates cold.
 func forgetCalibrations() {
-	calMu.Lock()
-	defer calMu.Unlock()
-	clear(calibrations)
+	calibrations.mu.Lock()
+	defer calibrations.mu.Unlock()
+	clear(calibrations.m)
 }
 
-// heldCalibration is the live memo entry under key, or nil.
-func heldCalibration(key calKey) *calibration {
-	calMu.Lock()
-	defer calMu.Unlock()
-	return calibrations[key].Value()
+// held is the live entry under key, or nil; it never stores one.
+func (w *weakMemo[K, V]) held(key K) *V {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.m[key].Value()
 }
 
 func normalized(t *testing.T, sc Scenario) Scenario {
@@ -52,8 +52,7 @@ func normalized(t *testing.T, sc Scenario) Scenario {
 func calibrate(t *testing.T, sc Scenario) *scheduledAttack {
 	t.Helper()
 	sc = normalized(t, sc)
-	d := sc.Dataset
-	ds := data.NewSynthCustom(sc.Name+"-train", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
+	ds, _ := scenarioDatasets(sc)
 	sched, err := buildAttack(sc, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +120,7 @@ func TestCalibrationMemoBitExact(t *testing.T) {
 				t.Error("two runs share one dishonest server and would share its captures")
 			}
 			warmReport := reportJSON(t, sc)
-			if got := heldCalibration(calKeyOf(normalized(t, sc))); got != cold.cal {
+			if got := calibrations.held(calKeyOf(normalized(t, sc))); got != cold.cal {
 				t.Error("the run calibrated again instead of reusing the held calibration")
 			}
 			if !bytes.Equal(warmReport, coldReport) {

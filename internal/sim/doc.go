@@ -90,6 +90,21 @@
 // only until the next GC, and a finished run pins no layer. A kind added
 // through attack.Register calibrates on every run.
 //
+// # Image reuse
+//
+// A scenario's train and test sets are Synths keyed by the scenario name,
+// the dataset geometry, the sample count and the seed, so every cell of a
+// sweep replicate reads the same images. A set whose rendered pixels fit a
+// fixed 1 MiB (the sweep base's 240 + 64 images of 1×8×8 do) comes from a
+// second memo as a data.Synth.Cached: each image is rendered once, on the
+// first Sample of its index, and every later Sample, in any run, returns
+// that same image, which is why Sample's callers must clone before they
+// write. The memo holds sets weakly, like the calibration memo: a run holds
+// its own two for its lifetime, so concurrent and back-to-back runs of one
+// seed share them, and an idle engine pins no image. A larger set, such as
+// a 3×32×32 paper-scale corpus or a million-client train set, is an
+// uncached Synth that renders every sample it is asked for, as before.
+//
 // # Virtual clients and memory
 //
 // The engine never allocates O(population) training state. Each client

@@ -97,9 +97,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	// early on success and the deferred End is then a no-op (End is nil-safe).
 	_, matSpan := obs.Start(ctx, "sim.materialize", obs.Int("clients", sc.Clients))
 	defer func() { matSpan.End() }()
-	d := sc.Dataset
-	trainDS := data.NewSynthCustom(sc.Name+"-train", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed)
-	testDS := data.NewSynthCustom(sc.Name+"-test", d.Classes, d.Channels, d.Height, d.Width, sc.TestSamples, sc.Seed^0x7e57)
+	trainDS, testDS := scenarioDatasets(sc)
 
 	// Population construction draws from independent keyed streams (see the
 	// salt constants above); per-client training streams are keyed by client
@@ -263,7 +261,7 @@ func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, error) {
 func buildAttack(sc Scenario, ds data.Dataset) (*scheduledAttack, error) {
 	cal := &calibration{}
 	if builtinAttacks[sc.Attack.Kind] {
-		cal = memoCalibration(calKeyOf(sc))
+		cal = calibrations.get(calKeyOf(sc), func() *calibration { return &calibration{} })
 	}
 	cal.once.Do(func() {
 		pcg := rand.NewPCG(sc.Seed+3, 0xa77ac)
@@ -326,32 +324,78 @@ type calibration struct {
 	pcg  rand.PCG
 }
 
-// calibrations memoizes built-in calibrations by key. It holds them weakly:
-// each run's scheduledAttack holds its calibration strongly, so an entry
-// lives while a run uses it and until the next GC after, and a finished run
-// pins nothing.
-var (
-	calMu        sync.Mutex
-	calibrations = map[calKey]weak.Pointer[calibration]{}
-)
+// calibrations memoizes built-in calibrations by key. Each run's
+// scheduledAttack holds its calibration strongly, so an entry lives while a
+// run uses it and until the next GC after, and a finished run pins nothing.
+var calibrations weakMemo[calKey, calibration]
 
-// memoCalibration returns the live entry under key, or stores and returns a
-// new one that is not yet calibrated, first dropping the entries whose
-// calibration has been collected.
-func memoCalibration(key calKey) *calibration {
-	calMu.Lock()
-	defer calMu.Unlock()
-	if cal := calibrations[key].Value(); cal != nil {
-		return cal
+// synthMemoBytes caps the datasets the image memo keeps: one whose every
+// image, rendered, takes more pixel bytes than this is built uncached.
+const synthMemoBytes = 1 << 20
+
+// synthKey is every field a scenario's Synth is built from; NewSynthCustom
+// fixes the rest.
+type synthKey struct {
+	name                string
+	classes, c, h, w, n int
+	seed                uint64
+}
+
+// synths memoizes the scenario datasets small enough to cache their images
+// (see scenarioDatasets). A run holds its datasets strongly for its
+// lifetime, so concurrent and back-to-back runs of one seed share rendered
+// images, and a finished run pins none.
+var synths weakMemo[synthKey, data.Synth]
+
+// scenarioDatasets returns the scenario's train and test sets. A set whose
+// rendered images fit synthMemoBytes comes from the synths memo as a
+// Cached Synth, so the cells of a sweep replicate render each image once;
+// a larger one is an uncached Synth that renders every sample it is asked
+// for.
+func scenarioDatasets(sc Scenario) (train, test *data.Synth) {
+	d := sc.Dataset
+	train = memoSynth(synthKey{sc.Name + "-train", d.Classes, d.Channels, d.Height, d.Width, d.Samples, sc.Seed})
+	test = memoSynth(synthKey{sc.Name + "-test", d.Classes, d.Channels, d.Height, d.Width, sc.TestSamples, sc.Seed ^ 0x7e57})
+	return train, test
+}
+
+// memoSynth is the Synth under k, from the synths memo when it is small
+// enough.
+func memoSynth(k synthKey) *data.Synth {
+	build := func() *data.Synth { return data.NewSynthCustom(k.name, k.classes, k.c, k.h, k.w, k.n, k.seed) }
+	if k.n*k.c*k.h*k.w*8 > synthMemoBytes {
+		return build()
 	}
-	for k, p := range calibrations {
+	return synths.get(k, func() *data.Synth { return build().Cached() })
+}
+
+// weakMemo maps keys to values it holds weakly: the callers of get hold a
+// value strongly for as long as they use it, and an entry outlives its last
+// holder only until the next GC. It is safe for concurrent use.
+type weakMemo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]weak.Pointer[V]
+}
+
+// get returns the live value under key, or stores and returns newV(), first
+// dropping the entries whose values have been collected.
+func (w *weakMemo[K, V]) get(key K, newV func() *V) *V {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if v := w.m[key].Value(); v != nil {
+		return v
+	}
+	for k, p := range w.m {
 		if p.Value() == nil {
-			delete(calibrations, k)
+			delete(w.m, k)
 		}
 	}
-	cal := &calibration{}
-	calibrations[key] = weak.Make(cal)
-	return cal
+	if w.m == nil {
+		w.m = make(map[K]weak.Pointer[V])
+	}
+	v := newV()
+	w.m[key] = weak.Make(v)
+	return v
 }
 
 // scheduledAttack gates a DishonestServer behind the scenario's attack
