@@ -20,7 +20,9 @@ type Capture struct {
 // DishonestServer implements both fl.ModelModifier and fl.UpdateObserver: it
 // swaps every dispatched model for the attack's malicious victim model and
 // inverts every uploaded gradient. Plug it into fl.Server.Modifier and
-// fl.Server.Observer to run the paper's threat model end to end.
+// fl.Server.Observer to run the paper's threat model end to end; Observe
+// keeps every capture for the life of the server. A caller that scores
+// reconstructions as they arrive calls Invert instead, which keeps none.
 //
 // The fl.Server serializes Observe calls in deterministic client-selection
 // order even with a concurrent round engine (Workers > 1), so the capture
@@ -63,16 +65,26 @@ func (d *DishonestServer) Modify(_ int, _ fl.ModelSpec) (fl.ModelSpec, error) {
 // Name labels the modifier for logs.
 func (d *DishonestServer) Name() string { return "dishonest-" + d.atk.Name() }
 
-// Observe inverts one client's uploaded gradients. The victim model's
-// parameter order puts the malicious layer's weight and bias first; an
-// update whose first pair does not have the dispatched layer's shapes is
-// not the malicious layout and is skipped.
-func (d *DishonestServer) Observe(round int, u fl.Update) {
+// Invert reconstructs images from one client's uploaded gradients and
+// records nothing. The victim model's parameter order puts the malicious
+// layer's weight and bias first; an update whose first pair does not have
+// the dispatched layer's shapes is not the malicious layout, and Invert
+// reports false for it.
+func (d *DishonestServer) Invert(u fl.Update) ([]*imaging.Image, bool) {
 	mal := &d.spec.Layers[0]
 	if len(u.Grads) < 2 || !u.Grads[0].SameShape(mal.W) || !u.Grads[1].SameShape(mal.B) {
+		return nil, false
+	}
+	return d.atk.Reconstruct(u.Grads[0], u.Grads[1]), true
+}
+
+// Observe inverts one client's uploaded gradients and appends the capture;
+// an update Invert skips records nothing.
+func (d *DishonestServer) Observe(round int, u fl.Update) {
+	recons, ok := d.Invert(u)
+	if !ok {
 		return
 	}
-	recons := d.atk.Reconstruct(u.Grads[0], u.Grads[1])
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.captures = append(d.captures, Capture{

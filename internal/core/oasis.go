@@ -14,6 +14,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/imaging"
@@ -51,7 +53,7 @@ func (d *Defense) ApplyBatch(b *data.Batch) *data.Batch {
 	if d.Policy == nil {
 		return b
 	}
-	out := b.Clone()
+	out := &data.Batch{Images: slices.Clone(b.Images), Labels: slices.Clone(b.Labels)}
 	for t, im := range b.Images {
 		for _, tr := range d.Policy.Expand(im) {
 			if d.PreserveMean {

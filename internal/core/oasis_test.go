@@ -54,14 +54,17 @@ func TestApplyBuildsEq7Union(t *testing.T) {
 
 func TestApplyDoesNotMutateInput(t *testing.T) {
 	b := testBatch(2, 3)
-	before := b.Clone()
+	before := make([]*imaging.Image, b.Size())
+	for i, im := range b.Images {
+		before[i] = im.Clone()
+	}
 	def := New(augment.Shearing{})
 	def.ApplyBatch(b)
-	if b.Size() != before.Size() {
+	if b.Size() != len(before) {
 		t.Fatal("ApplyBatch mutated the input batch size")
 	}
 	for i := range b.Images {
-		if imaging.MSE(b.Images[i], before.Images[i]) != 0 {
+		if imaging.MSE(b.Images[i], before[i]) != 0 {
 			t.Fatal("ApplyBatch mutated an input image")
 		}
 	}

@@ -52,18 +52,6 @@ type Batch struct {
 // Size returns the number of samples in the batch.
 func (b *Batch) Size() int { return len(b.Images) }
 
-// Clone deep-copies the batch.
-func (b *Batch) Clone() *Batch {
-	out := &Batch{
-		Images: make([]*imaging.Image, len(b.Images)),
-		Labels: append([]int(nil), b.Labels...),
-	}
-	for i, im := range b.Images {
-		out.Images[i] = im.Clone()
-	}
-	return out
-}
-
 // Append adds a sample to the batch.
 func (b *Batch) Append(im *imaging.Image, label int) {
 	b.Images = append(b.Images, im)

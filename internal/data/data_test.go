@@ -106,20 +106,6 @@ func TestBatchFlattenAnd4D(t *testing.T) {
 	}
 }
 
-func TestBatchClone(t *testing.T) {
-	ds := NewSynthCustom("c", 4, 1, 4, 4, 32, 9)
-	b, err := TakeBatch(ds, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := b.Clone()
-	cl.Images[0].Pix[0] = 99
-	cl.Labels[0] = 3
-	if b.Images[0].Pix[0] == 99 || b.Labels[0] == 3 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestTakeBatchErrors(t *testing.T) {
 	ds := NewSynthCustom("e", 2, 1, 4, 4, 10, 9)
 	if _, err := TakeBatch(ds, []int{0, 10}); err == nil {

@@ -51,7 +51,7 @@ func FuzzNewPipeline(f *testing.F) {
 			if b.Size() > maxFuzzBatch {
 				break
 			}
-			before := b.Clone()
+			before := cloneBatch(b)
 			out := s.ApplyBatch(b)
 			if !sameBatch(b, before) {
 				t.Fatalf("%q: stage %s mutated its input batch", spec, s.Name())
@@ -79,6 +79,15 @@ func fuzzBatch() *data.Batch {
 		b.Append(im, i)
 	}
 	return b
+}
+
+// cloneBatch deep-copies b, so a stage that writes to its input shows.
+func cloneBatch(b *data.Batch) *data.Batch {
+	out := &data.Batch{}
+	for i, im := range b.Images {
+		out.Append(im.Clone(), b.Labels[i])
+	}
+	return out
 }
 
 // sameBatch reports whether a and b hold the same labels and pixels.

@@ -41,28 +41,3 @@ func SSIM(recon, ref *Image) float64 {
 	return ((2*muA*muB + ssimC1) * (2*cov + ssimC2)) /
 		((muA*muA + muB*muB + ssimC1) * (varA + varB + ssimC2))
 }
-
-// BestSSIM returns the SSIM between recon and its best-PSNR match among
-// refs, following the attack evaluation protocol (reconstructions arrive in
-// arbitrary order, so each is paired with its closest original first). It
-// returns 0 when no reference shares recon's dimensions.
-func BestSSIM(recon *Image, refs []*Image) float64 {
-	idx, _ := BestMatch(recon, refs)
-	if idx < 0 {
-		return 0
-	}
-	return SSIM(recon, refs[idx])
-}
-
-// MeanSSIM averages BestSSIM over a set of reconstructions; it returns 0
-// when there are none.
-func MeanSSIM(recons, refs []*Image) float64 {
-	if len(recons) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, r := range recons {
-		s += BestSSIM(r, refs)
-	}
-	return s / float64(len(recons))
-}

@@ -73,23 +73,3 @@ func TestSSIMDimensionMismatchPanics(t *testing.T) {
 	}()
 	SSIM(NewImage(1, 2, 2), NewImage(1, 3, 3))
 }
-
-func TestBestSSIMAndMean(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	a := ssimTestImage(rng, 1, 8, 8)
-	b := ssimTestImage(rng, 1, 8, 8)
-	refs := []*Image{a, b}
-	if got := BestSSIM(a.Clone(), refs); math.Abs(got-1) > 1e-12 {
-		t.Errorf("BestSSIM of an exact copy = %g, want 1", got)
-	}
-	if got := BestSSIM(ssimTestImage(rng, 1, 3, 3), refs); got != 0 {
-		t.Errorf("BestSSIM with no matching dims = %g, want 0", got)
-	}
-	if got := MeanSSIM(nil, refs); got != 0 {
-		t.Errorf("MeanSSIM of nothing = %g, want 0", got)
-	}
-	m := MeanSSIM([]*Image{a.Clone(), b.Clone()}, refs)
-	if math.Abs(m-1) > 1e-12 {
-		t.Errorf("MeanSSIM of exact copies = %g, want 1", m)
-	}
-}

@@ -9,7 +9,6 @@ import (
 
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/fl"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/obs"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
@@ -38,7 +37,7 @@ type roundOutcome struct {
 
 // simClient wraps a LocalClient with the scenario's reliability model:
 // per-round dropout, straggler delays against a virtual deadline, and
-// original-batch recording on attack rounds (for post-hoc PSNR scoring).
+// raw-batch recording on attack rounds (for the round's PSNR scoring).
 // One simClient lives for one lease; its cross-round state comes from, and
 // returns to, the population's departed record.
 //
@@ -55,9 +54,6 @@ type simClient struct {
 
 	// outcome is the leased round's outcome; nil until HandleRound runs.
 	outcome *roundOutcome
-	// originals is the departed record's map of recorded pre-defense
-	// batches by attack round, allocated on the first one.
-	originals map[int][]*imaging.Image
 }
 
 var (
@@ -102,15 +98,7 @@ func (c *simClient) HandleRound(ctx context.Context, req fl.RoundRequest) (fl.Up
 	active := c.pop.attackActive
 	c.record.arm(active != nil && active(req.Round))
 	u, err := c.inner.HandleRound(ctx, req)
-	if err == nil {
-		out.completed = true
-		if ims := c.record.take(); ims != nil {
-			if c.originals == nil {
-				c.originals = make(map[int][]*imaging.Image, 1)
-			}
-			c.originals[req.Round] = ims
-		}
-	}
+	out.completed = err == nil
 	return u, err
 }
 
@@ -147,13 +135,18 @@ func (o *roundOutcome) waitedMS(deadlineMS float64) float64 {
 	}
 }
 
-// batchRecorder is every sim client's Defense: when armed it clones the raw
-// (pre-defense) batch for later PSNR ground truth, then hands the batch to
-// the real defense (if any); the gradient stage delegates. Unarmed it adds
-// one branch per batch — cheap enough to leave in place on every client.
+// batchRecorder is every sim client's Defense: when armed it keeps the raw
+// (pre-defense) batch as the round's PSNR ground truth, then hands the batch
+// to the real defense (if any); the gradient stage delegates. Unarmed it
+// adds one branch per batch — cheap enough to leave in place on every
+// client. The batch is kept, not copied: defenses must not mutate their
+// input and dataset images are read-only, and the engine scores and drops
+// it in the round's AfterRound.
 type batchRecorder struct {
 	inner fl.Defense
 	armed bool
+	// batch is written by the client's worker goroutine and read by the
+	// server goroutine after the round's results are merged.
 	batch *data.Batch
 }
 
@@ -172,7 +165,7 @@ func (r *batchRecorder) Name() string {
 //oasis:allow-walltime measures real defense latency for the obs histogram; never feeds results
 func (r *batchRecorder) ApplyBatch(b *data.Batch) *data.Batch {
 	if r.armed && r.batch == nil {
-		r.batch = b.Clone()
+		r.batch = b
 	}
 	if r.inner == nil {
 		return b
@@ -197,14 +190,4 @@ func (r *batchRecorder) ApplyGrads(grads []*tensor.Tensor) {
 // arm resets the recorder for a new round.
 func (r *batchRecorder) arm(on bool) {
 	r.armed, r.batch = on, nil
-}
-
-// take returns the recorded originals (nil when unarmed) and clears them.
-func (r *batchRecorder) take() []*imaging.Image {
-	if r.batch == nil {
-		return nil
-	}
-	ims := r.batch.Images
-	r.batch = nil
-	return ims
 }

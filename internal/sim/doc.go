@@ -120,11 +120,13 @@
 // Lease materializes the cohort in index order; Release runs after the
 // server step and records the cohort in ascending index order, and the
 // round's report is collected from that cohort alone, since no other client
-// has an outcome for the round. Release also shrinks each cohort client to
-// a compact departed record holding only its cross-round state: its
-// training rng, its own defense pipeline when defended (stateful stages
-// such as dpsgd must continue), and the originals it recorded on attack
-// rounds, which scoring reads. A later Lease rebuilds the client from its
+// has an outcome for the round. On a strike round that collection, in the
+// server's AfterRound hook, also scores the dishonest server's captures
+// against the raw batches the cohort recorded and then drops both, so no
+// image outlives its round. Release also shrinks each cohort client to a
+// compact departed record holding only its cross-round state: its training
+// rng and its own defense pipeline when defended (stateful stages such as
+// dpsgd must continue). A later Lease rebuilds the client from its
 // descriptor and that record, so a resampled client behaves exactly as one
 // never released, and a long cross-device run retains about a hundred
 // bytes per client it ever sampled rather than the whole client. The heavy

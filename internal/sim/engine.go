@@ -15,7 +15,6 @@ import (
 	"github.com/oasisfl/oasis/internal/defense"
 	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/imaging"
-	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
 	"github.com/oasisfl/oasis/internal/obs"
 )
@@ -202,6 +201,11 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		// the released cohort is exact and O(cohort), not O(population).
 		rr := collectRound(round, stats, vp.cohort, sc.DeadlineMS)
 		rr.AttackActive = sc.Attack.Active(round)
+		if sched != nil && rr.AttackActive {
+			_, scSpan := obs.Start(ctx, "sim.score", obs.Int("round", round))
+			sched.score(&rr, vp.cohort)
+			scSpan.End()
+		}
 		if round == sc.Rounds-1 || (sc.EvalEvery > 0 && (round+1)%sc.EvalEvery == 0) {
 			rr.Evaluated = true
 			_, evSpan := obs.Start(ctx, "sim.eval", obs.Int("round", round))
@@ -219,10 +223,10 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	if _, err := server.Run(ctx); err != nil {
 		return nil, err
 	}
-	_, scSpan := obs.Start(ctx, "sim.score")
-	scoreAttack(report, sched, vp.recorded())
+	if sched != nil {
+		sched.totals(report)
+	}
 	summarize(report)
-	scSpan.End()
 	return report, nil
 }
 
@@ -399,11 +403,21 @@ func (w *weakMemo[K, V]) get(key K, newV func() *V) *V {
 }
 
 // scheduledAttack gates a DishonestServer behind the scenario's attack
-// schedule: outside active rounds the server is perfectly honest.
+// schedule: outside active rounds the server is perfectly honest. It keeps
+// only the current round's captures; score pairs them with the cohort's
+// recorded batches at the end of the round and drops them.
 type scheduledAttack struct {
 	inner  *attack.DishonestServer
 	active func(round int) bool
 	cal    *calibration // keeps the memo entry alive for the run
+
+	// captures are the current round's, in selection order.
+	captures []attack.Capture
+	// Run totals: every capture, every reconstruction, and the sums and
+	// count of the scored reconstructions' PSNR and SSIM, added in round
+	// then selection order.
+	nCaptures, nRecons, nScored int
+	psnrSum, ssimSum            float64
 }
 
 var (
@@ -422,21 +436,77 @@ func (s *scheduledAttack) Modify(round int, spec fl.ModelSpec) (fl.ModelSpec, er
 // Name labels the scheduled attack.
 func (s *scheduledAttack) Name() string { return s.inner.Name() + "-scheduled" }
 
-// Observe inverts updates only on scheduled rounds.
+// Observe inverts updates only on scheduled rounds and keeps the capture
+// until the round is scored.
 //
 //oasis:allow-walltime measures real reconstruction latency for the obs histogram; never feeds results
 func (s *scheduledAttack) Observe(round int, u fl.Update) {
 	if !s.active(round) {
 		return
 	}
-	if !obs.Enabled() {
-		s.inner.Observe(round, u)
-		return
+	var start time.Time
+	if obs.Enabled() {
+		obsAttackObserve.Inc()
+		start = time.Now()
 	}
-	obsAttackObserve.Inc()
-	start := time.Now()
-	s.inner.Observe(round, u)
-	obsReconstructMS.Observe(float64(time.Since(start).Microseconds()) / 1000)
+	recons, ok := s.inner.Invert(u)
+	if !start.IsZero() {
+		obsReconstructMS.Observe(float64(time.Since(start).Microseconds()) / 1000)
+	}
+	if ok {
+		s.captures = append(s.captures, attack.Capture{Round: round, ClientID: u.ClientID, Reconstructions: recons})
+	}
+}
+
+// score matches each of the round's reconstructions to its best-PSNR
+// original in the raw batch its client recorded, fills rr's reconstruction
+// count and mean PSNR, adds to the run totals, and drops the round's
+// captures and recorded batches.
+func (s *scheduledAttack) score(rr *RoundReport, cohort []*simClient) {
+	originals := make(map[string][]*imaging.Image, len(s.captures))
+	for _, c := range cohort {
+		if b := c.record.batch; b != nil {
+			originals[c.ID()] = b.Images
+			c.record.batch = nil
+		}
+	}
+	psnrSum, n := 0.0, 0
+	for _, cap := range s.captures {
+		rr.Reconstructions += len(cap.Reconstructions)
+		ims := originals[cap.ClientID]
+		if len(ims) == 0 {
+			continue
+		}
+		for _, r := range cap.Reconstructions {
+			idx, p := imaging.BestMatch(r, ims)
+			ssim := 0.0
+			if idx >= 0 {
+				ssim = imaging.SSIM(r, ims[idx])
+			}
+			psnrSum += p
+			n++
+			s.psnrSum += p
+			s.ssimSum += ssim
+		}
+	}
+	if n > 0 {
+		rr.MeanPSNR = psnrSum / float64(n)
+	}
+	s.nCaptures += len(s.captures)
+	s.nRecons += rr.Reconstructions
+	s.nScored += n
+	clear(s.captures)
+	s.captures = s.captures[:0]
+}
+
+// totals fills the report's whole-run attack fields.
+func (s *scheduledAttack) totals(report *Report) {
+	report.AttackCaptures = s.nCaptures
+	report.AttackReconstructions = s.nRecons
+	if s.nScored > 0 {
+		report.AttackMeanPSNR = s.psnrSum / float64(s.nScored)
+		report.AttackMeanSSIM = s.ssimSum / float64(s.nScored)
+	}
 }
 
 // collectRound assembles one RoundReport from the server stats and the
@@ -480,41 +550,6 @@ func collectRound(round int, stats fl.RoundStats, cohort []*simClient, deadlineM
 		}
 	}
 	return rr
-}
-
-// scoreAttack pairs the dishonest server's captures with the pre-defense
-// batches the clients recorded (by client ID, then attack round) and fills
-// the per-round and total PSNR fields.
-func scoreAttack(report *Report, sched *scheduledAttack, recorded map[string]map[int][]*imaging.Image) {
-	if sched == nil {
-		return
-	}
-	perRound := make(map[int][]float64)
-	reconPerRound := make(map[int]int)
-	var all, ssims []float64
-	caps := sched.inner.Captures()
-	for _, cap := range caps {
-		reconPerRound[cap.Round] += len(cap.Reconstructions)
-		report.AttackReconstructions += len(cap.Reconstructions)
-		originals := recorded[cap.ClientID][cap.Round]
-		if len(cap.Reconstructions) == 0 || len(originals) == 0 {
-			continue
-		}
-		ev := attack.Evaluate(cap.Reconstructions, originals)
-		perRound[cap.Round] = append(perRound[cap.Round], ev.PSNRs...)
-		all = append(all, ev.PSNRs...)
-		for _, r := range cap.Reconstructions {
-			ssims = append(ssims, imaging.BestSSIM(r, originals))
-		}
-	}
-	report.AttackCaptures = len(caps)
-	report.AttackMeanPSNR = metrics.Mean(all)
-	report.AttackMeanSSIM = metrics.Mean(ssims)
-	for i := range report.Rounds {
-		r := report.Rounds[i].Round
-		report.Rounds[i].Reconstructions = reconPerRound[r]
-		report.Rounds[i].MeanPSNR = metrics.Mean(perRound[r])
-	}
 }
 
 // summarize fills the report's whole-run aggregates from its rounds.

@@ -10,7 +10,6 @@ import (
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/defense"
 	"github.com/oasisfl/oasis/internal/fl"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
@@ -79,8 +78,8 @@ type virtualClient struct {
 // population exists only as keyed-stream descriptors (lazy partition, sorted
 // membership sets), and a real simClient exists only while a cohort leases
 // it. When Release ends a round, each cohort client shrinks to a departed
-// record of its cross-round state — training rng, defense pipeline, recorded
-// originals — and a later Lease rebuilds it from its descriptor and that
+// record of its cross-round state — training rng and defense pipeline — and
+// a later Lease rebuilds it from its descriptor and that
 // record, so a resampled client resumes exactly where an eagerly
 // materialized one would. The heavy per-round buffers (decoded models,
 // upload gradients) are leased from the tensor arena and recycled inside the
@@ -112,9 +111,6 @@ type virtualPopulation struct {
 type departed struct {
 	rng     *rand.Rand // training stream, at the position the client left it
 	defense fl.Defense // the client's own pipeline; nil when undefended
-	// originals maps each attack round in which the client recorded its
-	// pre-defense batch to that batch; nil until the first such round.
-	originals map[int][]*imaging.Image
 }
 
 var _ fl.Roster = (*virtualPopulation)(nil)
@@ -169,14 +165,15 @@ func (vp *virtualPopulation) Lease(round int, indices []int) ([]fl.Client, error
 // its departed record, and the round's heavy buffers were already recycled
 // by the client and server release paths. The cohort itself is kept, in
 // ascending index order, until the next Release, because the engine's round
-// collection (AfterRound) reads its outcomes after this call.
+// collection (AfterRound) reads its outcomes and recorded batches after this
+// call.
 func (vp *virtualPopulation) Release(_ int, cohort []fl.Client) {
 	clear(vp.cohort) // a smaller cohort must not pin the tail of the last one
 	vp.cohort = vp.cohort[:0]
 	for _, fc := range cohort {
 		c := fc.(*simClient)
 		vp.cohort = append(vp.cohort, c)
-		vp.departed[c.index] = departed{rng: c.inner.Rng, defense: c.record.inner, originals: c.originals}
+		vp.departed[c.index] = departed{rng: c.inner.Rng, defense: c.record.inner}
 	}
 	sort.Slice(vp.cohort, func(a, b int) bool { return vp.cohort[a].index < vp.cohort[b].index })
 }
@@ -213,25 +210,11 @@ func (vp *virtualPopulation) instantiate(d virtualClient, rec departed) (*simCli
 		index:     d.index,
 		straggler: d.straggler,
 		record:    recorder,
-		originals: rec.originals,
 	}, nil
 }
 
 // clientName is client i's ID.
 func clientName(i int) string { return fmt.Sprintf("client-%04d", i) }
-
-// recorded indexes every departed client's recorded originals by client ID
-// and attack round, for scoring. Clients that never recorded originals are
-// absent.
-func (vp *virtualPopulation) recorded() map[string]map[int][]*imaging.Image {
-	out := make(map[string]map[int][]*imaging.Image)
-	for i, d := range vp.departed {
-		if d.originals != nil {
-			out[clientName(i)] = d.originals
-		}
-	}
-	return out
-}
 
 // roundStateBudgetBytes bounds the per-round transient state the cost-model
 // worker cap is willing to keep in flight at once (decoded cohort models,

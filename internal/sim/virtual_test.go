@@ -134,7 +134,7 @@ func TestVirtualLeaseSemantics(t *testing.T) {
 // checkReleasedClientResumes drives one client for three attack rounds
 // twice: leased, released and re-leased through the population each round,
 // and as one instance that is never released. Both must upload bit-identical
-// gradients and record bit-identical originals every round, which holds only
+// gradients and record bit-identical raw batches every round, which holds only
 // if the departed record carries the training rng and the defense pipeline
 // where the client left them.
 func checkReleasedClientResumes(t *testing.T, defenseKind string) {
@@ -173,6 +173,7 @@ func checkReleasedClientResumes(t *testing.T, defenseKind string) {
 			t.Fatal(err)
 		}
 		var got fl.Update
+		lease := cohort[0].(*simClient)
 		for j, c := range cohort {
 			u, err := c.HandleRound(ctx, req)
 			if err != nil {
@@ -195,13 +196,16 @@ func checkReleasedClientResumes(t *testing.T, defenseKind string) {
 				t.Fatalf("round %d: re-leased client's gradient %d differs from the never-released client's", round, i)
 			}
 		}
-		gotIms, wantIms := leased.departed[client].originals[round], ref.originals[round]
+		if lease.record.batch == nil || ref.record.batch == nil {
+			t.Fatalf("round %d: an armed client recorded no batch", round)
+		}
+		gotIms, wantIms := lease.record.batch.Images, ref.record.batch.Images
 		if len(wantIms) == 0 || len(gotIms) != len(wantIms) {
-			t.Fatalf("round %d: %d recorded originals, want %d (> 0)", round, len(gotIms), len(wantIms))
+			t.Fatalf("round %d: %d recorded images, want %d (> 0)", round, len(gotIms), len(wantIms))
 		}
 		for i := range wantIms {
 			if !bitsEqual(gotIms[i].Pix, wantIms[i].Pix) {
-				t.Fatalf("round %d: recorded original %d differs from the never-released client's", round, i)
+				t.Fatalf("round %d: recorded image %d differs from the never-released client's", round, i)
 			}
 		}
 	}
@@ -300,7 +304,8 @@ func TestResidentClientBytesIndependentOfRounds(t *testing.T) {
 // departedClientBudget bounds the heap one released client retains: its
 // training rng, a map entry and, for the tenth of clients that are
 // defended, an OASIS pipeline. Keeping whole clients resident retained about
-// 670 B each after one round; the compact record measures 126 B on amd64.
+// 670 B each after one round; the compact record of an rng and a pipeline
+// measures 113 B on amd64.
 const departedClientBudget = 200
 
 // TestDepartedClientBytes pins the compact record: after one round and its

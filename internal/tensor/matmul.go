@@ -430,18 +430,6 @@ func addTo(y, x []float64) {
 	}
 }
 
-// Row returns a copy of row i of a 2-D tensor. Call sites that only read the
-// row should use RowView and skip the copy.
-func (t *Tensor) Row(i int) []float64 {
-	if t.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Row requires 2-D tensor, got %v", t.shape))
-	}
-	n := t.shape[1]
-	out := make([]float64, n)
-	copy(out, t.data[i*n:(i+1)*n])
-	return out
-}
-
 // SetRow copies v into row i of a 2-D tensor.
 func (t *Tensor) SetRow(i int, v []float64) {
 	if t.Dims() != 2 {

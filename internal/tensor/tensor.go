@@ -165,13 +165,6 @@ func (t *Tensor) FillRandn(rng *rand.Rand, std float64) {
 	}
 }
 
-// FillUniform fills the tensor with uniform samples in [lo, hi).
-func (t *Tensor) FillUniform(rng *rand.Rand, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-}
-
 // Add returns t + o elementwise.
 func (t *Tensor) Add(o *Tensor) *Tensor {
 	t.mustMatch(o, "Add")
@@ -202,16 +195,6 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 	r := t.Clone()
 	for i, v := range o.data {
 		r.data[i] -= v
-	}
-	return r
-}
-
-// Mul returns the elementwise (Hadamard) product t ⊙ o.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.mustMatch(o, "Mul")
-	r := t.Clone()
-	for i, v := range o.data {
-		r.data[i] *= v
 	}
 	return r
 }
@@ -250,28 +233,6 @@ func (t *Tensor) Sum() float64 {
 
 // Mean returns the arithmetic mean of all elements.
 func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.data)) }
-
-// Max returns the maximum element.
-func (t *Tensor) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func (t *Tensor) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range t.data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
 
 // L2Norm returns the Euclidean norm of the flattened tensor.
 func (t *Tensor) L2Norm() float64 {

@@ -95,9 +95,6 @@ func TestArithmetic(t *testing.T) {
 	if got := b.Sub(a).Data(); got[0] != 3 {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := a.Mul(b).Data(); got[1] != 10 {
-		t.Errorf("Mul = %v", got)
-	}
 	if got := a.Scale(2).Data(); got[2] != 6 {
 		t.Errorf("Scale = %v", got)
 	}
@@ -106,12 +103,6 @@ func TestArithmetic(t *testing.T) {
 	}
 	if got := a.Mean(); got != 2 {
 		t.Errorf("Mean = %g", got)
-	}
-	if got := a.Max(); got != 3 {
-		t.Errorf("Max = %g", got)
-	}
-	if got := a.Min(); got != 1 {
-		t.Errorf("Min = %g", got)
 	}
 	if got := a.L2Norm(); math.Abs(got-math.Sqrt(14)) > 1e-12 {
 		t.Errorf("L2Norm = %g", got)
@@ -200,14 +191,6 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 
 func TestRowOperations(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	row := a.Row(1)
-	if row[0] != 4 || row[2] != 6 {
-		t.Errorf("Row(1) = %v", row)
-	}
-	row[0] = 99 // Row returns a copy
-	if a.At(1, 0) != 4 {
-		t.Error("Row returned a view")
-	}
 	a.SetRow(0, []float64{7, 8, 9})
 	if a.At(0, 2) != 9 {
 		t.Errorf("SetRow failed: %v", a.Data())
@@ -222,10 +205,6 @@ func TestRowOperations(t *testing.T) {
 func TestFillHelpers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	a := New(1000)
-	a.FillUniform(rng, 2, 3)
-	if a.Min() < 2 || a.Max() >= 3 {
-		t.Errorf("FillUniform out of range: [%g, %g]", a.Min(), a.Max())
-	}
 	a.FillRandn(rng, 0.5)
 	if m := math.Abs(a.Mean()); m > 0.1 {
 		t.Errorf("FillRandn mean = %g, want ≈ 0", m)
