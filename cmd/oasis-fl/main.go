@@ -2,8 +2,7 @@
 // transport: one server process and N client processes (or all roles in a
 // single process with -demo).
 //
-// Honest run (-defense takes a defense pipeline spec; a bare OASIS policy
-// label like "MR" is shorthand for "oasis:MR"):
+// Honest run (-defense takes a defense pipeline spec such as "oasis:MR"):
 //
 //	oasis-fl -role server -addr :7070 -clients 4 -rounds 20
 //	oasis-fl -role client -addr host:7070 -name hospital-1 -defense oasis:MR
@@ -55,7 +54,7 @@ func run() error {
 		clients  = flag.Int("clients", 2, "clients the server waits for / demo spawns")
 		rounds   = flag.Int("rounds", 5, "FL rounds")
 		batch    = flag.Int("batch", 8, "client batch size")
-		defName  = flag.String("defense", "", "client defense pipeline ('|'-chain of "+strings.Join(oasis.DefenseNames(), " | ")+" specs, e.g. oasis:MR|dpsgd:1,0.1; a bare policy label means oasis:<label>; empty = undefended)")
+		defName  = flag.String("defense", "", "client defense pipeline ('|'-chain of "+strings.Join(oasis.DefenseNames(), " | ")+" specs, e.g. oasis:MR|dpsgd:1,0.1; empty = undefended)")
 		attackID = flag.String("attack", "", "dishonest server attack ("+strings.Join(oasis.AttackNames(), " | ")+"; empty = honest)")
 		seed     = flag.Uint64("seed", 42, "deterministic seed")
 		outDir   = flag.String("out", "", "directory for reconstruction montages (server side)")
@@ -86,12 +85,12 @@ func run() error {
 			return err
 		}
 	}
-	// Resolve -defense before any role starts: it is a registry pipeline
-	// spec, with a bare OASIS policy label ("MR") kept as shorthand for
-	// "oasis:<label>" for pre-registry invocations.
-	defSpec, err := resolveDefense(*defName)
-	if err != nil {
-		return err
+	// Likewise fail a malformed -defense pipeline spec before any role
+	// starts.
+	if *defName != "" {
+		if _, err := oasis.NewDefensePipeline(*defName, nil); err != nil {
+			return err
+		}
 	}
 	opts := driveOptions{
 		rounds:   *rounds,
@@ -103,31 +102,14 @@ func run() error {
 	}
 	switch {
 	case *demo:
-		return runDemo(ctx, *clients, *batch, defSpec, opts)
+		return runDemo(ctx, *clients, *batch, *defName, opts)
 	case *role == "server":
 		return runServer(ctx, *addr, *clients, opts)
 	case *role == "client":
-		return runClient(ctx, *addr, *name, *batch, defSpec, *seed)
+		return runClient(ctx, *addr, *name, *batch, *defName, *seed)
 	default:
 		return fmt.Errorf("pass -demo, or -role server|client")
 	}
-}
-
-// resolveDefense normalizes the -defense flag to a registry pipeline spec.
-func resolveDefense(spec string) (string, error) {
-	if spec == "" {
-		return "", nil
-	}
-	_, err := oasis.NewDefensePipeline(spec, nil)
-	if err == nil {
-		return spec, nil
-	}
-	// Legacy shorthand: "-defense MR" meant the OASIS policy MR.
-	legacy := "oasis:" + spec
-	if _, err2 := oasis.NewDefensePipeline(legacy, nil); err2 == nil {
-		return legacy, nil
-	}
-	return "", err
 }
 
 // driveOptions carries the server-side round-engine knobs.

@@ -20,9 +20,9 @@ import (
 //     then Finalize exactly once. Streaming implementations (mean, norm
 //     clipping) fold each update immediately; robust statistics (median,
 //     trimmed mean) may buffer until Finalize.
-//   - Add must not mutate or retain u.Grads: the tensors may still be
-//     referenced by the client and by UpdateObserver hooks. Clone before
-//     folding in place.
+//   - Add must not mutate or retain u.Grads: the UpdateObserver has seen
+//     the same tensors, and the server releases them to the tensor arena
+//     once Add returns. Clone before folding in place.
 //   - Add reports a shape mismatch against the first update of the round as
 //     an error; the round aborts on it.
 //   - Finalize returns tensors the caller owns. The aggregator keeps no

@@ -63,6 +63,10 @@ type Defense interface {
 // safe to share; the stochastic stages of internal/defense (DPSGD, ATS) draw
 // from their own *rand.Rand and must be per-client. Datasets are read-only
 // and safe to share.
+//
+// A returned Update's gradient tensors pass to the server, which releases
+// them to the tensor arena once the round has folded them: HandleRound must
+// keep no reference to them.
 type Client interface {
 	ID() string
 	HandleRound(ctx context.Context, req RoundRequest) (Update, error)
@@ -126,9 +130,9 @@ func (c *LocalClient) NumSamples() int { return c.Shard.Len() }
 // The update's gradient tensors belong to the caller. With LocalSteps ≤ 1
 // they are the decoded model's own arena-backed gradient buffers, uploaded
 // without a copy; with more steps they are the pseudo-gradients formed from
-// w₀ and the trained copies. Either way the client keeps no reference, so a
-// server with ReleaseUpdates set returns them to the tensor arena once the
-// Aggregator has folded them.
+// w₀ and the trained copies. Either way the client keeps no reference, and
+// the server returns them to the tensor arena once the Observer and the
+// Aggregator have seen them.
 func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update, error) {
 	if err := ctx.Err(); err != nil {
 		return Update{}, fmt.Errorf("fl: client %s round %d: %w", c.Name, req.Round, err)

@@ -47,7 +47,7 @@ func TestSharedSpecUnchangedByClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := specParamBits(spec)
-	server := NewServer(ServerConfig{Rounds: 2, LearningRate: 0.1, Seed: 4, Workers: 2, ReleaseUpdates: true}, testModel(nil), roster)
+	server := NewServer(ServerConfig{Rounds: 2, LearningRate: 0.1, Seed: 4, Workers: 2}, testModel(nil), roster)
 	server.Modifier = &recordingModifier{spec: spec}
 	if _, err := server.Run(context.Background()); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -152,6 +153,106 @@ func TestConcurrentStrictModeFailsDeterministically(t *testing.T) {
 	}
 	if len(errs) != 1 {
 		t.Errorf("strict-mode error differs across worker counts: %v", errs)
+	}
+}
+
+// TestServerReleasesUpdateGradients: once the Observer and the Aggregator
+// have seen an update, the server hands its gradient tensors back to the
+// tensor arena, at every worker count. An Observer that keeps the updates
+// finds every kept gradient released after Run.
+func TestServerReleasesUpdateGradients(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		obs := &recordingObserver{}
+		server := NewServer(ServerConfig{
+			Rounds: 3, ClientsPerRound: 5, LearningRate: 0.05, Seed: 12, Workers: workers,
+		}, testModel(nil), buildRoster(t, 6))
+		server.Observer = obs
+		if _, err := server.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(obs.updates) != 15 {
+			t.Fatalf("Workers=%d: observer saw %d updates, want 15", workers, len(obs.updates))
+		}
+		for _, u := range obs.updates {
+			for i, g := range u.Grads {
+				if g.Data() != nil {
+					t.Fatalf("Workers=%d: round %d client %s gradient %d was not released", workers, u.Round, u.ClientID, i)
+				}
+			}
+		}
+	}
+}
+
+// cancellingClient delegates to a real client, logging each round it is
+// asked to train, and cancels the run's context when asked to train round
+// at.
+type cancellingClient struct {
+	inner Client
+	log   *roundLog
+	at    int
+}
+
+// roundLog is the rounds cancellingClients were asked to train, shared by
+// concurrent workers.
+type roundLog struct {
+	mu     sync.Mutex
+	rounds []int
+	cancel context.CancelFunc
+}
+
+func (c *cancellingClient) ID() string { return c.inner.ID() }
+func (c *cancellingClient) HandleRound(ctx context.Context, req RoundRequest) (Update, error) {
+	c.log.mu.Lock()
+	c.log.rounds = append(c.log.rounds, req.Round)
+	c.log.mu.Unlock()
+	if req.Round == c.at {
+		c.log.cancel()
+	}
+	return c.inner.HandleRound(ctx, req)
+}
+
+// TestRunStopsWhenCancelled: a cancelled context ends a tolerant run with an
+// error wrapping context.Canceled and the rounds completed before it. A
+// round the cancellation interrupts is not recorded, and no client is asked
+// to train after it, at every worker count.
+func TestRunStopsWhenCancelled(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			name       string
+			at         int // round during which a client cancels; -1 cancels before Run
+			wantRounds int
+		}{
+			{"before the run", -1, 0},
+			{"during round 1", 1, 1},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			log := &roundLog{cancel: cancel}
+			roster := NewMemoryRoster()
+			for i, s := range testShards(t, 4) {
+				inner := NewLocalClient(fmt.Sprintf("c%d", i), s, 8, nn.RandSource(70, uint64(i)))
+				roster.Add(&cancellingClient{inner: inner, log: log, at: tc.at})
+			}
+			if tc.at < 0 {
+				cancel()
+			}
+			server := NewServer(ServerConfig{
+				Rounds: 4, LearningRate: 0.05, Seed: 8, Workers: workers, TolerateFailures: true,
+			}, testModel(nil), roster)
+			hist, err := server.Run(ctx)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("Workers=%d %s: Run error %v, want context.Canceled", workers, tc.name, err)
+			}
+			if len(hist.Rounds) != tc.wantRounds {
+				t.Errorf("Workers=%d %s: recorded %d rounds, want %d", workers, tc.name, len(hist.Rounds), tc.wantRounds)
+			}
+			for _, r := range log.rounds {
+				if r > tc.at {
+					t.Errorf("Workers=%d %s: a client was asked to train round %d", workers, tc.name, r)
+					break
+				}
+			}
+		}
 	}
 }
 

@@ -125,16 +125,6 @@ func TestTolerateFailuresSkipsFlakyClients(t *testing.T) {
 	}
 }
 
-func TestTolerateFailuresStillFailsWhenAllClientsFail(t *testing.T) {
-	roster := NewMemoryRoster()
-	roster.Add(&failingClient{id: "dead1"})
-	roster.Add(&failingClient{id: "dead2"})
-	server := NewServer(ServerConfig{Rounds: 1, TolerateFailures: true}, testModel(nil), roster)
-	if _, err := server.Run(context.Background()); err == nil {
-		t.Error("all-failed round succeeded")
-	}
-}
-
 func TestWithoutToleranceFailuresAbort(t *testing.T) {
 	shards := testShards(t, 1)
 	roster := NewMemoryRoster()

@@ -128,16 +128,19 @@ func (m *recordingModifier) Modify(round int, _ ModelSpec) (ModelSpec, error) {
 }
 func (m *recordingModifier) Name() string { return "recording" }
 
-// recordingObserver collects updates.
+// recordingObserver collects updates, and the shape of each one's first
+// gradient: the server releases the gradient tensors once Observe returns.
 type recordingObserver struct {
 	mu      sync.Mutex
 	updates []Update
+	shapes  [][]int
 }
 
 func (o *recordingObserver) Observe(_ int, u Update) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.updates = append(o.updates, u)
+	o.shapes = append(o.shapes, u.Grads[0].Shape())
 }
 
 func TestDishonestModifierSwapsModelAndSkipsAggregation(t *testing.T) {
@@ -174,9 +177,9 @@ func TestDishonestModifierSwapsModelAndSkipsAggregation(t *testing.T) {
 		t.Errorf("observer saw %d updates, want 4", len(obs.updates))
 	}
 	// The malicious architecture (32-neuron layer) reached the clients.
-	for _, u := range obs.updates {
-		if u.Grads[0].Dim(0) != 32 {
-			t.Errorf("update gradient shape %v — malicious model not dispatched", u.Grads[0].Shape())
+	for _, shape := range obs.shapes {
+		if shape[0] != 32 {
+			t.Errorf("update gradient shape %v — malicious model not dispatched", shape)
 		}
 	}
 	// The global model cannot absorb mismatched updates: weights unchanged.

@@ -99,59 +99,15 @@ func (r *repeatDataset) Sample(i int) (*imaging.Image, int) {
 	return r.inner.Sample(i % r.inner.Len())
 }
 
-// stallClient blocks until its context is cancelled — the pathological
-// straggler a round deadline exists for.
-type stallClient struct{ id string }
-
-func (s *stallClient) ID() string { return s.id }
-func (s *stallClient) HandleRound(ctx context.Context, req RoundRequest) (Update, error) {
-	<-ctx.Done()
-	return Update{}, ctx.Err()
-}
-
-// TestRoundDeadlineDegradesRound: with a deadline and TolerateFailures, a
-// client that never answers is dropped from the round instead of hanging it.
-func TestRoundDeadlineDegradesRound(t *testing.T) {
-	roster := buildRoster(t, 4)
-	roster.Add(&stallClient{id: "hung"})
-	server := NewServer(ServerConfig{
-		Rounds: 2, LearningRate: 0.05, Seed: 11, Workers: 4,
-		TolerateFailures: true, RoundDeadline: 150 * time.Millisecond,
-	}, testModel(nil), roster)
-	done := make(chan error, 1)
-	var hist History
-	go func() {
-		var err error
-		hist, err = server.Run(context.Background())
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run with a hung client did not finish: deadline not enforced")
-	}
-	for _, r := range hist.Rounds {
-		if len(r.Clients) != 4 {
-			t.Errorf("round %d aggregated %d clients, want the 4 healthy ones", r.Round, len(r.Clients))
-		}
-		if len(r.Failed) != 1 || r.Failed[0] != "hung" {
-			t.Errorf("round %d failed list %v, want [hung]", r.Round, r.Failed)
-		}
-	}
-}
-
-// TestAllowEmptyRounds: a round in which everyone fails is recorded and
-// skipped, not fatal.
+// TestAllowEmptyRounds: with TolerateFailures, a round in which everyone
+// fails is recorded and skipped, not fatal.
 func TestAllowEmptyRounds(t *testing.T) {
 	roster := NewMemoryRoster()
 	roster.Add(&failingClient{id: "dead1"})
 	roster.Add(&failingClient{id: "dead2"})
 	server := NewServer(ServerConfig{
 		Rounds: 3, LearningRate: 0.05, Seed: 5,
-		TolerateFailures: true, AllowEmptyRounds: true,
+		TolerateFailures: true,
 	}, testModel(nil), roster)
 	before := testModel(nil).Weights()
 	hist, err := server.Run(context.Background())
@@ -172,12 +128,12 @@ func TestAllowEmptyRounds(t *testing.T) {
 			t.Fatal("empty rounds must not move the model")
 		}
 	}
-	// Without the flag the same roster aborts the run.
+	// Without failure tolerance the same roster aborts the run.
 	strict := NewServer(ServerConfig{
-		Rounds: 3, LearningRate: 0.05, Seed: 5, TolerateFailures: true,
+		Rounds: 3, LearningRate: 0.05, Seed: 5,
 	}, testModel(nil), roster)
 	if _, err := strict.Run(context.Background()); err == nil {
-		t.Error("expected error without AllowEmptyRounds")
+		t.Error("expected error without TolerateFailures")
 	}
 }
 

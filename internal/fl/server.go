@@ -2,7 +2,6 @@ package fl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	rand "math/rand/v2"
@@ -36,6 +35,11 @@ type ModelModifier interface {
 // deterministic client-selection order, regardless of ServerConfig.Workers —
 // an Observer therefore does not need internal locking, and its view of a
 // run is reproducible under a fixed seed.
+//
+// Observe must not keep u.Grads past its return: once the Observer and the
+// Aggregator have seen an update, the server releases its gradient tensors
+// to the tensor arena, and a kept tensor is left empty. Copy what must
+// outlive the call.
 type UpdateObserver interface {
 	Observe(round int, u Update)
 }
@@ -87,9 +91,10 @@ type ServerConfig struct {
 	LearningRate    float64 // η of Eq. 1
 	Seed            uint64
 	// TolerateFailures keeps a round going when individual clients error
-	// (stragglers, dropped connections): their updates are skipped and the
-	// remaining ones are aggregated. A round still fails when every selected
-	// client errors.
+	// (dropouts, stragglers, dropped connections): their updates are
+	// skipped and the remaining ones are aggregated. A round in which every
+	// selected client errors is recorded with no participants, and the
+	// global model is untouched by it.
 	TolerateFailures bool
 	// Workers bounds how many clients train concurrently inside one round.
 	// 0 means runtime.NumCPU(); 1 reproduces the sequential engine. The
@@ -99,29 +104,6 @@ type ServerConfig struct {
 	// randomized augmentation policy) must set Workers to 1 or synchronize
 	// that state — see the Client concurrency contract.
 	Workers int
-	// RoundDeadline bounds one round's wall-clock time (0 = none): the
-	// dispatch context expires after it, so cooperative clients still in
-	// flight return ctx errors and are counted as failures instead of
-	// stalling the round. Combine with TolerateFailures to aggregate the
-	// updates that did arrive in time. Note that a wall-clock deadline makes
-	// a run timing-dependent; simulations wanting reproducible lateness
-	// should model delays virtually (see internal/sim) and keep this as a
-	// safety net only.
-	RoundDeadline time.Duration
-	// AllowEmptyRounds records a round in which every selected client failed
-	// (dropout, deadline, errors) as a zero-participant RoundStats and moves
-	// on, rather than aborting the run. The global model is untouched in
-	// such a round. Requires TolerateFailures semantics for the individual
-	// failures to be tolerated in the first place.
-	AllowEmptyRounds bool
-	// ReleaseUpdates returns every aggregated update's gradient tensors to
-	// the tensor pool right after the Aggregator folds them, bounding a
-	// round's live gradient memory at O(workers × model) instead of
-	// O(cohort × model). Only enable it when neither the Observer nor the
-	// Aggregator retains references into u.Grads beyond their call (all
-	// built-in aggregators and attacks copy what they keep); the tensors are
-	// recycled the moment Add returns.
-	ReleaseUpdates bool
 }
 
 // RoundStats records one round's aggregate outcome.
@@ -195,9 +177,16 @@ func NewServer(cfg ServerConfig, model *nn.Sequential, roster Roster) *Server {
 // Run executes the configured number of rounds: sample M clients, dispatch
 // the (possibly maliciously modified) model concurrently, aggregate updates,
 // and apply the step wᵗ⁺¹ = wᵗ − η·ḡ (Eq. 1 with ḡ from the Aggregator).
+//
+// A cancelled ctx ends the run before the next round, or aborts the round in
+// flight unrecorded; Run then returns the rounds completed so far with an
+// error wrapping ctx.Err().
 func (s *Server) Run(ctx context.Context) (History, error) {
 	var hist History
 	for round := 0; round < s.Config.Rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return hist, fmt.Errorf("fl: round %d: %w", round, err)
+		}
 		stats, err := s.runRound(ctx, round)
 		if err != nil {
 			return hist, err
@@ -306,22 +295,16 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	agg.Reset()
 	stats := RoundStats{Round: round}
 	lossSum := 0.0
-	var firstErr, mergeErr error
+	var mergeErr error
 	// merge folds one selection-order result; returning false aborts the
 	// round (dispatch stops feeding results and cancels outstanding work).
 	merge := func(i int, res roundResult) bool {
 		c := selected[i]
 		if res.err != nil {
 			obsClientFailed.Inc()
-			if errors.Is(res.err, context.DeadlineExceeded) {
-				obsClientDeadline.Inc()
-			}
 			if !s.Config.TolerateFailures {
 				mergeErr = fmt.Errorf("fl: round %d client %s: %w", round, c.ID(), res.err)
 				return false
-			}
-			if firstErr == nil {
-				firstErr = res.err
 			}
 			stats.Failed = append(stats.Failed, c.ID())
 			return true
@@ -340,12 +323,11 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 			mergeErr = fmt.Errorf("fl: round %d: %w", round, err)
 			return false
 		}
-		if s.Config.ReleaseUpdates {
-			// Observer and Aggregator have both seen the update; its gradient
-			// buffers go back to the pool now instead of at GC's leisure.
-			for _, g := range update.Grads {
-				g.Release()
-			}
+		// Observer and Aggregator have both seen the update; its gradient
+		// buffers go back to the pool now instead of at GC's leisure, which
+		// bounds a round's live gradient memory at O(workers × model).
+		for _, g := range update.Grads {
+			g.Release()
 		}
 		return true
 	}
@@ -354,16 +336,18 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	if mergeErr != nil {
 		return RoundStats{}, mergeErr
 	}
+	if err := ctx.Err(); err != nil {
+		// Clients cancelled mid-round failed for the caller's reason, not
+		// their own: the round is not recorded.
+		return RoundStats{}, fmt.Errorf("fl: round %d: %w", round, err)
+	}
 	ok := len(stats.Clients)
 	sp.SetAttr(obs.Int("ok", ok), obs.Int("failed", len(stats.Failed)))
 	if ok == 0 {
-		if s.Config.AllowEmptyRounds {
-			// Degrade instead of aborting: record the wiped-out round (the
-			// model is untouched) and let the run continue.
-			obsEmptyRounds.Inc()
-			return stats, nil
-		}
-		return RoundStats{}, fmt.Errorf("fl: round %d: every selected client failed: %w", round, firstErr)
+		// Only a tolerant server gets here (a strict one aborted on the
+		// first failure): record the wiped-out round, model untouched.
+		obsEmptyRounds.Inc()
+		return stats, nil
 	}
 	stats.MeanLoss = lossSum / float64(ok)
 
@@ -413,11 +397,6 @@ type indexedResult struct {
 // the merged prefix, and hence the reported error, is identical.
 func (s *Server) dispatch(ctx context.Context, round int, selected []Client, spec ModelSpec,
 	merge func(int, roundResult) bool) {
-	if d := s.Config.RoundDeadline; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	workers := s.Config.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()

@@ -23,12 +23,10 @@ var (
 	ErrDeadline = errors.New("sim: client missed the round deadline")
 )
 
-// roundOutcome is what happened to one client in one round, written by the
-// client's own HandleRound and read by the engine's round collection
-// (Server.Run's worker barrier orders the accesses). It carries its round so
-// an outcome is never counted for a round it does not describe.
+// roundOutcome is what happened to one client in its leased round, written
+// by the client's own HandleRound and read by the engine's round collection
+// (Server.Run's worker barrier orders the accesses).
 type roundOutcome struct {
-	round     int
 	dropped   bool
 	late      bool
 	delayMS   float64
@@ -88,13 +86,6 @@ func (c *simClient) HandleRound(ctx context.Context, req fl.RoundRequest) (fl.Up
 		return fl.Update{}, fmt.Errorf("%w (client %s, round %d: %.0f ms > %.0f ms)",
 			ErrDeadline, c.ID(), req.Round, out.delayMS, sc.DeadlineMS)
 	}
-	if sc.RealTime && out.delayMS > 0 {
-		select {
-		case <-ctx.Done():
-			return fl.Update{}, ctx.Err()
-		case <-time.After(time.Duration(out.delayMS * float64(time.Millisecond))):
-		}
-	}
 	active := c.pop.attackActive
 	c.record.arm(active != nil && active(req.Round))
 	u, err := c.inner.HandleRound(ctx, req)
@@ -109,7 +100,7 @@ func (c *simClient) draw(round int) *roundOutcome {
 		sc.Seed^0x51D0_C1EA_7E55_0000+uint64(c.index)*0x9e3779b97f4a7c15,
 		uint64(round)*0xbf58476d1ce4e5b9+1,
 	))
-	out := &roundOutcome{round: round, delayMS: sc.Straggler.BaseDelayMS}
+	out := &roundOutcome{delayMS: sc.Straggler.BaseDelayMS}
 	if sc.Dropout > 0 && rng.Float64() < sc.Dropout {
 		out.dropped = true
 		out.delayMS = 0

@@ -48,12 +48,12 @@
 //	  },
 //	  "model": {"kind": "mlp", "hidden": 32},    // mlp | resnet
 //	  "eval_every": 4,                 // accuracy eval cadence; 0 = final only
-//	  "test_samples": 128,
-//	  "real_time": false               // sleep straggler delays for real
+//	  "test_samples": 128
 //	}
 //
 // Unknown fields are rejected, so typos fail instead of silently running a
-// different experiment.
+// different experiment. That includes "real_time", which older specs may
+// still carry: straggler delays only ever advance the virtual clock.
 //
 // # Determinism
 //
@@ -133,7 +133,7 @@
 // per-round buffers recycle through the internal/tensor pool: decoded
 // model weights are released by the client once its gradients are
 // computed, the gradient buffers themselves are uploaded and released by
-// the server once aggregated (fl.ServerConfig.ReleaseUpdates), and the
+// the server once observed and aggregated (as every fl.Server does), and the
 // aggregate is released once the step is applied, holding live tensor
 // memory to O(workers × model) instead of O(cohort × model).
 //
@@ -151,7 +151,8 @@
 // clients degrade a round — their updates are skipped, participation is
 // recorded, and aggregation proceeds over what arrived — and a round lost
 // entirely is recorded with zero participants rather than aborting the run
-// (fl.ServerConfig.TolerateFailures + AllowEmptyRounds underneath).
+// (fl.ServerConfig.TolerateFailures underneath). Cancelling the context
+// passed to RunContext ends the run with an error and no report.
 //
 // See cmd/oasis-sim for the CLI and Presets for ready-made populations.
 package sim

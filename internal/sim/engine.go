@@ -21,9 +21,9 @@ import (
 
 // Options tunes how a scenario executes without changing what it describes.
 type Options struct {
-	// Quick caps the run for CI: at most quickMaxRounds rounds, small eval
-	// sets, and no real-time sleeping. Presets keep their attack bursts
-	// inside the first five rounds so Quick still exercises them.
+	// Quick caps the run for CI: at most quickMaxRounds rounds and small
+	// eval sets. Presets keep their attack bursts inside the first five
+	// rounds so Quick still exercises them.
 	Quick bool
 	// Workers bounds client concurrency per round (fl.ServerConfig.Workers);
 	// the Report is bit-identical for every value.
@@ -77,7 +77,6 @@ func RunContext(ctx context.Context, sc Scenario, opts Options) (*Report, error)
 		if sc.TestSamples > 64 {
 			sc.TestSamples = 64
 		}
-		sc.RealTime = false
 		if err := sc.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: quick mode (≤%d rounds): %w", quickMaxRounds, err)
 		}
@@ -149,15 +148,6 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		Seed:             sc.Seed,
 		Workers:          workers,
 		TolerateFailures: true,
-		AllowEmptyRounds: true,
-		// Upload gradients are folded and released inside the round; combined
-		// with cohort leasing this keeps live tensors at O(workers × model).
-		ReleaseUpdates: true,
-	}
-	if sc.RealTime && sc.DeadlineMS > 0 {
-		// Wall-clock safety net, well above the virtual deadline so it only
-		// fires for genuinely wedged clients, never for simulated delays.
-		cfg.RoundDeadline = time.Duration(4*sc.DeadlineMS) * time.Millisecond
 	}
 	server := fl.NewServer(cfg, model, vp)
 	server.Sampler, err = fl.NewSamplerByName(sc.Sampling)
@@ -519,9 +509,11 @@ func collectRound(round int, stats fl.RoundStats, cohort []*simClient, deadlineM
 		GradNorm: stats.GradNorm,
 	}
 	for _, c := range cohort {
+		// Each simClient lives for one lease: its outcome is nil or this
+		// round's.
 		o := c.outcome
-		if o == nil || o.round != round {
-			continue // canceled before HandleRound ran (see below)
+		if o == nil {
+			continue
 		}
 		rr.Selected++
 		switch {
@@ -535,19 +527,6 @@ func collectRound(round int, stats fl.RoundStats, cohort []*simClient, deadlineM
 			rr.Failed++
 		}
 		rr.VirtualMS = math.Max(rr.VirtualMS, o.waitedMS(deadlineMS))
-	}
-	// In RealTime mode the wall-clock safety net can cancel selected clients
-	// before their HandleRound ever runs, leaving no outcome record; the
-	// server still counted them in RoundStats.Failed. Reconcile so they stay
-	// visible instead of silently inflating participation. (Virtual-clock
-	// runs never hit this: every selected client records an outcome.)
-	if serverSelected := len(stats.Clients) + len(stats.Failed); serverSelected > rr.Selected {
-		missing := serverSelected - rr.Selected
-		rr.Selected += missing
-		rr.Failed += missing
-		if deadlineMS > 0 {
-			rr.VirtualMS = math.Max(rr.VirtualMS, deadlineMS)
-		}
 	}
 	return rr
 }

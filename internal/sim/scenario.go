@@ -54,11 +54,6 @@ type Scenario struct {
 	Model       ArchSpec `json:"model,omitempty"`
 	EvalEvery   int      `json:"eval_every,omitempty"`   // rounds between accuracy evals; 0 = final only
 	TestSamples int      `json:"test_samples,omitempty"` // held-out eval set size; default 128
-
-	// RealTime makes straggler delays actual sleeps (for demos over real
-	// transports). Off, delays only advance the virtual clock, so large
-	// populations simulate at full speed and reports stay deterministic.
-	RealTime bool `json:"real_time,omitempty"`
 }
 
 // Clone returns a deep copy of the scenario. The value is mostly plain data,

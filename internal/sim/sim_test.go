@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,10 +43,15 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownFields covers a typo and "real_time", a field
+// older specs carried: straggler delays are always virtual.
 func TestDecodeRejectsUnknownFields(t *testing.T) {
-	_, err := Decode(strings.NewReader(`{"name":"x","clients":2,"rounds":1,"dropuot":0.5}`))
-	if err == nil || !strings.Contains(err.Error(), "dropuot") {
-		t.Fatalf("expected unknown-field error naming the typo, got %v", err)
+	for _, field := range []string{`"dropuot":0.5`, `"real_time":true`} {
+		name := strings.Split(field, `"`)[1]
+		_, err := Decode(strings.NewReader(`{"name":"x","clients":2,"rounds":1,` + field + `}`))
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("expected unknown-field error naming %s, got %v", name, err)
+		}
 	}
 }
 
@@ -107,6 +114,21 @@ func runPreset(t *testing.T, name string, workers int) *Report {
 		t.Fatalf("preset %s: %v", name, err)
 	}
 	return rep
+}
+
+// TestRunContextCancelled: a run under an already-cancelled context returns
+// context.Canceled and no report, at every worker count, rather than a
+// report of rounds in which nobody trained.
+func TestRunContextCancelled(t *testing.T) {
+	sc, _ := Preset("smoke")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		rep, err := RunContext(ctx, sc, Options{Quick: true, Workers: workers})
+		if !errors.Is(err, context.Canceled) || rep != nil {
+			t.Errorf("Workers=%d: got report %v and error %v, want no report and context.Canceled", workers, rep != nil, err)
+		}
+	}
 }
 
 // TestSmokePresetEndToEnd is the CI smoke tier's scenario: the tiny preset
