@@ -89,6 +89,7 @@ func (v *Victim) Gradients(b *data.Batch) (gw, gb *tensor.Tensor, loss float64) 
 	logits := v.Net.Forward(x, true)
 	loss, g := nn.SoftmaxCrossEntropy(logits, b.Labels)
 	v.Net.Backward(g)
+	x.Release()
 	return v.Mal.Weight.G.Clone(), v.Mal.Bias.G.Clone(), loss
 }
 

@@ -41,7 +41,7 @@ func NewCAH(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.
 	}
 	// Project the probe set through every trap direction to place biases.
 	probeVecs := make([][]float64, 0, probeSize)
-	for _, idx := range rng.Perm(probe.Len())[:probeSize] {
+	for _, idx := range data.PermPrefix(rng, probe.Len(), probeSize) {
 		im, _ := probe.Sample(idx)
 		probeVecs = append(probeVecs, im.Pix)
 	}

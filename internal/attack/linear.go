@@ -46,9 +46,11 @@ func (a *LinearInversion) BuildModel(rng *rand.Rand) *nn.Sequential {
 // Gradients computes the model gradients a client would upload for batch b.
 func (a *LinearInversion) Gradients(model *nn.Sequential, b *data.Batch) (gw, gb *tensor.Tensor, loss float64) {
 	model.ZeroGrad()
-	logits := model.Forward(b.Flatten(), true)
+	x := b.Flatten()
+	logits := model.Forward(x, true)
 	loss, g := nn.SoftmaxCrossEntropy(logits, b.Labels)
 	model.Backward(g)
+	x.Release()
 	params := model.Params()
 	return params[0].G.Clone(), params[1].G.Clone(), loss
 }

@@ -64,7 +64,7 @@ func NewLOKI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand
 
 	masks := make([][]int, groups)
 	for g := range masks {
-		m := append([]int(nil), rng.Perm(d)[:kernel]...)
+		m := data.PermPrefix(rng, d, kernel)
 		sort.Ints(m)
 		masks[g] = m
 	}
@@ -77,7 +77,7 @@ func NewLOKI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand
 	for g := range projs {
 		projs[g] = make([]float64, 0, probeSize)
 	}
-	for _, idx := range rng.Perm(probe.Len())[:probeSize] {
+	for _, idx := range data.PermPrefix(rng, probe.Len(), probeSize) {
 		im, _ := probe.Sample(idx)
 		for g, mask := range masks {
 			s := 0.0

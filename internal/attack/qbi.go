@@ -48,7 +48,7 @@ func NewQBI(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.
 	// One pass over the probe set: per-pixel mean and variance.
 	mean := make([]float64, d)
 	m2 := make([]float64, d)
-	for _, idx := range rng.Perm(probe.Len())[:probeSize] {
+	for _, idx := range data.PermPrefix(rng, probe.Len(), probeSize) {
 		im, _ := probe.Sample(idx)
 		for j, v := range im.Pix {
 			mean[j] += v

@@ -36,7 +36,7 @@ func NewRTF(dims ImageDims, classes, neurons int, probe data.Dataset, rng *rand.
 		probeSize = probe.Len()
 	}
 	means := make([]float64, 0, probeSize)
-	for _, idx := range rng.Perm(probe.Len())[:probeSize] {
+	for _, idx := range data.PermPrefix(rng, probe.Len(), probeSize) {
 		im, _ := probe.Sample(idx)
 		means = append(means, im.Mean())
 	}

@@ -131,7 +131,9 @@ type Prop1Report struct {
 // nil-policy defense (WO) is allowed and reports on the raw batch.
 func AnalyzeProp1(d *Defense, b *data.Batch, w, bias *tensor.Tensor) (Prop1Report, error) {
 	expanded := d.ApplyBatch(b)
-	sets := ActivationSets(w, bias, expanded.Flatten())
+	x := expanded.Flatten()
+	sets := ActivationSets(w, bias, x)
+	x.Release()
 	orig := b.Size()
 	total := expanded.Size()
 	kPer := 0

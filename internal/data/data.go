@@ -59,35 +59,45 @@ func (b *Batch) Append(im *imaging.Image, label int) {
 }
 
 // Flatten returns the batch as a [B, C*H*W] matrix — the input format of the
-// fully-connected malicious layer.
+// fully-connected malicious layer. The matrix comes from the tensor arena:
+// every element is written, and the caller may Release it once the model
+// has run.
 func (b *Batch) Flatten() *tensor.Tensor {
 	if len(b.Images) == 0 {
 		panic("data: Flatten of empty batch")
 	}
 	d := len(b.Images[0].Pix)
-	out := tensor.New(len(b.Images), d)
+	out := tensor.NewPooledRaw(len(b.Images), d)
 	for i, im := range b.Images {
-		if len(im.Pix) != d {
-			panic(fmt.Sprintf("data: batch image %d has %d pixels, want %d", i, len(im.Pix), d))
-		}
+		b.checkPix(i, d)
 		out.SetRow(i, im.Pix)
 	}
 	return out
 }
 
 // Tensor4D returns the batch as a [B, C, H, W] tensor for convolutional
-// models.
+// models, drawn from the tensor arena like Flatten's matrix.
 func (b *Batch) Tensor4D() *tensor.Tensor {
 	if len(b.Images) == 0 {
 		panic("data: Tensor4D of empty batch")
 	}
 	c, h, w := b.Images[0].C, b.Images[0].H, b.Images[0].W
-	out := tensor.New(len(b.Images), c, h, w)
+	d := c * h * w
+	out := tensor.NewPooledRaw(len(b.Images), c, h, w)
 	od := out.Data()
 	for i, im := range b.Images {
-		copy(od[i*c*h*w:(i+1)*c*h*w], im.Pix)
+		b.checkPix(i, d)
+		copy(od[i*d:(i+1)*d], im.Pix)
 	}
 	return out
+}
+
+// checkPix panics unless batch image i has d pixels: a short image would
+// leave stale arena data in its row.
+func (b *Batch) checkPix(i, d int) {
+	if n := len(b.Images[i].Pix); n != d {
+		panic(fmt.Sprintf("data: batch image %d has %d pixels, want %d", i, n, d))
+	}
 }
 
 // TakeBatch builds a batch from the dataset samples at the given indices.

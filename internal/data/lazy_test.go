@@ -6,6 +6,8 @@ import (
 	mrand "math/rand"
 	rand "math/rand/v2"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -55,28 +57,19 @@ func TestLazyShardMatchesEager(t *testing.T) {
 				if err := matchEager(lazy, eager); err != nil {
 					t.Fatal(err)
 				}
-				eMin, eMax, eTotal := tc.samples, 0, 0
-				for _, shard := range eager {
-					eMin = min(eMin, len(shard))
-					eMax = max(eMax, len(shard))
-					eTotal += len(shard)
-				}
-				gotMin, gotMax, gotMean := lazy.Stats()
-				if gotMin != eMin || gotMax != eMax || gotMean != float64(eTotal)/float64(n) {
-					t.Fatalf("Stats() = (%d, %d, %g), want (%d, %d, %g)",
-						gotMin, gotMax, gotMean, eMin, eMax, float64(eTotal)/float64(n))
-				}
 			})
 		}
 	}
 }
 
-// matchEager reports the first shard where lazy's Shard or ShardLen differs
-// from the eager oracle's result.
+// matchEager reports the first shard where lazy's Shard or its derived
+// ShardLen differs from the eager oracle's result, or a Stats that differs
+// from the oracle's shard sizes. ShardLen(k) == len(Shard(k)) follows.
 func matchEager(lazy *LazyPartition, eager [][]int) error {
 	if lazy.Shards() != len(eager) {
 		return fmt.Errorf("lazy has %d shards, eager %d", lazy.Shards(), len(eager))
 	}
+	wantMin, wantMax, total := math.MaxInt, 0, 0
 	for k := range eager {
 		if got := lazy.Shard(k); !reflect.DeepEqual(got, eager[k]) {
 			return fmt.Errorf("shard %d diverged:\n lazy: %v\neager: %v", k, got, eager[k])
@@ -84,6 +77,13 @@ func matchEager(lazy *LazyPartition, eager [][]int) error {
 		if got := lazy.ShardLen(k); got != len(eager[k]) {
 			return fmt.Errorf("ShardLen(%d) = %d, want %d", k, got, len(eager[k]))
 		}
+		wantMin = min(wantMin, len(eager[k]))
+		wantMax = max(wantMax, len(eager[k]))
+		total += len(eager[k])
+	}
+	wantMean := float64(total) / float64(len(eager))
+	if gotMin, gotMax, gotMean := lazy.Stats(); gotMin != wantMin || gotMax != wantMax || gotMean != wantMean {
+		return fmt.Errorf("Stats() = (%d, %d, %g), want (%d, %d, %g)", gotMin, gotMax, gotMean, wantMin, wantMax, wantMean)
 	}
 	return nil
 }
@@ -147,11 +147,12 @@ func TestLazyPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestLazyRebalanceActuallyExercised guards the test matrix itself: at least
-// one case must hit the empty-shard rebalance, otherwise the donated /
-// received replay in LazyPartition is dead code under test.
+// TestLazyRebalanceActuallyExercised guards the test matrix itself: both
+// skewed policies must hit the empty-shard rebalance in some case, otherwise
+// the donated / received replay and the lengths ShardLen derives from it go
+// unchecked for that policy.
 func TestLazyRebalanceActuallyExercised(t *testing.T) {
-	hit := false
+	hit := map[string]bool{}
 	for _, tc := range lazyCases {
 		for _, n := range tc.clients {
 			p, err := NewPartitioner(tc.spec)
@@ -164,12 +165,39 @@ func TestLazyRebalanceActuallyExercised(t *testing.T) {
 				t.Fatal(err)
 			}
 			if lazy.donated != nil {
-				hit = true
+				hit[strings.SplitN(tc.spec, ":", 2)[0]] = true
 			}
 		}
 	}
-	if !hit {
-		t.Fatal("no lazy case triggered empty-shard rebalancing; widen lazyCases")
+	for _, policy := range []string{"dirichlet", "quantity"} {
+		if !hit[policy] {
+			t.Errorf("no %s case triggered empty-shard rebalancing; widen lazyCases", policy)
+		}
+	}
+}
+
+// TestIIDPartitionRetainedBytes pins the cross-device population's
+// footprint: an IID partition of 2M samples over 1M clients retains its
+// 8 MB int32 sample pool and no per-client table. Stored offsets and
+// lengths were another 4 MB each.
+func TestIIDPartitionRetainedBytes(t *testing.T) {
+	const samples, clients = 2_000_000, 1_000_000
+	ds := NewSynthCustom("retain", 10, 1, 4, 4, samples, 7)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	lp, err := IID{}.PartitionLazy(ds, clients, rand.New(rand.NewPCG(30, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(lp)
+	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	const budget = samples*4 + 64<<10
+	t.Logf("an IID partition of %d samples over %d clients retains %d B", samples, clients, got)
+	if got > budget {
+		t.Errorf("the partition retains %d B, budget %d B (the pool plus 64 KB)", got, budget)
 	}
 }
 

@@ -103,27 +103,16 @@ var _ Partitioner = IID{}
 // Name returns "iid".
 func (IID) Name() string { return "iid" }
 
-// PartitionLazy permutes the index space once and slices the permutation
-// into near-equal shards by offsets.
+// PartitionLazy permutes the index space once; the shards are the
+// permutation's near-equal slices, whose offsets LazyPartition derives
+// instead of storing.
 func (IID) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
 	if err := checkPartitionArgs(ds, n); err != nil {
 		return nil, err
 	}
-	pool := shuffledIndices(rng, ds.Len())
-	per, rem := ds.Len()/n, ds.Len()%n
-	offsets := make([]int32, n+1)
-	lens := make([]int32, n)
-	for k := 0; k < n; k++ {
-		size := per
-		if k < rem {
-			size++
-		}
-		lens[k] = int32(size)
-		offsets[k+1] = offsets[k] + int32(size)
-	}
 	return &LazyPartition{
 		name: IID{}.Name(), n: n,
-		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
+		pools: [][]int32{shuffledIndices(rng, ds.Len())}, offsets: [][]int32{nil},
 	}, nil
 }
 
@@ -160,7 +149,7 @@ func (d Dirichlet) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartit
 		return nil, err
 	}
 	byClass, order := classIndex(ds)
-	lp := &LazyPartition{name: d.Name(), n: n, lens: make([]int32, n)}
+	lp := &LazyPartition{name: d.Name(), n: n}
 	for _, y := range order {
 		idx := byClass[y]
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
@@ -169,7 +158,6 @@ func (d Dirichlet) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartit
 		offsets := make([]int32, n+1)
 		for c, k := range counts {
 			offsets[c+1] = offsets[c] + int32(k)
-			lp.lens[c] += int32(k)
 		}
 		lp.pools = append(lp.pools, toInt32(idx))
 		lp.offsets = append(lp.offsets, offsets)
@@ -225,14 +213,12 @@ func (q Quantity) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartiti
 	counts := apportion(props, ds.Len())
 	pool := shuffledIndices(rng, ds.Len())
 	offsets := make([]int32, n+1)
-	lens := make([]int32, n)
 	for k, c := range counts {
-		lens[k] = int32(c)
 		offsets[k+1] = offsets[k] + int32(c)
 	}
 	lp := &LazyPartition{
 		name: q.Name(), n: n,
-		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
+		pools: [][]int32{pool}, offsets: [][]int32{offsets},
 	}
 	lp.rebalance()
 	return lp, nil

@@ -48,7 +48,7 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	budgets := []allocBudget{
 		{
-			name: "cross-device-1k", bytes: 8_850_000, mallocs: 31_550,
+			name: "cross-device-1k", bytes: 7_950_000, mallocs: 29_150,
 			run: func() error {
 				_, err := sim.Run(crossDevice, sim.Options{Quick: true, Workers: 1})
 				return err

@@ -227,6 +227,7 @@ func (c *LocalClient) localStep(net *nn.Sequential, kind string) (loss float64, 
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
 	loss, err = runModel(net, x, batch.Labels)
+	x.Release() // the layers keep their own copies of what Backward reads
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}

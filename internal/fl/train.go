@@ -41,6 +41,7 @@ func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, def Defense, ep
 			logits := net.Forward(x, true)
 			l, g := nn.SoftmaxCrossEntropy(logits, batch.Labels)
 			net.Backward(g)
+			x.Release()
 			if def != nil {
 				grads := make([]*tensor.Tensor, 0, len(params))
 				for _, p := range params {
@@ -132,6 +133,7 @@ func EvaluateAccuracy(net *nn.Sequential, ds data.Dataset, batchSize int) (float
 		}
 		logits := net.Forward(x, false)
 		correct += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
+		x.Release()
 		total += batch.Size()
 	}
 	if total == 0 {

@@ -53,7 +53,7 @@ func calibrate(t *testing.T, sc Scenario) *scheduledAttack {
 	t.Helper()
 	sc = normalized(t, sc)
 	ds, _ := scenarioDatasets(sc)
-	sched, err := buildAttack(sc, ds)
+	sched, err := buildAttack(sc, ds, calibrationOf(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCalibrationSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sched, err := buildAttack(sc, ds)
+			sched, err := buildAttack(sc, ds, calibrationOf(sc))
 			if err != nil {
 				t.Error(err)
 				return

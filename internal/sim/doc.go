@@ -86,8 +86,9 @@
 // two cell workers that pick up the first two defense columns of an
 // (attack, replicate) together calibrate once. Each run still builds its
 // own dishonest server, so captures stay per run. The memo holds entries
-// weakly; a run holds its own strongly, so an entry outlives its last run
-// only until the next GC, and a finished run pins no layer. A kind added
+// weakly; a run takes its own first, before it materializes anything, and
+// holds it strongly, so an entry outlives its last run only until the next
+// GC, and a finished run pins no layer. A kind added
 // through attack.Register calibrates on every run.
 //
 // # Image reuse
@@ -109,10 +110,12 @@
 //
 // The engine never allocates O(population) training state. Each client
 // exists first as a cheap descriptor — index, defended/straggler membership
-// (sorted-index sets drawn once per scenario, O(count) retained), and a
-// shard length resolved from a lazy partition (a data.Partitioner makes
-// its keyed draws once, up front, and data.LazyPartition then computes any
-// Shard(k) on demand without touching the other shards). A client is
+// (bitsets drawn once per scenario, one bit per client, 122 KB a set at a
+// million clients), and a shard length resolved from a lazy partition (a
+// data.Partitioner makes its keyed draws once, up front, and
+// data.LazyPartition then derives any shard's length and computes any
+// Shard(k) on demand without touching the other shards; an IID partition
+// keeps only its shuffled sample pool). A client is
 // instantiated only when a round's cohort leases it:
 //
 //	SampleIndices → Lease(round, indices) → train/observe → aggregate → Release

@@ -89,6 +89,14 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		obs.String("scenario", sc.Name), obs.Uint64("seed", sc.Seed), obs.Int("clients", sc.Clients))
 	defer runSpan.End()
 
+	// The attack's calibration memo entry is taken before anything else is
+	// built, so a GC while this run materializes cannot drop the entry an
+	// earlier run of the same (attack, replicate) left behind.
+	var cal *calibration
+	if sc.Attack.Kind != "" {
+		cal = calibrationOf(sc)
+	}
+
 	// Materialization covers everything before the first round: datasets,
 	// the lazy partition, membership sets, and the global model. No client
 	// state exists yet — cohorts are instantiated per round. The span closes
@@ -162,7 +170,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	var sched *scheduledAttack
 	if sc.Attack.Kind != "" {
 		_, calSpan := obs.Start(ctx, "sim.calibrate_attack", obs.String("attack", sc.Attack.Kind))
-		sched, err = buildAttack(sc, trainDS)
+		sched, err = buildAttack(sc, trainDS, cal)
 		calSpan.End()
 		if err != nil {
 			return nil, err
@@ -247,16 +255,22 @@ func buildModel(sc Scenario, ds data.Dataset) (*nn.Sequential, error) {
 	}
 }
 
-// buildAttack calibrates the scheduled dishonest server through the attack
-// registry, so every registered family is a valid scenario kind. A built-in
-// family's calibration is shared with every concurrent or recent run with
-// the same calKey (see calibrations), so the defense columns of a sweep
-// calibrate each (attack, replicate) once.
-func buildAttack(sc Scenario, ds data.Dataset) (*scheduledAttack, error) {
-	cal := &calibration{}
+// calibrationOf returns the calibration sc's attack runs on. A built-in
+// family's is shared with every concurrent or recent run with the same
+// calKey (see calibrations), so the defense columns of a sweep calibrate
+// each (attack, replicate) once; any other family gets a fresh one.
+func calibrationOf(sc Scenario) *calibration {
 	if builtinAttacks[sc.Attack.Kind] {
-		cal = calibrations.get(calKeyOf(sc), func() *calibration { return &calibration{} })
+		return calibrations.get(calKeyOf(sc), func() *calibration { return &calibration{} })
 	}
+	return &calibration{}
+}
+
+// buildAttack calibrates the scheduled dishonest server through the attack
+// registry, so every registered family is a valid scenario kind. cal is
+// the run's calibrationOf entry: the first run to reach it calibrates, and
+// the others reuse the result.
+func buildAttack(sc Scenario, ds data.Dataset, cal *calibration) (*scheduledAttack, error) {
 	cal.once.Do(func() {
 		pcg := rand.NewPCG(sc.Seed+3, 0xa77ac)
 		c, h, w := ds.Shape()

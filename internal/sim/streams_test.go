@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"math"
+	oldrand "math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/nn"
@@ -66,7 +69,7 @@ func TestPopulationFlagsCounts(t *testing.T) {
 }
 
 // TestMembershipMatchesLegacyFlags is the regression test for the O(cohort)
-// membership bugfix: the sorted-index sets must mark exactly the clients the
+// membership bugfix: the membership bitsets must mark exactly the clients the
 // historical []bool slices did. The legacy draw is reimplemented inline
 // (Perm prefix over the same keyed streams) and compared client by client.
 func TestMembershipMatchesLegacyFlags(t *testing.T) {
@@ -92,6 +95,43 @@ func TestMembershipMatchesLegacyFlags(t *testing.T) {
 	}
 	if defended.Contains(-1) || defended.Contains(sc.Clients) {
 		t.Error("membership claims out-of-range clients")
+	}
+}
+
+// TestDrawMembershipMarksPermPrefix: a drawn membership marks exactly
+// rng.Perm(n)[:count] of its keyed stream, for n off a word boundary and
+// count 0, 1, n or anything between, and claims no client outside [0, n):
+// not −1, not n, and no bit of the last word past n.
+func TestDrawMembershipMarksPermPrefix(t *testing.T) {
+	prop := func(seed uint64, nRaw uint16, pick uint8) bool {
+		n := 1 + int(nRaw)%4000
+		if n%64 == 0 {
+			n++
+		}
+		count := []int{0, 1, n, int(seed % uint64(n+1))}[pick%4]
+		m := drawMembership(seed, saltStraggler, n, count)
+		want := make([]bool, n)
+		if count > 0 {
+			for _, i := range nn.RandSource(seed, saltStraggler).Perm(n)[:count] {
+				want[i] = true
+			}
+		}
+		ok := m.Count() == count
+		for i := range n {
+			ok = ok && m.Contains(i) == want[i]
+		}
+		for i := n; i < (n+63)/64*64+64; i++ {
+			ok = ok && !m.Contains(i)
+		}
+		ok = ok && !m.Contains(-1) && !m.Contains(math.MinInt)
+		if !ok {
+			t.Logf("drawMembership(seed %d, n %d, count %d) differs from the Perm prefix", seed, n, count)
+		}
+		return ok
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: oldrand.New(oldrand.NewSource(30))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
 	}
 }
 

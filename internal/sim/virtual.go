@@ -13,39 +13,41 @@ import (
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
-// membership is a population subset stored as the sorted indices of its
-// members. It replaces the historical []bool flag slices: a million-client
-// population with 1% stragglers retains ~10k int32s instead of a megabyte of
-// bools, and lookup stays O(log members).
+// membership is a population subset of [0, n) stored as a bitset: one bit
+// per client plus the member count. A million-client population retains
+// 122 KB per set whatever the member count, a lookup is one word test, and
+// drawing the set needs no sort.
 type membership struct {
-	idx []int32
+	bits  []uint64
+	count int
 }
 
-// Contains reports whether client i belongs to the set.
+// Contains reports whether client i belongs to the set; it is false for
+// every i outside [0, n).
 func (m membership) Contains(i int) bool {
-	p := sort.Search(len(m.idx), func(j int) bool { return m.idx[j] >= int32(i) })
-	return p < len(m.idx) && m.idx[p] == int32(i)
+	w := uint(i) >> 6
+	return w < uint(len(m.bits)) && m.bits[w]&(1<<(uint(i)&63)) != 0
 }
 
 // Count returns the set's cardinality.
-func (m membership) Count() int { return len(m.idx) }
+func (m membership) Count() int { return m.count }
 
 // drawMembership draws a count-member subset of [0, n) from the keyed stream
 // (seed, salt), consuming exactly the rng operations the historical []bool
 // draw performed — one Perm(n) — so membership is identical bit for bit.
-// data.PermPrefix keeps only the permutation's first count entries; the
-// sorted selection is all that is retained.
+// data.PermPrefix keeps only the permutation's first count entries, and
+// each marks its bit.
 func drawMembership(seed, salt uint64, n, count int) membership {
 	if count <= 0 {
 		return membership{}
 	}
 	rng := nn.RandSource(seed, salt)
-	idx := make([]int32, count)
-	for i, v := range data.PermPrefix(rng, n, count) {
-		idx[i] = int32(v)
+	members := data.PermPrefix(rng, n, count)
+	m := membership{bits: make([]uint64, (n+63)/64), count: len(members)}
+	for _, v := range members {
+		m.bits[v>>6] |= 1 << (uint(v) & 63)
 	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	return membership{idx: idx}
+	return m
 }
 
 // populationFlags draws the defended and straggler membership sets, each on
@@ -75,8 +77,8 @@ type virtualClient struct {
 }
 
 // virtualPopulation implements fl.Roster over a scenario: the full
-// population exists only as keyed-stream descriptors (lazy partition, sorted
-// membership sets), and a real simClient exists only while a cohort leases
+// population exists only as keyed-stream descriptors (lazy partition,
+// membership bitsets), and a real simClient exists only while a cohort leases
 // it. When Release ends a round, each cohort client shrinks to a departed
 // record of its cross-round state — training rng and defense pipeline — and
 // a later Lease rebuilds it from its descriptor and that
