@@ -1,61 +1,52 @@
 package data
 
-import (
-	"math"
-	rand "math/rand/v2"
-	"sync"
-)
+import rand "math/rand/v2"
 
-// permScratch recycles PermPrefix's working arrays (*[]int32), so drawing a
-// cohort from a million clients every round reuses one 4 MB buffer instead
-// of allocating an 8 MB []int per call. A Get keeps a buffer only when it
-// holds n entries, so the pool serves the largest n it is asked for.
-var permScratch sync.Pool
-
-// PermPrefix returns rng.Perm(n)[:m] and leaves rng in the state rng.Perm(n)
-// leaves it: the same n−1 draws, in the same order. m is clamped to [0, n].
+// PermPrefix returns a uniformly random ordered m-sample of [0, n), the first
+// m entries of a random permutation, in exactly m rng.IntN calls whatever n
+// is. m is clamped to [0, n]; the result has length and capacity m.
 //
-// Perm runs Fisher–Yates from the top: step i draws j = rng.IntN(i+1) and
-// swaps p[i] with p[j], after which p[i] is final. Only p[:m] is returned,
-// so for i ≥ m the write to p[i] is dead and the step reduces to
-// p[j] = p[i]. The call costs n−1 rng draws over a pooled int32 scratch and
-// allocates only its m-element result.
+// It runs Fisher–Yates from the bottom and stops after m steps: step i draws
+// j = i + rng.IntN(n−i) and swaps positions i and j, after which position i
+// is final. When m is small against n, the positions a swap displaced live
+// in a map that is only indexed, never ranged, so drawing 1,024 clients of a
+// million keeps at most 1,024 entries; otherwise an n-entry array is cheaper.
+// Both give the same sample for the same rng.
 //
 // Its callers are the draws that keep a prefix of a permutation once per
-// round or once per run: fl.UniformSampler's cohort,
-// sim's defended and straggler memberships, and the attack calibrations'
-// probe subsets and LOKI's pixel masks. The per-step draws over a client's
-// shard (RandomBatch, Split) stay on rng.Perm: the scratch is sized by the
-// largest n the pool has served, so a small buffer that a concurrent
-// client put back would make the next million-client cohort draw allocate
-// its 4 MB scratch again.
+// round or once per run: fl.UniformSampler's cohort, and the attack
+// calibrations' probe subsets and LOKI's pixel masks. The per-step draws
+// over a client's shard (RandomBatch, Split) stay on rng.Perm.
 func PermPrefix(rng *rand.Rand, n, m int) []int {
 	m = max(0, min(m, n))
-	if m == n || n > math.MaxInt32 {
-		return rng.Perm(n)[:m:m]
-	}
-	buf, _ := permScratch.Get().(*[]int32)
-	if buf == nil || cap(*buf) < n {
-		buf = new([]int32)
-		*buf = make([]int32, n)
-	}
-	p := (*buf)[:n]
-	for i := range p {
-		p[i] = int32(i)
-	}
-	i := n - 1
-	for ; i >= max(m, 1); i-- {
-		p[rng.IntN(i+1)] = p[i]
-	}
-	for ; i > 0; i-- {
-		j := rng.IntN(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 	out := make([]int, m)
-	for k := range out {
-		out[k] = int(p[k])
+	if m >= n/4 {
+		p := out
+		if m < n {
+			p = make([]int, n)
+		}
+		for i := range p {
+			p[i] = i
+		}
+		for i := range m {
+			j := i + rng.IntN(n-i)
+			p[i], p[j] = p[j], p[i]
+		}
+		copy(out, p)
+		return out
 	}
-	permScratch.Put(buf)
+	moved := make(map[int]int, m)
+	at := func(k int) int {
+		if v, ok := moved[k]; ok {
+			return v
+		}
+		return k
+	}
+	for i := range out {
+		j := i + rng.IntN(n-i)
+		out[i] = at(j)
+		moved[j] = at(i)
+	}
 	return out
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // ClientSampler picks which of the roster's clients participate in a round.
-// Assign to Server.Sampler; nil reproduces the historical behavior (uniform
-// without replacement), so existing runs stay bit-identical.
+// Assign to Server.Sampler; nil means UniformSampler (uniform without
+// replacement).
 //
 // SampleIndices is called once per round on the server goroutine with the
 // server's own deterministic rng; implementations must draw all randomness
@@ -49,11 +49,9 @@ func NewSamplerByName(name string) (ClientSampler, error) {
 // SamplerNames lists the strategies NewSamplerByName accepts.
 func SamplerNames() []string { return []string{"uniform", "size"} }
 
-// UniformSampler draws m clients uniformly without replacement — exactly the
-// policy the server applies when no Sampler is set. A draw is bit-identical
-// to rng.Perm(n)[:m] and advances rng the same way, but costs O(n) rng draws
-// over a pooled int32 scratch and allocates only the O(m) result (see
-// data.PermPrefix).
+// UniformSampler draws m clients uniformly without replacement — the policy
+// the server applies when no Sampler is set. A draw costs m rng calls and
+// O(m) memory whatever the population size (see data.PermPrefix).
 type UniformSampler struct{}
 
 var _ ClientSampler = UniformSampler{}
@@ -61,7 +59,8 @@ var _ ClientSampler = UniformSampler{}
 // Name returns "uniform".
 func (UniformSampler) Name() string { return "uniform" }
 
-// SampleIndices returns the first m entries of a permutation of [0, n).
+// SampleIndices returns the first m entries of a random permutation of
+// [0, n).
 func (UniformSampler) SampleIndices(_, n, m int, _ func(int) int, rng *rand.Rand) []int {
 	if m <= 0 || m > n {
 		m = n

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
+	rand "math/rand/v2"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -14,9 +15,9 @@ import (
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
-// TestUniformSamplerMatchesDefault pins the compatibility guarantee: setting
-// Sampler to UniformSampler must reproduce the nil-Sampler history bit for
-// bit (same rng consumption, same selection order).
+// TestUniformSamplerMatchesDefault: a nil Sampler is UniformSampler, so
+// setting it must reproduce the nil-Sampler history bit for bit (same rng
+// consumption, same selection order).
 func TestUniformSamplerMatchesDefault(t *testing.T) {
 	run := func(sampler ClientSampler) History {
 		roster := buildRoster(t, 8)
@@ -32,6 +33,39 @@ func TestUniformSamplerMatchesDefault(t *testing.T) {
 	}
 	if a, b := run(nil), run(UniformSampler{}); !reflect.DeepEqual(a, b) {
 		t.Errorf("UniformSampler diverges from default selection:\n nil: %+v\n uni: %+v", a, b)
+	}
+}
+
+// countingSource counts the Uint64 calls a sampler makes on its rand.Rand.
+type countingSource struct {
+	rand.Source
+	calls int
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.calls++
+	return c.Source.Uint64()
+}
+
+// TestUniformSamplerDrawsOm: picking a 1,024-client cohort from a million
+// clients costs O(m) rng calls, not a replay of a million-entry
+// permutation, and returns m distinct clients of the population.
+func TestUniformSamplerDrawsOm(t *testing.T) {
+	const n, m = 1_000_000, 1024
+	src := &countingSource{Source: rand.NewPCG(5, 6)}
+	sel := UniformSampler{}.SampleIndices(0, n, m, nil, rand.New(src))
+	if src.calls > 1100 {
+		t.Errorf("drew %d rng values for a %d-of-%d cohort, want at most 1,100", src.calls, m, n)
+	}
+	seen := make(map[int]bool, m)
+	for _, i := range sel {
+		if i < 0 || i >= n || seen[i] {
+			t.Fatalf("client %d repeated or outside [0, %d)", i, n)
+		}
+		seen[i] = true
+	}
+	if len(sel) != m {
+		t.Errorf("selected %d clients, want %d", len(sel), m)
 	}
 }
 

@@ -139,8 +139,7 @@ type Server struct {
 	Roster   Roster
 	Modifier ModelModifier
 	Observer UpdateObserver
-	// Sampler picks each round's participants; nil keeps the historical
-	// uniform-without-replacement draw bit for bit.
+	// Sampler picks each round's participants; nil means UniformSampler.
 	Sampler ClientSampler
 	// AfterRound, when set, is invoked on the server goroutine after each
 	// round's step has been applied — a hook for per-round evaluation,
@@ -224,8 +223,6 @@ func (s *Server) selectRound(ctx context.Context, round int) ([]Client, error) {
 	defer sp.End()
 	sampler := s.Sampler
 	if sampler == nil {
-		// UniformSampler performs exactly the historical rng operations, so
-		// the default selection stays bit-identical to older releases.
 		sampler = UniformSampler{}
 	}
 	n := s.Roster.NumClients()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	oldrand "math/rand"
 	"reflect"
 	"testing"
@@ -68,70 +69,62 @@ func TestPopulationFlagsCounts(t *testing.T) {
 	}
 }
 
-// TestMembershipMatchesLegacyFlags is the regression test for the O(cohort)
-// membership bugfix: the membership bitsets must mark exactly the clients the
-// historical []bool slices did. The legacy draw is reimplemented inline
-// (Perm prefix over the same keyed streams) and compared client by client.
-func TestMembershipMatchesLegacyFlags(t *testing.T) {
-	sc := flagsScenario()
-	legacy := func(salt uint64, count int) []bool {
-		flags := make([]bool, sc.Clients)
-		rng := nn.RandSource(sc.Seed, salt)
-		for _, idx := range rng.Perm(sc.Clients)[:count] {
-			flags[idx] = true
-		}
-		return flags
-	}
-	defended, nDefended, stragglers := populationFlags(sc)
-	wantDefended := legacy(saltDefense, nDefended)
-	wantStragglers := legacy(saltStraggler, 12)
-	for i := 0; i < sc.Clients; i++ {
-		if got := defended.Contains(i); got != wantDefended[i] {
-			t.Errorf("defended.Contains(%d) = %v, legacy flag %v", i, got, wantDefended[i])
-		}
-		if got := stragglers.Contains(i); got != wantStragglers[i] {
-			t.Errorf("stragglers.Contains(%d) = %v, legacy flag %v", i, got, wantStragglers[i])
-		}
-	}
-	if defended.Contains(-1) || defended.Contains(sc.Clients) {
-		t.Error("membership claims out-of-range clients")
-	}
-}
-
-// TestDrawMembershipMarksPermPrefix: a drawn membership marks exactly
-// rng.Perm(n)[:count] of its keyed stream, for n off a word boundary and
-// count 0, 1, n or anything between, and claims no client outside [0, n):
-// not −1, not n, and no bit of the last word past n.
-func TestDrawMembershipMarksPermPrefix(t *testing.T) {
+// TestDrawMembershipProperties: over n off a word boundary and count 0, 1,
+// n, past n or anything between, a drawn membership has exactly
+// min(count, n) bits set, matching Count(), claims no client outside
+// [0, n) (not −1, not n, and no bit of the last word past n), and is a
+// function of its keyed stream alone.
+func TestDrawMembershipProperties(t *testing.T) {
 	prop := func(seed uint64, nRaw uint16, pick uint8) bool {
 		n := 1 + int(nRaw)%4000
 		if n%64 == 0 {
 			n++
 		}
-		count := []int{0, 1, n, int(seed % uint64(n+1))}[pick%4]
+		count := []int{0, 1, n, n + 3, int(seed % uint64(n+1))}[pick%5]
 		m := drawMembership(seed, saltStraggler, n, count)
-		want := make([]bool, n)
-		if count > 0 {
-			for _, i := range nn.RandSource(seed, saltStraggler).Perm(n)[:count] {
-				want[i] = true
-			}
+		set := 0
+		for _, w := range m.bits {
+			set += bits.OnesCount64(w)
 		}
-		ok := m.Count() == count
-		for i := range n {
-			ok = ok && m.Contains(i) == want[i]
-		}
+		ok := m.Count() == min(count, n) && set == m.Count()
 		for i := n; i < (n+63)/64*64+64; i++ {
 			ok = ok && !m.Contains(i)
 		}
 		ok = ok && !m.Contains(-1) && !m.Contains(math.MinInt)
+		ok = ok && reflect.DeepEqual(m, drawMembership(seed, saltStraggler, n, count))
 		if !ok {
-			t.Logf("drawMembership(seed %d, n %d, count %d) differs from the Perm prefix", seed, n, count)
+			t.Logf("drawMembership(seed %d, n %d, count %d): count %d, %d bits set", seed, n, count, m.Count(), set)
 		}
 		return ok
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: oldrand.New(oldrand.NewSource(30))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDrawMembershipUniform is a chi-square test of Floyd's draw: over many
+// keyed streams, each of n = 7 clients joins a 3-member set with
+// probability 3/7. The statistic is compared with the chi-square quantile
+// at p = 0.001 for 6 degrees of freedom; the inclusion counts are
+// negatively correlated, which only shrinks it.
+func TestDrawMembershipUniform(t *testing.T) {
+	const n, count, trials = 7, 3, 26_000
+	included := make([]float64, n)
+	for seed := range uint64(trials) {
+		m := drawMembership(seed, saltDefense, n, count)
+		for i := range n {
+			if m.Contains(i) {
+				included[i]++
+			}
+		}
+	}
+	want, chi := float64(trials*count)/n, 0.0
+	for _, c := range included {
+		chi += (c - want) * (c - want) / want
+	}
+	if chi > 22.458 {
+		t.Errorf("inclusion chi-square %.2f > 22.458: %v", chi, included)
 	}
 }
 

@@ -32,20 +32,24 @@ func (m membership) Contains(i int) bool {
 // Count returns the set's cardinality.
 func (m membership) Count() int { return m.count }
 
-// drawMembership draws a count-member subset of [0, n) from the keyed stream
-// (seed, salt), consuming exactly the rng operations the historical []bool
-// draw performed — one Perm(n) — so membership is identical bit for bit.
-// data.PermPrefix keeps only the permutation's first count entries, and
-// each marks its bit.
+// drawMembership draws a uniformly random count-member subset of [0, n) from
+// the keyed stream (seed, salt) by Floyd's algorithm, straight into the
+// bitset: for each j in [n−count, n) it draws t = rng.IntN(j+1) and marks t,
+// or j when t is already a member. count is clamped to n; the draw costs
+// count rng calls and no scratch beyond the bitset.
 func drawMembership(seed, salt uint64, n, count int) membership {
+	count = min(count, n)
 	if count <= 0 {
 		return membership{}
 	}
 	rng := nn.RandSource(seed, salt)
-	members := data.PermPrefix(rng, n, count)
-	m := membership{bits: make([]uint64, (n+63)/64), count: len(members)}
-	for _, v := range members {
-		m.bits[v>>6] |= 1 << (uint(v) & 63)
+	m := membership{bits: make([]uint64, (n+63)/64), count: count}
+	for j := n - count; j < n; j++ {
+		t := rng.IntN(j + 1)
+		if m.Contains(t) {
+			t = j
+		}
+		m.bits[t>>6] |= 1 << (uint(t) & 63)
 	}
 	return m
 }
