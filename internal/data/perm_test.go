@@ -48,7 +48,7 @@ func permPrefixError(seed uint64, n, m int) error {
 	seen := make(map[int]bool, want)
 	for _, v := range got {
 		if v < 0 || v >= n || seen[v] {
-			return fmt.Errorf("entry %d repeated or outside [0, %d): %v", v, n, got)
+			return fmt.Errorf("entry %d repeated or outside [0, %d)", v, n)
 		}
 		seen[v] = true
 	}
@@ -56,12 +56,22 @@ func permPrefixError(seed uint64, n, m int) error {
 		return fmt.Errorf("made %d Uint64 calls, want %d", src.calls, want)
 	}
 	if again := PermPrefix(rand.New(rand.NewPCG(seed, 1)), n, m); !slices.Equal(got, again) {
-		return fmt.Errorf("same seed drew %v, then %v", got, again)
+		return fmt.Errorf("same seed drew two samples, differing first at %d", firstDiff(got, again))
 	}
 	if ref := permPrefixRef(rand.New(rand.NewPCG(seed, 1)), n, want); !slices.Equal(got, ref) {
-		return fmt.Errorf("drew %v, full-array Fisher–Yates %v", got, ref)
+		return fmt.Errorf("differs from full-array Fisher–Yates first at position %d", firstDiff(got, ref))
 	}
 	return nil
+}
+
+// firstDiff returns the first position at which a and b differ.
+func firstDiff(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 // TestPermPrefixProperties: over n in [0, 4096] and m in [−1, n+1] (both the

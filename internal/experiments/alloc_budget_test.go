@@ -55,7 +55,7 @@ func TestAllocationBudget(t *testing.T) {
 			},
 		},
 		{
-			name: "sweep-grid", bytes: 5_150_000, mallocs: 22_200,
+			name: "sweep-grid", bytes: 4_900_000, mallocs: 22_200,
 			run: func() error {
 				_, err := RunSweep(SweepConfig{
 					Attacks:     []string{"rtf", "qbi"},

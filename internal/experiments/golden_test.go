@@ -12,7 +12,8 @@ import (
 )
 
 // goldenSweepConfig is the exact grid the committed golden file was generated
-// from (before the observability instrumentation existed). Do not change it
+// from (first before the observability instrumentation existed, then again
+// when the attack probe subsets moved to O(m) draws). Do not change it
 // without regenerating the golden.
 func goldenSweepConfig() SweepConfig {
 	return SweepConfig{
@@ -25,7 +26,7 @@ func goldenSweepConfig() SweepConfig {
 
 // TestSweepGoldenBytes pins the sweep half of the determinism contract: with
 // no obs session enabled, the grid's JSON must be byte-identical to the
-// golden generated pre-instrumentation.
+// committed golden.
 func TestSweepGoldenBytes(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden-sweep-report.json"))
 	if err != nil {
@@ -40,7 +41,7 @@ func TestSweepGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, golden) {
-		t.Errorf("sweep JSON diverged from the pre-instrumentation golden:\n got %d bytes\nwant %d bytes\n%s",
+		t.Errorf("sweep JSON diverged from the golden:\n got %d bytes\nwant %d bytes\n%s",
 			len(raw), len(golden), raw)
 	}
 }

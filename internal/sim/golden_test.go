@@ -10,12 +10,14 @@ import (
 )
 
 // goldenPresets are the scenarios whose quick-mode report JSON is pinned
-// byte-for-byte in testdata/. All but cross-device-1M were generated by the
-// eager materializing engine before the virtual-client rewrite, so they are
-// the proof that lazy cohort materialization changed memory behavior and
-// nothing else; cross-device-1M pins the million-client cohort sampling
-// path, which no eager engine could run. Regenerate (only when a
-// report-schema change is intentional) with:
+// byte-for-byte in testdata/. All but cross-device-1M were first generated
+// by the eager materializing engine before the virtual-client rewrite, the
+// proof that lazy cohort materialization changed memory behavior and
+// nothing else; all five were regenerated once when cohorts, memberships and
+// probe subsets moved to O(m) draws. cross-device-1M pins the
+// million-client cohort sampling path, which no eager engine could run.
+// Regenerate (only when a change to the draws or the report schema is
+// intentional) with:
 //
 //	OASIS_REGEN_GOLDEN=1 go test ./internal/sim -run TestReportGoldenBytes
 var goldenPresets = []string{"smoke", "cross-device-1k", "flaky-hospital", "adversarial-burst", "cross-device-1M"}
@@ -25,10 +27,10 @@ func goldenPath(preset string) string {
 }
 
 // TestReportGoldenBytes pins the engine's determinism contract at its
-// sharpest edge: with no obs session enabled, each pinned preset's quick-mode
-// report JSON must be byte-identical to the golden file generated by the
-// pre-virtual-client eager engine. Any RNG contact, field reordering,
-// membership reshuffle, or accidental summary embedding breaks this test.
+// sharpest edge: with no obs session enabled, each pinned preset's
+// quick-mode report JSON must be byte-identical to its golden file. Any RNG
+// contact, field reordering, membership reshuffle, or accidental summary
+// embedding breaks this test.
 func TestReportGoldenBytes(t *testing.T) {
 	for _, preset := range goldenPresets {
 		t.Run(preset, func(t *testing.T) {
@@ -56,7 +58,7 @@ func TestReportGoldenBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(raw, golden) {
-				t.Errorf("%s report JSON diverged from the eager-engine golden (%d vs %d bytes):\n%s",
+				t.Errorf("%s report JSON diverged from the golden (%d vs %d bytes):\n%s",
 					preset, len(raw), len(golden), diffHint(raw, golden))
 			}
 		})
