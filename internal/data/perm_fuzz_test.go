@@ -1,13 +1,11 @@
 package data
 
-import (
-	rand "math/rand/v2"
-	"testing"
-)
+import "testing"
 
 // FuzzPermPrefix: for any (n, m, seed), PermPrefix never panics and returns
-// m clamped into [0, n] distinct indices of [0, n). Run beyond the seed
-// corpus with:
+// m clamped into [0, n] distinct indices of [0, n), with the draw count,
+// reproducibility and reference agreement permPrefixError checks. Run
+// beyond the seed corpus with:
 //
 //	go test -run '^$' -fuzz FuzzPermPrefix -fuzztime 10s ./internal/data
 func FuzzPermPrefix(f *testing.F) {
@@ -19,16 +17,8 @@ func FuzzPermPrefix(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, nRaw uint32, mRaw int32, seed uint64) {
 		n, m := int(nRaw%(1<<16+1)), int(mRaw)
-		got := PermPrefix(rand.New(rand.NewPCG(seed, 0xf022)), n, m)
-		if want := max(0, min(m, n)); len(got) != want {
-			t.Fatalf("PermPrefix(n %d, m %d) returned %d indices, want %d", n, m, len(got), want)
-		}
-		seen := make(map[int]bool, len(got))
-		for _, v := range got {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("PermPrefix(n %d, m %d, seed %d): index %d repeated or outside [0, %d)", n, m, seed, v, n)
-			}
-			seen[v] = true
+		if err := permPrefixError(seed, n, m); err != nil {
+			t.Fatalf("PermPrefix(seed %d, n %d, m %d): %v", seed, n, m, err)
 		}
 	})
 }
