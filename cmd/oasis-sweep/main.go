@@ -72,7 +72,7 @@ func run() error {
 		serveAddr    = flag.String("serve", "", "coordinator mode: serve the grid to -worker processes on this TCP address")
 		workerAddr   = flag.String("worker", "", "worker mode: dial this coordinator and run leased cells (grid flags are ignored)")
 		ckptPath     = flag.String("checkpoint", "", "append completed jobs to this JSONL file and resume from it (serving or single-process)")
-		leaseTimeout = flag.Duration("lease-timeout", 0, "coordinator: re-queue a leased job after this long without a result (0 = 2m)")
+		leaseTimeout = flag.Duration("lease-timeout", 0, "coordinator: drop a worker and re-queue its job when no result arrives within this plus the 30s exchange timeout (0 = 2m)")
 	)
 	flag.Parse()
 	if *serveAddr != "" && *workerAddr != "" {

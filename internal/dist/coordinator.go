@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,10 +26,11 @@ type CoordinatorConfig struct {
 	// enables crash/resume. An existing file must describe the same grid;
 	// its completed jobs are not re-run.
 	Checkpoint string
-	// LeaseTimeout bounds how long a worker may hold a job before the
-	// coordinator re-queues it for someone else. Zero means 2 minutes.
-	// Too short only wastes duplicate work — correctness never depends on
-	// it, because results merge idempotently.
+	// LeaseTimeout bounds how long a worker may hold a job: a worker that
+	// sends no result within LeaseTimeout + ExchangeTimeout of its lease is
+	// dropped and the job re-queued, the same path as a broken connection.
+	// Zero means 2 minutes. Too short only wastes duplicate work —
+	// correctness never depends on it, because results merge idempotently.
 	LeaseTimeout time.Duration
 	// ExchangeTimeout bounds one non-blocking protocol exchange (hello,
 	// lease write). Zero means 30 seconds.
@@ -40,25 +40,31 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator runs a sweep grid across remote workers: it enumerates the
-// grid's jobs, leases them over TCP, re-leases on worker death or timeout,
-// streams completed results to the checkpoint, and performs the same
-// deterministic grid-order merge as in-process RunSweep.
+// grid's jobs, leases them over TCP, re-leases when a worker's connection
+// breaks or stays silent past its lease, streams completed results to the
+// checkpoint, and performs the same deterministic grid-order merge as
+// in-process RunSweep.
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	grid *experiments.SweepGrid
 	ln   net.Listener
 	ckpt *Checkpoint
 	span *obs.Span
-	ctx  context.Context
+	// ctx ends when the caller's context does or Wait stops the run; every
+	// handler watches it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	queue    []int             // pending job IDs, FIFO
-	leased   map[int]time.Time // job ID → lease expiry
-	results  []*experiments.SweepJobResult
-	done     int
-	workers  int
-	cond     *sync.Cond    // guards queue/done transitions
+	// queue holds the pending job IDs in dispatch order. A job ID is only
+	// ever queued, leased to one handler, or done, so the NumJobs capacity
+	// means a release never blocks.
+	queue    chan int
 	finished chan struct{} // closed when every job has a result
+
+	mu      sync.Mutex
+	results []*experiments.SweepJobResult
+	done    int
+	workers int
 
 	handlers sync.WaitGroup
 }
@@ -80,11 +86,10 @@ func StartCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator,
 	c := &Coordinator{
 		cfg:      cfg,
 		grid:     grid,
-		leased:   make(map[int]time.Time),
+		queue:    make(chan int, grid.NumJobs()),
 		results:  make([]*experiments.SweepJobResult, grid.NumJobs()),
 		finished: make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
 	if cfg.Checkpoint != "" {
 		loaded, err := LoadCheckpoint(cfg.Checkpoint, grid)
 		if err != nil {
@@ -103,28 +108,25 @@ func StartCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator,
 	}
 	for _, id := range grid.Order() {
 		if c.results[id] == nil {
-			c.queue = append(c.queue, id)
+			c.queue <- id
 		}
 	}
 	ctx, c.span = obs.Start(ctx, "dist.serve",
 		obs.String("scenario", grid.Base.Name), obs.Int("jobs", grid.NumJobs()),
 		obs.Int("resumed", c.done))
-	c.ctx = ctx
+	c.ctx, c.cancel = context.WithCancel(ctx)
 	if c.done == grid.NumJobs() {
 		close(c.finished) // fully-checkpointed grid: nothing to serve
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
+		c.cancel()
 		c.closeCkpt()
 		c.span.End()
 		return nil, fmt.Errorf("dist: listen %s: %w", cfg.Addr, err)
 	}
 	c.ln = ln
 	go c.acceptLoop()
-	go c.watchdog(ctx)
-	// Wake any handler blocked in acquire when the caller cancels.
-	stop := context.AfterFunc(ctx, func() { c.cond.Broadcast() })
-	go func() { <-c.finished; stop(); c.cond.Broadcast() }()
 	return c, nil
 }
 
@@ -156,8 +158,13 @@ func (c *Coordinator) Wait(ctx context.Context) (*experiments.SweepReport, error
 		cancelErr = c.ctx.Err()
 	}
 	c.ln.Close() // stops accepts; handlers drain and say goodbye
-	c.cond.Broadcast()
+	if cancelErr != nil {
+		c.cancel() // stop handlers waiting for a lease or for a result
+	}
+	// A completed grid is only stopped once every handler has returned:
+	// stopping earlier would poison connections mid-goodbye.
 	c.handlers.Wait()
+	c.cancel()
 	if err := c.closeCkpt(); err != nil && cancelErr == nil {
 		cancelErr = err
 	}
@@ -201,87 +208,42 @@ func (c *Coordinator) acceptLoop() {
 	}
 }
 
-// watchdog returns expired leases to the queue. A slow-but-alive worker's
-// job may get leased twice; the second result is dropped idempotently, so
-// expiry can only waste work, never corrupt the report.
-func (c *Coordinator) watchdog(ctx context.Context) {
-	tick := time.NewTicker(max(c.cfg.LeaseTimeout/4, 10*time.Millisecond))
-	defer tick.Stop()
-	for {
+// acquire blocks until a job can be leased, the grid finishes, or the run
+// stops. It returns (-1, false) when the worker should be told goodbye. A
+// stopped run wins over a queued job, so an idle worker gets its goodbye
+// rather than a lease the run would abandon.
+func (c *Coordinator) acquire() (int, bool) {
+	for c.ctx.Err() == nil {
 		select {
-		case <-ctx.Done():
-			return
 		case <-c.finished:
-			return
-		case now := <-tick.C:
-			c.requeueExpired(now)
-		}
-	}
-}
-
-// requeueExpired returns every lease that expired before now to the work
-// queue. Expired IDs are sorted before re-queueing: map iteration order
-// must never decide which job a worker is handed next, or two runs of the
-// same crashed sweep would replay work in different orders.
-func (c *Coordinator) requeueExpired(now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var expired []int
-	for id, expiry := range c.leased {
-		if now.After(expiry) {
-			expired = append(expired, id)
-		}
-	}
-	sort.Ints(expired)
-	for _, id := range expired {
-		delete(c.leased, id)
-		c.queue = append(c.queue, id)
-		obsReleased.Inc()
-		c.logf("lease on job %d expired; re-queued", id)
-	}
-	// Broadcast unconditionally: the watchdog tick doubles as a periodic
-	// wakeup for waiters re-checking queue/shutdown state.
-	c.cond.Broadcast()
-}
-
-// acquire blocks until a job can be leased, the grid finishes, or the
-// context ends. It returns (-1, false) when the worker should be told
-// goodbye.
-func (c *Coordinator) acquire(workerID string) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.done == c.grid.NumJobs() || c.ctx.Err() != nil {
 			return -1, false
-		}
-		for len(c.queue) > 0 {
-			id := c.queue[0]
-			c.queue = c.queue[1:]
-			if c.results[id] != nil {
-				continue // completed while queued (duplicate lease path)
+		case <-c.ctx.Done():
+			return -1, false
+		case id := <-c.queue:
+			c.mu.Lock()
+			completed := c.results[id] != nil
+			c.mu.Unlock()
+			if completed {
+				continue // a stray result for it arrived while it was queued
 			}
-			c.leased[id] = time.Now().Add(c.cfg.LeaseTimeout) //oasis:allow-walltime lease expiry is a real-time deadline, not sim time
 			obsLeases.Inc()
 			return id, true
 		}
-		// Everything outstanding is leased to other workers: wait for a
-		// completion, an expiry re-queue, or shutdown.
-		c.cond.Wait()
 	}
+	return -1, false
 }
 
-// release returns an un-completed leased job to the queue (its worker's
-// connection broke).
+// release returns an uncompleted leased job to the queue: its worker's
+// connection broke, went silent past the lease, or answered with a result
+// for another job.
 func (c *Coordinator) release(id int) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, held := c.leased[id]; !held || c.results[id] != nil {
-		return
+	completed := c.results[id] != nil
+	c.mu.Unlock()
+	if !completed {
+		c.queue <- id
+		obsReleased.Inc()
 	}
-	delete(c.leased, id)
-	c.queue = append(c.queue, id)
-	obsReleased.Inc()
-	c.cond.Broadcast()
 }
 
 // complete merges one result idempotently: the first result for a job wins
@@ -302,7 +264,6 @@ func (c *Coordinator) complete(res experiments.SweepJobResult, workerID string) 
 		return
 	}
 	c.results[id] = &res
-	delete(c.leased, id)
 	c.done++
 	finished := c.done == c.grid.NumJobs()
 	ckpt := c.ckpt
@@ -319,18 +280,16 @@ func (c *Coordinator) complete(res experiments.SweepJobResult, workerID string) 
 		c.logf("job %d (%s × %s, seed %d) from %s failed: %s",
 			id, res.Attack, res.Defense, res.Seed, workerID, res.Err)
 	}
-	c.mu.Lock()
 	if finished {
 		close(c.finished)
 	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // handle speaks the protocol with one worker connection: hello, then
 // lease/result exchanges until the grid completes. Any decode error — a
-// malformed gob stream, a truncated message, a dead peer — drops the
-// connection and returns the in-flight lease to the queue.
+// malformed gob stream, a truncated message, a dead peer, a worker silent
+// past LeaseTimeout + ExchangeTimeout — drops the connection and returns the
+// in-flight lease to the queue. That is the only way a lease is lost.
 //
 //oasis:allow-walltime connection and lease deadlines are real-time by design
 func (c *Coordinator) handle(conn net.Conn) {
@@ -338,11 +297,14 @@ func (c *Coordinator) handle(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ExchangeTimeout))
+	// Unblock a pending exchange when the run stops. A deadline armed after
+	// this fires lifts it, so the lease read below checks c.ctx again.
+	stop := context.AfterFunc(c.ctx, func() { _ = conn.SetDeadline(time.Now()) })
+	defer stop()
 	var hello wireHello
 	if err := dec.Decode(&hello); err != nil || hello.WorkerID == "" {
 		return // not a worker; nothing was leased
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	c.mu.Lock()
 	c.workers++
 	obsWorkersNow.Set(float64(c.workers))
@@ -354,13 +316,10 @@ func (c *Coordinator) handle(conn net.Conn) {
 		obsWorkersNow.Set(float64(c.workers))
 		c.mu.Unlock()
 	}()
-	// Unblock a pending exchange when the run is cancelled.
-	stop := context.AfterFunc(c.ctx, func() { _ = conn.SetDeadline(time.Now()) })
-	defer stop()
 	for {
-		id, ok := c.acquire(hello.WorkerID)
+		id, ok := c.acquire()
+		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.ExchangeTimeout))
 		if !ok {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.ExchangeTimeout))
 			_ = enc.Encode(wireCoordMsg{Goodbye: true})
 			return
 		}
@@ -370,26 +329,26 @@ func (c *Coordinator) handle(conn net.Conn) {
 			Quick:    c.grid.Quick,
 			Workers:  c.grid.Workers,
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.ExchangeTimeout))
 		if err := enc.Encode(wireCoordMsg{Lease: &lease}); err != nil {
 			c.release(id)
 			return
 		}
-		_ = conn.SetWriteDeadline(time.Time{})
 		// The worker is now computing: allow the full lease window plus
 		// slack before declaring the connection dead.
 		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.LeaseTimeout + c.cfg.ExchangeTimeout))
 		var reply wireResult
-		if err := dec.Decode(&reply); err != nil {
+		err := c.ctx.Err()
+		if err == nil {
+			err = dec.Decode(&reply)
+		}
+		if err != nil {
 			c.release(id)
 			c.logf("worker %s dropped mid-lease (job %d re-queued): %v", hello.WorkerID, id, err)
 			return
 		}
-		_ = conn.SetReadDeadline(time.Time{})
 		c.complete(reply.Result, hello.WorkerID)
 		// A result for some other job (a late duplicate) leaves the leased
-		// job unanswered — put it straight back rather than waiting for the
-		// watchdog.
+		// job unanswered: put it straight back.
 		if c.grid.JobID(reply.Result.Cell, reply.Result.Rep) != id ||
 			c.grid.CheckResult(reply.Result) != nil {
 			c.release(id)

@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +61,22 @@ func startTestCoordinator(t *testing.T, ctx context.Context, cfg CoordinatorConf
 	return c
 }
 
+// goWorker runs a worker against addr in the background. The test fails
+// unless the worker returns nil, the goodbye of a completed grid, before the
+// test ends.
+func goWorker(t *testing.T, ctx context.Context, addr, id string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(ctx, WorkerConfig{Addr: addr, ID: id, BaseBackoff: time.Millisecond})
+	}()
+	t.Cleanup(func() {
+		if err := <-done; err != nil {
+			t.Errorf("worker %s: %v", id, err)
+		}
+	})
+}
+
 // TestDistributedByteIdentity is the subsystem's acceptance bar: a
 // coordinator with two concurrent workers must produce report JSON
 // byte-identical to the serial in-process run.
@@ -68,21 +84,12 @@ func TestDistributedByteIdentity(t *testing.T) {
 	golden := serialGolden(t)
 	ctx := context.Background()
 	c := startTestCoordinator(t, ctx, CoordinatorConfig{})
-	var wg sync.WaitGroup
-	for _, id := range []string{"w1", "w2"} {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			if err := RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: id, BaseBackoff: time.Millisecond}); err != nil {
-				t.Errorf("worker %s: %v", id, err)
-			}
-		}(id)
-	}
+	goWorker(t, ctx, c.Addr(), "w1")
+	goWorker(t, ctx, c.Addr(), "w2")
 	rep, err := c.Wait(ctx)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	wg.Wait()
 	raw, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -139,16 +146,10 @@ func TestWorkerKillMidGridReleases(t *testing.T) {
 	doomed.hello(t, "doomed")
 	_ = doomed.lease(t)
 	doomed.conn.Close() // connection break → immediate re-queue
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: "healthy", BaseBackoff: time.Millisecond})
-	}()
+	goWorker(t, ctx, c.Addr(), "healthy")
 	rep, err := c.Wait(ctx)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("healthy worker: %v", err)
 	}
 	raw, _ := rep.JSON()
 	if !bytes.Equal(golden, raw) {
@@ -186,7 +187,7 @@ func TestDuplicateResultDropped(t *testing.T) {
 		t.Fatalf("duplicate result re-opened job %d", l1.Job.ID)
 	}
 	rc.conn.Close()
-	go RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: "finisher", BaseBackoff: time.Millisecond}) //nolint:errcheck
+	goWorker(t, ctx, c.Addr(), "finisher")
 	rep, err := c.Wait(ctx)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -218,7 +219,7 @@ func TestMalformedStreams(t *testing.T) {
 	_ = rc.lease(t)
 	rc.conn.Write([]byte{0xff, 0x00, 0x13, 0x37}) //nolint:errcheck
 	rc.conn.Close()
-	go RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: "cleaner", BaseBackoff: time.Millisecond}) //nolint:errcheck
+	goWorker(t, ctx, c.Addr(), "cleaner")
 	rep, err := c.Wait(ctx)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -229,28 +230,91 @@ func TestMalformedStreams(t *testing.T) {
 	}
 }
 
-// TestLeaseTimeoutRequeues checks the watchdog path: a worker that accepts a
-// lease and stalls (without dying) has its job re-leased after LeaseTimeout,
-// and the stalled worker's eventual silence doesn't block completion.
+// TestLeaseTimeoutRequeues checks the silent-worker path: a worker that
+// accepts a lease and stalls (without dying) is dropped once its result is
+// LeaseTimeout + ExchangeTimeout overdue, its job goes to a live worker, and
+// the report stays byte-identical.
 func TestLeaseTimeoutRequeues(t *testing.T) {
 	golden := serialGolden(t)
 	ctx := context.Background()
-	c := startTestCoordinator(t, ctx, CoordinatorConfig{
-		LeaseTimeout:    50 * time.Millisecond,
-		ExchangeTimeout: 200 * time.Millisecond,
-	})
+	const lease, exchange = 50 * time.Millisecond, 200 * time.Millisecond
+	c := startTestCoordinator(t, ctx, CoordinatorConfig{LeaseTimeout: lease, ExchangeTimeout: exchange})
 	stalled := dialRaw(t, c.Addr())
 	stalled.hello(t, "stalled")
 	_ = stalled.lease(t) // hold the lease and never answer
+	leased := time.Now()
 	defer stalled.conn.Close()
-	go RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: "live", BaseBackoff: time.Millisecond}) //nolint:errcheck
+	goWorker(t, ctx, c.Addr(), "live")
 	rep, err := c.Wait(ctx)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
+	if elapsed := time.Since(leased); elapsed < lease+exchange {
+		t.Fatalf("grid finished %v after the stalled lease, before its %v deadline", elapsed, lease+exchange)
+	}
 	raw, _ := rep.JSON()
 	if !bytes.Equal(golden, raw) {
 		t.Fatalf("report diverges after lease-timeout re-queue:\n%s\nvs\n%s", raw, golden)
+	}
+	// The coordinator dropped the stalled connection: no goodbye, no lease.
+	_ = stalled.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var msg wireCoordMsg
+	err = stalled.dec.Decode(&msg)
+	if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read on the stalled connection: %+v, %v; want the connection closed", msg, err)
+	}
+}
+
+// TestWaitReturnsWhenCancelled cancels Wait's own context, not the one the
+// coordinator started under, while one worker holds the grid's only job on
+// an hour-long lease and another waits for a lease. Wait must stop both
+// handlers and return the partial report with the context error.
+func TestWaitReturnsWhenCancelled(t *testing.T) {
+	ctx := context.Background()
+	sweep := testSweep()
+	sweep.Attacks, sweep.Defenses, sweep.Replicates = []string{"rtf"}, []string{"none"}, 1
+	c := startTestCoordinator(t, ctx, CoordinatorConfig{Sweep: sweep, LeaseTimeout: time.Hour})
+	holder := dialRaw(t, c.Addr())
+	defer holder.conn.Close()
+	holder.hello(t, "holder")
+	_ = holder.lease(t)
+	waiter := dialRaw(t, c.Addr())
+	defer waiter.conn.Close()
+	waiter.hello(t, "waiter")
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		n := c.workers
+		c.mu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("%d workers connected after 5s, want 2", n)
+		}
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	cancel()
+	type waited struct {
+		rep *experiments.SweepReport
+		err error
+	}
+	done := make(chan waited, 1)
+	start := time.Now()
+	go func() {
+		rep, err := c.Wait(wctx)
+		done <- waited{rep, err}
+	}()
+	select {
+	case w := <-done:
+		if !errors.Is(w.err, context.Canceled) {
+			t.Fatalf("Wait error = %v, want one wrapping context.Canceled", w.err)
+		}
+		if w.rep == nil {
+			t.Fatal("Wait returned no partial report")
+		}
+		t.Logf("Wait returned after %v", time.Since(start))
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait still blocked 5s after its context was cancelled")
 	}
 }
 
@@ -287,7 +351,7 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Phase 2: resume. The 3 checkpointed jobs must not run again.
 	c2 := startTestCoordinator(t, ctx, CoordinatorConfig{Checkpoint: ckpt})
-	go RunWorker(ctx, WorkerConfig{Addr: c2.Addr(), ID: "resumer", BaseBackoff: time.Millisecond}) //nolint:errcheck
+	goWorker(t, ctx, c2.Addr(), "resumer")
 	rep, err := c2.Wait(ctx)
 	if err != nil {
 		t.Fatalf("resumed Wait: %v", err)
@@ -361,7 +425,7 @@ func TestResumeAscendingCheckpoint(t *testing.T) {
 	}
 
 	c := startTestCoordinator(t, ctx, CoordinatorConfig{Checkpoint: ckpt})
-	go RunWorker(ctx, WorkerConfig{Addr: c.Addr(), ID: "resumer", BaseBackoff: time.Millisecond}) //nolint:errcheck
+	goWorker(t, ctx, c.Addr(), "resumer")
 	rep, err = c.Wait(ctx)
 	if err != nil {
 		t.Fatalf("resumed Wait: %v", err)

@@ -11,18 +11,22 @@
 //
 //	queued ── worker asks ──▶ leased ── result arrives ──▶ done
 //	  ▲                         │
-//	  └── connection breaks ────┤
-//	  └── lease timeout expires ┘
+//	  └──── result read fails ──┘
 //
 // A lease carries the fully-materialized scenario, so workers never
 // enumerate the grid — they dial, say hello, and run whatever arrives.
-// The coordinator detects a dead worker two ways: the connection breaks
-// (immediate re-queue) or the lease outlives LeaseTimeout (the watchdog
-// re-queues it). Both paths can only duplicate work, never corrupt the
-// report: results self-identify by (cell, rep), completion is idempotent
-// (first result wins, duplicates are counted and dropped), and a replicate's
-// statistics are scheduling-independent, so two runs of the same job return
-// identical numbers.
+// Pending job IDs wait in one FIFO channel sized to the grid; the handler
+// that holds a lease is the only one that can return it. A lease is lost one
+// way: the handler's read of the result fails, because the connection broke,
+// the stream was malformed, or the worker sent nothing for LeaseTimeout +
+// ExchangeTimeout. The handler then re-queues the job and drops the
+// connection. While a slow worker is within that deadline, its job is leased
+// to no one else.
+// Re-queueing can only duplicate work, never corrupt the report: results
+// self-identify by (cell, rep), completion is idempotent (first result wins,
+// duplicates are counted and dropped), and a replicate's statistics are
+// scheduling-independent, so two runs of the same job return identical
+// numbers.
 //
 // # Checkpoint format
 //

@@ -24,9 +24,10 @@ import (
 // by its own coordinates and immediately re-queues the job it had leased.
 //
 // gob's stream framing handles message boundaries; per-exchange deadlines
-// bound the damage of a stalled peer, and a worker that dies mid-lease is
-// detected either by its connection breaking or by lease-timeout expiry —
-// both return the job to the queue.
+// bound the damage of a stalled peer. A worker that dies or stalls mid-lease
+// fails the coordinator's read of its result — the connection breaks, or the
+// read deadline of LeaseTimeout + ExchangeTimeout passes — and the job
+// returns to the queue.
 
 // wireHello introduces a worker. An empty WorkerID is rejected.
 type wireHello struct {

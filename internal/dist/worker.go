@@ -62,8 +62,8 @@ func Backoff(base, maxDelay time.Duration, attempt int) time.Duration {
 // says goodbye (returns nil), ctx ends, or Attempts consecutive failures
 // exhaust the backoff schedule. Dial refusals, broken sessions, and send
 // failures all land in the same retry loop; a result the worker could not
-// deliver is simply dropped — lease-timeout expiry re-queues the job, and
-// the eventual duplicate merges idempotently.
+// deliver is simply dropped — the broken session re-queues the job at the
+// coordinator, and any eventual duplicate merges idempotently.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 10
@@ -189,7 +189,7 @@ func workerSession(ctx context.Context, cfg WorkerConfig, logf func(string, ...a
 			if ctx.Err() != nil {
 				return true, ctx.Err()
 			}
-			// The result is lost but the lease-timeout watchdog covers it.
+			// The result is lost; closing the connection re-queues its job.
 			return false, errSessionProgress
 		}
 		_ = conn.SetWriteDeadline(time.Time{})

@@ -114,7 +114,8 @@
 // # Workspace arena
 //
 // pool.go maintains size-bucketed sync.Pools of float64 slices (capacity
-// 2^b, smallest pooled class 8 KiB). NewPooled draws a zeroed tensor from
+// 2^b, smallest pooled class 8 KiB; smaller requests are plain exact-size
+// allocations). NewPooled draws a zeroed tensor from
 // the arena; ClonePooled and NewPooledRaw draw unzeroed ones, which the copy
 // or the caller's first write overwrites in full; Release hands the backing
 // array back and clears the tensor so stale use panics instead of aliasing

@@ -54,13 +54,14 @@ func getRawBuf(n int) (s []float64, recycled bool) {
 		return nil, false
 	}
 	b := bits.Len(uint(n - 1)) // bucket whose arrays have cap ≥ n
-	if b >= minPoolBucket {
-		if v := bufPools[b].Get(); v != nil {
-			obsPoolHit.Inc()
-			return v.([]float64)[:n], true
-		}
-		obsPoolMiss.Inc()
+	if b < minPoolBucket {
+		return make([]float64, n), false // never pooled, so sized exactly
 	}
+	if v := bufPools[b].Get(); v != nil {
+		obsPoolHit.Inc()
+		return v.([]float64)[:n], true
+	}
+	obsPoolMiss.Inc()
 	return make([]float64, n, 1<<b), false
 }
 
