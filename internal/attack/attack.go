@@ -86,9 +86,7 @@ func NewVictimGain(dims ImageDims, classes int, w, b *tensor.Tensor, rng *rand.R
 func (v *Victim) Gradients(b *data.Batch) (gw, gb *tensor.Tensor, loss float64) {
 	v.Net.ZeroGrad()
 	x := b.Flatten()
-	logits := v.Net.Forward(x, true)
-	loss, g := nn.SoftmaxCrossEntropy(logits, b.Labels)
-	v.Net.Backward(g)
+	loss = v.Net.Backprop(x, b.Labels)
 	x.Release()
 	return v.Mal.Weight.G.Clone(), v.Mal.Bias.G.Clone(), loss
 }

@@ -47,9 +47,7 @@ func (a *LinearInversion) BuildModel(rng *rand.Rand) *nn.Sequential {
 func (a *LinearInversion) Gradients(model *nn.Sequential, b *data.Batch) (gw, gb *tensor.Tensor, loss float64) {
 	model.ZeroGrad()
 	x := b.Flatten()
-	logits := model.Forward(x, true)
-	loss, g := nn.SoftmaxCrossEntropy(logits, b.Labels)
-	model.Backward(g)
+	loss = model.Backprop(x, b.Labels)
 	x.Release()
 	params := model.Params()
 	return params[0].G.Clone(), params[1].G.Clone(), loss

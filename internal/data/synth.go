@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	rand "math/rand/v2"
+	"sync"
 	"sync/atomic"
 
 	"github.com/oasisfl/oasis/internal/imaging"
@@ -31,6 +32,53 @@ type Synth struct {
 	// cache holds the rendered image of each index, nil until first
 	// sampled; the slice itself is nil on a Synth that does not cache.
 	cache []atomic.Pointer[imaging.Image]
+	// styles is shared with every copy Cached makes.
+	styles *classStyles
+}
+
+// classStyle is the class-invariant look of a label: its palette, pattern
+// family, frequency and orientation, derived only from (seed, label).
+type classStyle struct {
+	palette   [3][3]float64
+	family    int
+	freq      float64
+	baseAngle float64
+}
+
+// classStyles holds the style of every label a sample index in [0, n) can
+// have, built on first use.
+type classStyles struct {
+	once sync.Once
+	all  []classStyle
+}
+
+// newClassStyle derives label's style from its own keyed stream.
+func newClassStyle(seed uint64, label int) classStyle {
+	crng := rand.New(rand.NewPCG(seed^0xabcdef, uint64(label)+1))
+	var st classStyle
+	for p := range st.palette {
+		hue := math.Mod(float64(label)*0.61803398875+float64(p)*0.31, 1.0)
+		st.palette[p] = hueToRGB(hue, 0.55+0.3*crng.Float64(), 0.35+0.3*crng.Float64())
+	}
+	st.family = label % 5
+	st.freq = 1.5 + float64((label/5)%4)
+	st.baseAngle = crng.Float64() * math.Pi
+	return st
+}
+
+// style returns label's style, from the shared table when label is one a
+// sample index in [0, n) has.
+func (s *Synth) style(label int) classStyle {
+	s.styles.once.Do(func() {
+		s.styles.all = make([]classStyle, min(s.classes, s.n))
+		for l := range s.styles.all {
+			s.styles.all[l] = newClassStyle(s.seed, l)
+		}
+	})
+	if uint(label) < uint(len(s.styles.all)) {
+		return s.styles.all[label]
+	}
+	return newClassStyle(s.seed, label)
 }
 
 var _ Dataset = (*Synth)(nil)
@@ -38,19 +86,19 @@ var _ Dataset = (*Synth)(nil)
 // NewSynthImageNet returns the stand-in for the paper's 10-class ImageNet
 // subset (imagenette classes) at 64×64×3.
 func NewSynthImageNet(seed uint64) *Synth {
-	return &Synth{name: "synth-imagenet", classes: 10, c: 3, h: 64, w: 64, n: 4096, seed: seed, noise: 0.04}
+	return &Synth{name: "synth-imagenet", classes: 10, c: 3, h: 64, w: 64, n: 4096, seed: seed, noise: 0.04, styles: new(classStyles)}
 }
 
 // NewSynthCIFAR100 returns the stand-in for CIFAR100 at 32×32×3 with 100
 // classes.
 func NewSynthCIFAR100(seed uint64) *Synth {
-	return &Synth{name: "synth-cifar100", classes: 100, c: 3, h: 32, w: 32, n: 8192, seed: seed, noise: 0.05}
+	return &Synth{name: "synth-cifar100", classes: 100, c: 3, h: 32, w: 32, n: 8192, seed: seed, noise: 0.05, styles: new(classStyles)}
 }
 
 // NewSynthCustom builds a synthetic dataset with explicit geometry; used by
 // tests and the example scenarios (e.g. 1-channel "medical scans").
 func NewSynthCustom(name string, classes, c, h, w, n int, seed uint64) *Synth {
-	return &Synth{name: name, classes: classes, c: c, h: h, w: w, n: n, seed: seed, noise: 0.04}
+	return &Synth{name: name, classes: classes, c: c, h: h, w: w, n: n, seed: seed, noise: 0.04, styles: new(classStyles)}
 }
 
 // Name returns the dataset identifier.
@@ -106,16 +154,8 @@ func (s *Synth) sample(i, label int) *imaging.Image {
 // render paints one sample of the given class.
 func (s *Synth) render(label int, rng *rand.Rand) *imaging.Image {
 	im := imaging.NewImage(s.c, s.h, s.w)
-	// Class-invariant style parameters, derived only from the label.
-	crng := rand.New(rand.NewPCG(s.seed^0xabcdef, uint64(label)+1))
-	palette := make([][3]float64, 3)
-	for p := range palette {
-		hue := math.Mod(float64(label)*0.61803398875+float64(p)*0.31, 1.0)
-		palette[p] = hueToRGB(hue, 0.55+0.3*crng.Float64(), 0.35+0.3*crng.Float64())
-	}
-	family := label % 5
-	freq := 1.5 + float64((label/5)%4)
-	baseAngle := crng.Float64() * math.Pi
+	st := s.style(label)
+	palette, family, freq, baseAngle := st.palette, st.family, st.freq, st.baseAngle
 
 	// Per-sample jitter.
 	phase := rng.Float64() * 2 * math.Pi

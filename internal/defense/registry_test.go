@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/data"
@@ -216,6 +217,14 @@ func TestComposeReachesBothStages(t *testing.T) {
 	}
 }
 
+// registerNoopTest registers the "noop-test" kind once per process, so the
+// test that needs it passes at any -count.
+var registerNoopTest = sync.OnceValue(func() error {
+	return Register("noop-test", func(arg string, cfg Config) (Defense, error) {
+		return NewPruning(1)
+	})
+})
+
 // TestRegisterValidation: the registry rejects empty, duplicate, and
 // metacharacter kinds, and accepts a well-formed custom family that then
 // resolves through New, Names, Known, and pipelines.
@@ -232,9 +241,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := Register("a|b", newOASISStage); err == nil {
 		t.Error("kind containing '|' accepted")
 	}
-	if err := Register("noop-test", func(arg string, cfg Config) (Defense, error) {
-		return mustPrune(t, 1), nil
-	}); err != nil {
+	if err := registerNoopTest(); err != nil {
 		t.Fatalf("custom registration failed: %v", err)
 	}
 	if !Known("noop-test") {
@@ -254,15 +261,6 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := NewPipeline("noop-test|prune:0.9", Config{}); err != nil {
 		t.Errorf("custom kind rejected as pipeline segment: %v", err)
 	}
-}
-
-func mustPrune(t *testing.T, keep float64) *Pruning {
-	t.Helper()
-	p, err := NewPruning(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // TestPipelineStageRngsIndependent: each stage draws from its own stream, so

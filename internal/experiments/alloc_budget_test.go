@@ -48,14 +48,14 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	budgets := []allocBudget{
 		{
-			name: "cross-device-1k", bytes: 7_950_000, mallocs: 29_150,
+			name: "cross-device-1k", bytes: 2_800_000, mallocs: 26_000,
 			run: func() error {
 				_, err := sim.Run(crossDevice, sim.Options{Quick: true, Workers: 1})
 				return err
 			},
 		},
 		{
-			name: "sweep-grid", bytes: 4_900_000, mallocs: 22_200,
+			name: "sweep-grid", bytes: 3_300_000, mallocs: 19_200,
 			run: func() error {
 				_, err := RunSweep(SweepConfig{
 					Attacks:     []string{"rtf", "qbi"},

@@ -246,8 +246,5 @@ func runModel(net *nn.Sequential, x *tensor.Tensor, labels []int) (loss float64,
 			err = fmt.Errorf("dispatched model does not run on the local batch: %v", r)
 		}
 	}()
-	logits := net.Forward(x, true)
-	loss, g := nn.SoftmaxCrossEntropy(logits, labels)
-	net.Backward(g)
-	return loss, nil
+	return net.Backprop(x, labels), nil
 }

@@ -38,9 +38,7 @@ func TrainCentralized(net *nn.Sequential, trainSet data.Dataset, def Defense, ep
 				return 0, err
 			}
 			net.ZeroGrad()
-			logits := net.Forward(x, true)
-			l, g := nn.SoftmaxCrossEntropy(logits, batch.Labels)
-			net.Backward(g)
+			l := net.Backprop(x, batch.Labels)
 			x.Release()
 			if def != nil {
 				grads := make([]*tensor.Tensor, 0, len(params))
@@ -133,6 +131,9 @@ func EvaluateAccuracy(net *nn.Sequential, ds data.Dataset, batchSize int) (float
 		}
 		logits := net.Forward(x, false)
 		correct += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
+		if logits != x {
+			logits.Release()
+		}
 		x.Release()
 		total += batch.Size()
 	}

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
@@ -17,9 +19,10 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU constructs a ReLU activation layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 
-// Forward clamps negatives to zero, recording the activation mask.
+// Forward clamps negatives to zero, recording the activation mask. The
+// output comes from the tensor arena.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
+	out := x.ClonePooled()
 	d := out.Data()
 	if train {
 		if cap(r.mask) < len(d) {
@@ -41,7 +44,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward zeroes the gradient where the input was non-positive.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	out := gradOut.Clone()
+	out := gradOut.ClonePooled()
 	d := out.Data()
 	if len(r.mask) != len(d) {
 		panic("nn: ReLU Backward without matching Forward")
@@ -75,13 +78,14 @@ var _ Layer = (*Flatten)(nil)
 // NewFlatten constructs a flatten layer.
 func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
 
-// Forward flattens all trailing dimensions into one.
+// Forward flattens all trailing dimensions into one, copying x into a
+// tensor from the arena.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		f.inShape = x.Shape()
 	}
 	b := x.Dim(0)
-	return x.Clone().MustReshape(b, x.Len()/b)
+	return copyPooled(x, b, x.Len()/b)
 }
 
 // Backward restores the original input shape.
@@ -89,7 +93,19 @@ func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if f.inShape == nil {
 		panic("nn: Flatten Backward without Forward")
 	}
-	return gradOut.Clone().MustReshape(f.inShape...)
+	return copyPooled(gradOut, f.inShape...)
+}
+
+// copyPooled returns a copy of t's elements in the given shape, drawn from
+// the arena. A copy, not a Reshape view, so the result is the caller's to
+// release independently of t.
+func copyPooled(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	out := tensor.NewPooledRaw(shape...)
+	if out.Len() != t.Len() {
+		panic(fmt.Sprintf("nn: cannot reshape %v to %v", t.Shape(), shape))
+	}
+	copy(out.Data(), t.Data())
+	return out
 }
 
 // Params returns nil: Flatten has no parameters.

@@ -11,7 +11,8 @@ import (
 // averaged over the batch, and the one loss in this repository: the FL
 // clients in the paper minimize it, and the dishonest server inverts its
 // gradients. It returns mean cross-entropy and its gradient with respect
-// to the logits, (softmax − onehot)/B.
+// to the logits, (softmax − onehot)/B. The gradient comes from the tensor
+// arena; the caller may Release it once Backward has consumed it.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.Dims() != 2 {
 		panic(fmt.Sprintf("nn: cross-entropy expects [B,K] logits, got %v", logits.Shape()))
@@ -20,7 +21,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	if len(labels) != b {
 		panic(fmt.Sprintf("nn: cross-entropy got %d labels for batch %d", len(labels), b))
 	}
-	grad := tensor.New(b, k)
+	grad := tensor.NewPooledRaw(b, k) // each row is written before it is read
 	loss := 0.0
 	for i := 0; i < b; i++ {
 		row := logits.RowView(i)

@@ -19,6 +19,13 @@
 // layer's backward pass when that layer is a Linear or Conv2D. CheckGradients,
 // which does check the input gradient, walks the per-layer Backward chain
 // itself.
+//
+// Every tensor a pass creates comes from the tensor arena and goes back to
+// it once nothing needs it: Sequential releases each intermediate activation
+// and gradient as soon as the next layer has consumed it, so a layer keeps
+// nothing it returns or is given (see Layer). Backprop also releases the
+// logits and the loss gradient; a caller of Forward releases the output
+// once done with it.
 package nn
 
 import (
@@ -40,6 +47,13 @@ type Param struct {
 func (p *Param) ZeroGrad() { p.G.Zero() }
 
 // Layer is one differentiable stage of a network.
+//
+// Ownership: the tensor a Forward or Backward returns belongs to the caller,
+// who may Release it into the tensor arena once done with it, so a layer
+// must not keep a reference to its result, nor to its argument, which the
+// caller may release as soon as the call returns. A layer keeps copies of
+// whatever Backward reads. A layer may return its argument itself (the
+// callers compare pointers), but never a view of it such as a Reshape.
 type Layer interface {
 	// Forward computes the layer output for x. When train is false the
 	// layer may skip bookkeeping needed only by Backward (and layers such
@@ -70,12 +84,44 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs all layers in order.
+// Forward runs all layers in order. Each intermediate activation goes back
+// to the tensor arena once the next layer has consumed it; x and the
+// returned output are never released.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	return forwardChain(s.Layers, x, train)
+}
+
+// forwardChain runs layers over x in order, releasing every intermediate it
+// created. It returns x itself when every layer does.
+func forwardChain(layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
+	out := x
+	for _, l := range layers {
+		next := l.Forward(out, train)
+		releaseBetween(out, next, x)
+		out = next
 	}
-	return x
+	return out
+}
+
+// backwardChain runs the full Backward of layers in reverse over gradOut,
+// releasing every intermediate gradient it created, and returns the
+// gradient with respect to the first layer's input.
+func backwardChain(layers []Layer, gradOut *tensor.Tensor) *tensor.Tensor {
+	g := gradOut
+	for i := len(layers) - 1; i >= 0; i-- {
+		next := layers[i].Backward(g)
+		releaseBetween(g, next, gradOut)
+		g = next
+	}
+	return g
+}
+
+// releaseBetween releases t, an intermediate a chain step has consumed,
+// unless it is the chain's own input or the step returned it.
+func releaseBetween(t, result, input *tensor.Tensor) {
+	if t != input && t != result {
+		t.Release()
+	}
 }
 
 // paramBackwarder is a layer whose Backward is backwardParams followed by
@@ -87,19 +133,33 @@ type paramBackwarder interface {
 // Backward propagates gradOut through all layers in reverse, accumulating
 // every parameter gradient. The gradient with respect to the network input is
 // never needed for training, so it is not computed: a first layer with a
-// parameter-only backward (Linear, Conv2D) runs just that half.
+// parameter-only backward (Linear, Conv2D) runs just that half. Every
+// intermediate gradient goes back to the tensor arena; gradOut is never
+// released.
 func (s *Sequential) Backward(gradOut *tensor.Tensor) {
 	if len(s.Layers) == 0 {
 		return
 	}
-	for i := len(s.Layers) - 1; i > 0; i-- {
-		gradOut = s.Layers[i].Backward(gradOut)
-	}
+	g := backwardChain(s.Layers[1:], gradOut)
 	if first, ok := s.Layers[0].(paramBackwarder); ok {
-		first.backwardParams(gradOut)
-		return
+		first.backwardParams(g)
+	} else {
+		releaseBetween(s.Layers[0].Backward(g), g, gradOut)
 	}
-	s.Layers[0].Backward(gradOut)
+	releaseBetween(g, nil, gradOut)
+}
+
+// Backprop runs one training pass over a batch: Forward, the mean softmax
+// cross-entropy against labels, and Backward, which accumulates every
+// parameter gradient. It returns the loss, and releases the logits and the
+// loss gradient.
+func (s *Sequential) Backprop(x *tensor.Tensor, labels []int) float64 {
+	logits := s.Forward(x, true)
+	loss, g := SoftmaxCrossEntropy(logits, labels)
+	s.Backward(g)
+	g.Release()
+	releaseBetween(logits, nil, x)
+	return loss
 }
 
 // Params returns all learnable parameters in layer order.

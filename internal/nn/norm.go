@@ -54,12 +54,15 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	n := float64(b * h * w)
-	out := tensor.New(b, bn.C, h, w)
+	out := tensor.NewPooledRaw(b, bn.C, h, w) // every element is written below
 	xd, od := x.Data(), out.Data()
 	gamma, beta := bn.Gamma.W.Data(), bn.Beta.W.Data()
 
 	if train {
-		xhat := tensor.New(b, bn.C, h, w)
+		// The normalized input is cached in a pooled tensor until the
+		// next Forward(train) recycles it.
+		bn.lastXHat.Release()
+		xhat := tensor.NewPooledRaw(b, bn.C, h, w)
 		xh := xhat.Data()
 		stds := make([]float64, bn.C)
 		for ci := 0; ci < bn.C; ci++ {
@@ -126,7 +129,7 @@ func (bn *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	xh := bn.lastXHat.Data()
 	gamma := bn.Gamma.W.Data()
 	gGamma, gBeta := bn.Gamma.G.Data(), bn.Beta.G.Data()
-	out := tensor.New(b, bn.C, h, w)
+	out := tensor.NewPooledRaw(b, bn.C, h, w) // every element is written below
 	od := out.Data()
 	for ci := 0; ci < bn.C; ci++ {
 		sumG, sumGX := 0.0, 0.0

@@ -23,7 +23,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects [B,C,H,W], got %v", g.name, x.Shape()))
 	}
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := tensor.New(b, c)
+	out := tensor.NewPooledRaw(b, c) // every element is written below
 	xd, od := x.Data(), out.Data()
 	hw := float64(h * w)
 	for bi := 0; bi < b; bi++ {
@@ -48,7 +48,7 @@ func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train)", g.name))
 	}
 	b, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
-	out := tensor.New(b, c, h, w)
+	out := tensor.NewPooledRaw(b, c, h, w) // every element is written below
 	od := out.Data()
 	gd := gradOut.Data()
 	hw := float64(h * w)

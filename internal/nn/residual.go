@@ -30,12 +30,10 @@ func NewResidualProj(name string, proj Layer, body ...Layer) *Residual {
 	return &Residual{Body: body, Proj: proj, name: name}
 }
 
-// Forward computes body(x) + skip(x).
+// Forward computes body(x) + skip(x), releasing the body's and the
+// projection's outputs once summed.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x
-	for _, l := range r.Body {
-		out = l.Forward(out, train)
-	}
+	out := forwardChain(r.Body, x, train)
 	skip := x
 	if r.Proj != nil {
 		skip = r.Proj.Forward(x, train)
@@ -43,20 +41,24 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !out.SameShape(skip) {
 		panic(fmt.Sprintf("nn: %s body output %v does not match skip %v", r.name, out.Shape(), skip.Shape()))
 	}
-	return out.Add(skip)
+	sum := out.Add(skip)
+	releaseBetween(out, nil, x)
+	releaseBetween(skip, nil, x)
+	return sum
 }
 
 // Backward splits the output gradient between the body and the skip path and
 // sums the two input gradients.
 func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	g := gradOut
-	for i := len(r.Body) - 1; i >= 0; i-- {
-		g = r.Body[i].Backward(g)
-	}
+	g := backwardChain(r.Body, gradOut)
+	skip := gradOut
 	if r.Proj != nil {
-		return g.Add(r.Proj.Backward(gradOut))
+		skip = r.Proj.Backward(gradOut)
 	}
-	return g.Add(gradOut)
+	sum := g.Add(skip)
+	releaseBetween(g, nil, gradOut)
+	releaseBetween(skip, nil, gradOut)
+	return sum
 }
 
 // Params returns the parameters of the body and projection.

@@ -185,9 +185,21 @@ type MetricsSnapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures every registered metric. Zero-valued instruments are
-// omitted so a snapshot shows what actually happened, not the registry.
+// Snapshot captures every registered metric of the enabled session.
+// Zero-valued instruments are omitted so a snapshot shows what actually
+// happened, not the registry. With no session enabled it is empty: the
+// instruments keep the last session's values until the next Enable resets
+// them, and those belong to a session that has ended.
 func Snapshot() MetricsSnapshot {
+	if !Enabled() {
+		return MetricsSnapshot{}
+	}
+	return snapshot()
+}
+
+// snapshot is Snapshot regardless of the session, for Disable's final
+// metrics event.
+func snapshot() MetricsSnapshot {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	snap := MetricsSnapshot{}

@@ -87,7 +87,7 @@ func Disable() (*TraceSummary, error) {
 	if s == nil {
 		return nil, nil
 	}
-	snap := Snapshot()
+	snap := snapshot()
 	sum := s.summary(snap)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,7 +105,7 @@ func Summary() *TraceSummary {
 	if s == nil {
 		return nil
 	}
-	return s.summary(Snapshot())
+	return s.summary(snapshot())
 }
 
 func (s *Session) summary(snap MetricsSnapshot) *TraceSummary {

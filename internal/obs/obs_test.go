@@ -159,8 +159,15 @@ func TestEnableResetsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Add(7)
-	if _, err := Disable(); err != nil {
+	sum, err := Disable()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if sum.Counters["test_reset_counter"] != 7 {
+		t.Fatalf("Disable's summary counter = %d, want 7", sum.Counters["test_reset_counter"])
+	}
+	if got := Snapshot(); len(got.Counters) != 0 {
+		t.Fatalf("Snapshot after Disable = %+v, want empty: the session has ended", got)
 	}
 	if _, err := Enable(Config{}); err != nil {
 		t.Fatal(err)

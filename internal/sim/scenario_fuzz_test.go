@@ -5,6 +5,7 @@ import (
 	"context"
 	rand "math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/attack"
@@ -147,15 +148,20 @@ func TestUnknownDefenseErrorListsRegistry(t *testing.T) {
 	}
 }
 
+// registerHalve registers the "halve" kind once per process, so the test
+// that needs it passes at any -count.
+var registerHalve = sync.OnceValue(func() error {
+	return defense.Register("halve", func(arg string, cfg defense.Config) (defense.Defense, error) {
+		return halveDefense{}, nil
+	})
+})
+
 // TestCustomDefenseAcceptedInScenario is the open-extension acceptance bar:
 // a defense registered by a library user must immediately be a valid
 // scenario kind — standalone and as a pipeline segment — with no sim-side
 // switch to update, and must run end to end.
 func TestCustomDefenseAcceptedInScenario(t *testing.T) {
-	err := defense.Register("halve", func(arg string, cfg defense.Config) (defense.Defense, error) {
-		return halveDefense{}, nil
-	})
-	if err != nil {
+	if err := registerHalve(); err != nil {
 		t.Fatal(err)
 	}
 	sc := validBase()

@@ -114,19 +114,22 @@
 // # Workspace arena
 //
 // pool.go maintains size-bucketed sync.Pools of float64 slices (capacity
-// 2^b, smallest pooled class 8 KiB; smaller requests are plain exact-size
-// allocations). NewPooled draws a zeroed tensor from
+// 2^b, smallest pooled class 2^6 floats = 512 B; smaller requests are plain
+// exact-size allocations). NewPooled draws a zeroed tensor from
 // the arena; ClonePooled and NewPooledRaw draw unzeroed ones, which the copy
 // or the caller's first write overwrites in full; Release hands the backing
 // array back and clears the tensor so stale use panics instead of aliasing
-// recycled memory. Kernel outputs and the conv lowering workspaces are
+// recycled memory. Kernel outputs, every layer's outputs and input
+// gradients, the loss gradient and the conv lowering workspaces are
 // arena-backed: a Conv2D's im2col matrix lives from Forward(train) to the
 // end of the matching Backward, gradient scratch is released within the call
-// that created it, and anything a caller keeps (layer outputs, accumulated
-// gradients) is simply never released and gets collected like an ordinary
-// allocation. Steady-state allocation per training step stays O(model
-// outputs) instead of O(batch·OH·OW) — see the ReportAllocs benchmarks in
-// nn/bench_test.go.
+// that created it, nn.Sequential releases each intermediate activation and
+// gradient once the next layer has consumed it, and a client step releases
+// the logits and the loss gradient. Anything a caller keeps (accumulated
+// gradients, the weights) is simply never released and gets collected like
+// an ordinary allocation. Steady-state allocation per training step stays
+// O(model parameters) instead of O(batch·OH·OW) — see the ReportAllocs
+// benchmarks in nn/bench_test.go.
 //
 // # Measuring performance
 //

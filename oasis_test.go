@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -200,6 +201,14 @@ func TestTrainCentralizedMLP(t *testing.T) {
 	}
 }
 
+// registerFacadeTest registers the "facade-test" kind once per process, so
+// the test that needs it passes at any -count.
+var registerFacadeTest = sync.OnceValue(func() error {
+	return RegisterDefense("facade-test", func(arg string, cfg DefenseConfig) (ClientDefense, error) {
+		return ComposeDefenses(), nil
+	})
+})
+
 func TestDefensePipelineFacade(t *testing.T) {
 	pl, err := NewDefensePipeline("oasis:MR|dpsgd:1,0.1", NewRand(5, 5))
 	if err != nil {
@@ -236,9 +245,7 @@ func TestDefensePipelineFacade(t *testing.T) {
 	}
 
 	// Custom registration flows through the public surface into pipelines.
-	if err := RegisterDefense("facade-test", func(arg string, cfg DefenseConfig) (ClientDefense, error) {
-		return ComposeDefenses(), nil
-	}); err != nil {
+	if err := registerFacadeTest(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewDefensePipeline("facade-test|prune:0.5", nil); err != nil {
