@@ -22,6 +22,13 @@ import (
 // noise, and shifts global brightness — the brightness spread is what gives
 // the RTF attack's mean-brightness bins their resolving power, mirroring
 // natural image statistics.
+//
+// A low-frequency background wash, 0.15·sin(2π(fx+fy)+phase), depends on a
+// pixel only through fx+fy, so each image computes it once per distinct sum
+// (19 sums for 8×8, 93 for 32×32) from a coordinate table built once per
+// geometry. The pixels are bit-identical to those of the per-pixel loop it
+// replaced; TestSynthPixelDigest and FuzzSynthRender hold them there. A
+// side of one pixel has the coordinate 0.
 type Synth struct {
 	name    string
 	classes int
@@ -32,8 +39,9 @@ type Synth struct {
 	// cache holds the rendered image of each index, nil until first
 	// sampled; the slice itself is nil on a Synth that does not cache.
 	cache []atomic.Pointer[imaging.Image]
-	// styles is shared with every copy Cached makes.
+	// styles and grid are shared with every copy Cached makes.
 	styles *classStyles
+	grid   *pixelGrid
 }
 
 // classStyle is the class-invariant look of a label: its palette, pattern
@@ -86,19 +94,19 @@ var _ Dataset = (*Synth)(nil)
 // NewSynthImageNet returns the stand-in for the paper's 10-class ImageNet
 // subset (imagenette classes) at 64×64×3.
 func NewSynthImageNet(seed uint64) *Synth {
-	return &Synth{name: "synth-imagenet", classes: 10, c: 3, h: 64, w: 64, n: 4096, seed: seed, noise: 0.04, styles: new(classStyles)}
+	return &Synth{name: "synth-imagenet", classes: 10, c: 3, h: 64, w: 64, n: 4096, seed: seed, noise: 0.04, styles: new(classStyles), grid: new(pixelGrid)}
 }
 
 // NewSynthCIFAR100 returns the stand-in for CIFAR100 at 32×32×3 with 100
 // classes.
 func NewSynthCIFAR100(seed uint64) *Synth {
-	return &Synth{name: "synth-cifar100", classes: 100, c: 3, h: 32, w: 32, n: 8192, seed: seed, noise: 0.05, styles: new(classStyles)}
+	return &Synth{name: "synth-cifar100", classes: 100, c: 3, h: 32, w: 32, n: 8192, seed: seed, noise: 0.05, styles: new(classStyles), grid: new(pixelGrid)}
 }
 
 // NewSynthCustom builds a synthetic dataset with explicit geometry; used by
 // tests and the example scenarios (e.g. 1-channel "medical scans").
 func NewSynthCustom(name string, classes, c, h, w, n int, seed uint64) *Synth {
-	return &Synth{name: name, classes: classes, c: c, h: h, w: w, n: n, seed: seed, noise: 0.04, styles: new(classStyles)}
+	return &Synth{name: name, classes: classes, c: c, h: h, w: w, n: n, seed: seed, noise: 0.04, styles: new(classStyles), grid: new(pixelGrid)}
 }
 
 // Name returns the dataset identifier.
@@ -151,11 +159,58 @@ func (s *Synth) sample(i, label int) *imaging.Image {
 	return s.render(label, rand.New(rand.NewPCG(s.seed, uint64(i)*0x9e3779b97f4a7c15+1)))
 }
 
+// pixelGrid is a geometry's pixel coordinates: fx[x] = x/(w-1) and
+// fy[y] = y/(h-1), 0 on a side of one pixel; sums holds the distinct values
+// of fx+fy in order of first appearance, and sumIdx[y*w+x] is pixel (y, x)'s
+// index into sums.
+type pixelGrid struct {
+	once   sync.Once
+	fx, fy []float64
+	sums   []float64
+	sumIdx []int32
+}
+
+// coords returns n evenly spaced coordinates from 0 to 1.
+func coords(n int) []float64 {
+	c := make([]float64, n)
+	if n > 1 {
+		for i := range c {
+			c[i] = float64(i) / float64(n-1)
+		}
+	}
+	return c
+}
+
+// pixels returns s's pixel grid, built on first use.
+func (s *Synth) pixels() *pixelGrid {
+	g := s.grid
+	g.once.Do(func() {
+		g.fx, g.fy = coords(s.w), coords(s.h)
+		g.sumIdx = make([]int32, 0, s.h*s.w)
+		seen := make(map[uint64]int32)
+		for _, fy := range g.fy {
+			for _, fx := range g.fx {
+				sum := fx + fy
+				bits := math.Float64bits(sum)
+				k, ok := seen[bits]
+				if !ok {
+					k = int32(len(g.sums))
+					seen[bits] = k
+					g.sums = append(g.sums, sum)
+				}
+				g.sumIdx = append(g.sumIdx, k)
+			}
+		}
+	})
+	return g
+}
+
 // render paints one sample of the given class.
 func (s *Synth) render(label int, rng *rand.Rand) *imaging.Image {
 	im := imaging.NewImage(s.c, s.h, s.w)
 	st := s.style(label)
 	palette, family, freq, baseAngle := st.palette, st.family, st.freq, st.baseAngle
+	g := s.pixels()
 
 	// Per-sample jitter.
 	phase := rng.Float64() * 2 * math.Pi
@@ -166,10 +221,20 @@ func (s *Synth) render(label int, rng *rand.Rand) *imaging.Image {
 	brightness := (rng.Float64() - 0.5) * 0.5 // wide mean-brightness spread
 	cosA, sinA := math.Cos(angle), math.Sin(angle)
 
-	for y := 0; y < s.h; y++ {
-		fy := float64(y) / float64(s.h-1)
-		for x := 0; x < s.w; x++ {
-			fx := float64(x) / float64(s.w-1)
+	// Low-frequency background wash, one Sin per distinct fx+fy.
+	var washBuf [256]float64
+	wash := washBuf[:0]
+	if len(g.sums) > len(washBuf) {
+		wash = make([]float64, 0, len(g.sums))
+	}
+	for _, sum := range g.sums {
+		wash = append(wash, 0.15*math.Sin(2*math.Pi*sum+phase))
+	}
+
+	plane := s.h * s.w
+	for y, fy := range g.fy {
+		for x, fx := range g.fx {
+			p := y*s.w + x
 			// Rotate coordinates for oriented patterns.
 			u := (fx-0.5)*cosA - (fy-0.5)*sinA
 			v := (fx-0.5)*sinA + (fy-0.5)*cosA
@@ -191,14 +256,14 @@ func (s *Synth) render(label int, rng *rand.Rand) *imaging.Image {
 				t = 0.5*blob(fx, fy, cx, cy, 0.18*scale) +
 					0.5*blob(fx, fy, 1-cx, 1-cy, 0.22*scale)
 			}
-			// Two-color mix plus a low-frequency background wash.
-			bg := 0.15 * math.Sin(2*math.Pi*(fx+fy)+phase)
+			// Two-color mix plus the background wash.
+			bg := wash[g.sumIdx[p]]
 			for ch := 0; ch < s.c; ch++ {
 				c0 := palette[0][ch%3]
 				c1 := palette[1][ch%3]
 				val := c0*(1-t) + c1*t + bg*palette[2][ch%3]
 				val += brightness + rng.NormFloat64()*s.noise
-				im.Set(ch, y, x, clamp01(val))
+				im.Pix[ch*plane+p] = clamp01(val)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,6 +167,31 @@ func TestSmokePresetEndToEnd(t *testing.T) {
 	}
 	if rows := rep.Table().Rows; len(rows) != len(rep.Rounds) {
 		t.Errorf("table has %d rows for %d rounds", len(rows), len(rep.Rounds))
+	}
+}
+
+// TestOnePixelHeightScenario: a scenario whose images are one pixel high
+// trains on finite pixels, so every loss and gradient norm it reports is
+// finite. The smoke preset's OASIS defense rotates images and needs them
+// square, so this scenario runs undefended.
+func TestOnePixelHeightScenario(t *testing.T) {
+	sc, _ := Preset("smoke")
+	sc.Dataset.Height = 1
+	sc.Defense = DefenseSpec{}
+	rep, err := Run(sc, Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(rep.FinalLoss) || math.IsInf(rep.FinalLoss, 0) {
+		t.Errorf("final loss %v, want a finite value", rep.FinalLoss)
+	}
+	for _, r := range rep.Rounds {
+		if math.IsNaN(r.MeanLoss) || math.IsInf(r.MeanLoss, 0) {
+			t.Errorf("round %d: mean loss %v, want a finite value", r.Round, r.MeanLoss)
+		}
+		if math.IsNaN(r.GradNorm) || math.IsInf(r.GradNorm, 0) {
+			t.Errorf("round %d: gradient norm %v, want a finite value", r.Round, r.GradNorm)
+		}
 	}
 }
 
