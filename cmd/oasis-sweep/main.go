@@ -132,7 +132,8 @@ func run() error {
 		}
 		report, err = dist.RunCoordinator(context.Background(), ccfg)
 	} else {
-		report, err = runLocal(cfg, *ckptPath)
+		cfg.Checkpoint = *ckptPath
+		report, err = experiments.RunSweep(cfg)
 	}
 	if err != nil {
 		finish() //nolint:errcheck // the sweep error takes precedence
@@ -149,40 +150,6 @@ func run() error {
 	fmt.Print(report.Table().String())
 	fmt.Print(report.CellTable().String())
 	return writeArtifacts(report, *outDir)
-}
-
-// runLocal executes the sweep in-process. With a checkpoint path it resumes
-// completed jobs from the file and streams every fresh result back into it —
-// the same JSONL format the dist coordinator writes — so a sweep that dies
-// on a cell failure (or a crash) resumes without re-running finished work.
-func runLocal(cfg experiments.SweepConfig, ckptPath string) (*experiments.SweepReport, error) {
-	if ckptPath == "" {
-		return experiments.RunSweep(cfg)
-	}
-	grid, err := experiments.NewSweepGrid(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pre, err := dist.LoadCheckpoint(ckptPath, grid)
-	if err != nil {
-		return nil, err
-	}
-	ckpt, err := dist.OpenCheckpoint(ckptPath, grid)
-	if err != nil {
-		return nil, err
-	}
-	if len(pre) > 0 && cfg.Log != nil {
-		fmt.Fprintf(cfg.Log, "sweep: resumed %d/%d jobs from %s\n", len(pre), grid.NumJobs(), ckptPath)
-	}
-	cfg.Preloaded = pre
-	cfg.OnResult = func(r experiments.SweepJobResult) {
-		_ = ckpt.Append(r) // the first failure sticks; Close re-reports it
-	}
-	report, err := experiments.RunSweep(cfg)
-	if cerr := ckpt.Close(); err == nil {
-		err = cerr
-	}
-	return report, err
 }
 
 // dumpPartial prints the completed cells a failed sweep still returned, so

@@ -17,6 +17,7 @@ package augment
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/oasisfl/oasis/internal/imaging"
 )
@@ -153,6 +154,18 @@ func (c Compose) Name() string {
 		name += p.Name()
 	}
 	return name
+}
+
+// NeedsSquare reports whether p rotates by a right angle, which turns an
+// H×W image into a W×H one and so is defined only on square images.
+func NeedsSquare(p Policy) bool {
+	switch p := p.(type) {
+	case MajorRotation:
+		return true
+	case Compose:
+		return slices.ContainsFunc(p.Policies, NeedsSquare)
+	}
+	return false
 }
 
 // ByName returns the standard policy for a short label used across the

@@ -71,6 +71,23 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestNeedsSquare: NeedsSquare is true exactly for the policies whose
+// expansion of a non-square image panics.
+func TestNeedsSquare(t *testing.T) {
+	nested := NewCompose(Shearing{}, NewCompose(HFlip{}, MajorRotation{}))
+	for _, p := range []Policy{MajorRotation{}, MinorRotation{}, Shearing{}, HFlip{}, VFlip{},
+		NewCompose(MajorRotation{}, Shearing{}), NewCompose(HFlip{}, VFlip{}), nested} {
+		panicked := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			p.Expand(imaging.NewImage(1, 4, 6))
+			return false
+		}()
+		if got := NeedsSquare(p); got != panicked {
+			t.Errorf("NeedsSquare(%s) = %v, but expanding a 4×6 image panicked: %v", p.Name(), got, panicked)
+		}
+	}
+}
+
 func TestMajorRotationProducesDistinctOrientations(t *testing.T) {
 	im := probeImage(2)
 	out := MajorRotation{}.Expand(im)

@@ -3,6 +3,7 @@ package defense
 import (
 	"fmt"
 	rand "math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -188,6 +189,21 @@ func (p *Pipeline) ApplyGrads(grads []*tensor.Tensor) {
 	for _, s := range p.stages {
 		s.ApplyGrads(grads)
 	}
+}
+
+// NeedsSquare reports whether d, or any stage of a pipeline, augments with
+// a policy that needs square images (augment.NeedsSquare): applied to a
+// non-square batch, such a defense panics.
+func NeedsSquare(d Defense) bool {
+	switch d := d.(type) {
+	case *Pipeline:
+		return slices.ContainsFunc(d.stages, NeedsSquare)
+	case oasisStage:
+		return augment.NeedsSquare(d.Policy)
+	case *ATS:
+		return augment.NeedsSquare(d.Policy)
+	}
+	return false
 }
 
 // --- Built-in stages -------------------------------------------------------

@@ -66,6 +66,24 @@ func TestRegistryRoundTrips(t *testing.T) {
 	}
 }
 
+// TestNeedsSquare: NeedsSquare finds a right-angle rotation in any stage
+// of a pipeline, and in no other defense.
+func TestNeedsSquare(t *testing.T) {
+	for spec, want := range map[string]bool{
+		"oasis:MR": true, "oasis:MR+SH": true, "ats:MR": true, "prune:0.3|oasis:MR": true,
+		"oasis:mR": false, "oasis:SH|oasis:HFlip": false, "ats:SH|oasis:VFlip": false,
+		"dpsgd:1,0.1|prune:0.3": false,
+	} {
+		p, err := NewPipeline(spec, Config{})
+		if err != nil {
+			t.Fatalf("NewPipeline(%q): %v", spec, err)
+		}
+		if got := NeedsSquare(p); got != want {
+			t.Errorf("NeedsSquare(%q) = %v, want %v", spec, got, want)
+		}
+	}
+}
+
 // TestRegistryMalformedSpecs: every malformed spec must error naming the
 // offending kind or segment, never panic.
 func TestRegistryMalformedSpecs(t *testing.T) {

@@ -18,13 +18,18 @@ type CoordinatorConfig struct {
 	// Sweep is the grid to evaluate — the same config RunSweep takes.
 	// CellWorkers is ignored (the worker fleet is the pool); Workers and
 	// Quick travel inside every lease so all workers run cells identically.
+	// Sweep.Checkpoint must be empty: the coordinator's checkpoint is the
+	// Checkpoint field below.
 	Sweep experiments.SweepConfig
 	// Addr is the TCP listen address, e.g. "127.0.0.1:9444" ("127.0.0.1:0"
 	// for an ephemeral port — read it back with Coordinator.Addr).
 	Addr string
 	// Checkpoint is the JSONL file completed jobs stream to; non-empty
-	// enables crash/resume. An existing file must describe the same grid;
-	// its completed jobs are not re-run.
+	// enables crash/resume. It is opened with experiments.OpenCheckpoint,
+	// exactly as an in-process sweep opens SweepConfig.Checkpoint, so either
+	// side can resume the other's file: an existing file must describe the
+	// same grid, its completed jobs are not re-run, and a torn final line is
+	// cut off.
 	Checkpoint string
 	// LeaseTimeout bounds how long a worker may hold a job: a worker that
 	// sends no result within LeaseTimeout + ExchangeTimeout of its lease is
@@ -48,7 +53,7 @@ type Coordinator struct {
 	cfg  CoordinatorConfig
 	grid *experiments.SweepGrid
 	ln   net.Listener
-	ckpt *Checkpoint
+	ckpt *experiments.Checkpoint
 	span *obs.Span
 	// ctx ends when the caller's context does or Wait stops the run; every
 	// handler watches it.
@@ -79,6 +84,9 @@ func StartCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator,
 	if cfg.ExchangeTimeout <= 0 {
 		cfg.ExchangeTimeout = 30 * time.Second
 	}
+	if cfg.Sweep.Checkpoint != "" {
+		return nil, fmt.Errorf("dist: checkpoint %s is set on the sweep; set CoordinatorConfig.Checkpoint instead", cfg.Sweep.Checkpoint)
+	}
 	grid, err := experiments.NewSweepGrid(cfg.Sweep)
 	if err != nil {
 		return nil, err
@@ -91,19 +99,11 @@ func StartCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator,
 		finished: make(chan struct{}),
 	}
 	if cfg.Checkpoint != "" {
-		loaded, err := LoadCheckpoint(cfg.Checkpoint, grid)
-		if err != nil {
+		if c.ckpt, c.done, err = experiments.OpenCheckpoint(cfg.Checkpoint, grid, c.results); err != nil {
 			return nil, err
 		}
-		for i := range loaded {
-			c.results[grid.JobID(loaded[i].Cell, loaded[i].Rep)] = &loaded[i]
-			c.done++
-		}
-		if c.ckpt, err = OpenCheckpoint(cfg.Checkpoint, grid); err != nil {
-			return nil, err
-		}
-		if len(loaded) > 0 {
-			c.logf("resumed %d/%d jobs from %s", len(loaded), grid.NumJobs(), cfg.Checkpoint)
+		if c.done > 0 {
+			c.logf("resumed %d/%d jobs from %s", c.done, grid.NumJobs(), cfg.Checkpoint)
 		}
 	}
 	for _, id := range grid.Order() {
@@ -121,7 +121,7 @@ func StartCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator,
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		c.cancel()
-		c.closeCkpt()
+		c.ckpt.Close()
 		c.span.End()
 		return nil, fmt.Errorf("dist: listen %s: %w", cfg.Addr, err)
 	}
@@ -165,7 +165,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*experiments.SweepReport, error
 	// stopping earlier would poison connections mid-goodbye.
 	c.handlers.Wait()
 	c.cancel()
-	if err := c.closeCkpt(); err != nil && cancelErr == nil {
+	if err := c.ckpt.Close(); err != nil && cancelErr == nil {
 		cancelErr = err
 	}
 	c.span.End()
@@ -177,15 +177,6 @@ func (c *Coordinator) Wait(ctx context.Context) (*experiments.SweepReport, error
 		return report, fmt.Errorf("dist: coordinator interrupted: %w", cancelErr)
 	}
 	return report, mergeErr
-}
-
-func (c *Coordinator) closeCkpt() error {
-	if c.ckpt == nil {
-		return nil
-	}
-	err := c.ckpt.Close()
-	c.ckpt = nil
-	return err
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -266,12 +257,9 @@ func (c *Coordinator) complete(res experiments.SweepJobResult, workerID string) 
 	c.results[id] = &res
 	c.done++
 	finished := c.done == c.grid.NumJobs()
-	ckpt := c.ckpt
 	c.mu.Unlock()
-	if ckpt != nil {
-		if err := ckpt.Append(res); err != nil {
-			c.logf("%v", err)
-		}
+	if err := c.ckpt.Append(res); err != nil {
+		c.logf("%v", err)
 	}
 	if res.Err == "" {
 		c.logf("job %d (%s × %s, seed %d) from %s: %d recon, PSNR %.1f dB",

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -391,8 +391,9 @@ func TestResumeAscendingCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	w, err := OpenCheckpoint(ckpt, grid)
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "sweep.ckpt")
+	w, _, err := experiments.OpenCheckpoint(ckpt, grid, make([]*experiments.SweepJobResult, grid.NumJobs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,13 +410,15 @@ func TestResumeAscendingCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	pre, err := LoadCheckpoint(ckpt, grid)
-	if err != nil {
+	// The in-process resume appends to a copy, so the served resume below
+	// still starts from the ascending half.
+	local := filepath.Join(dir, "local.ckpt")
+	if err := os.WriteFile(local, before, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	cfg := testSweep()
-	cfg.CellWorkers, cfg.Preloaded = 1, pre
+	cfg.CellWorkers, cfg.Checkpoint = 1, local
 	rep, err := experiments.RunSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -433,102 +436,80 @@ func TestResumeAscendingCheckpoint(t *testing.T) {
 	if raw, _ := rep.JSON(); !bytes.Equal(golden, raw) {
 		t.Fatalf("served resume diverges from serial:\n%s\nvs\n%s", raw, golden)
 	}
-	after, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(after, before) {
-		t.Fatal("resuming rewrote the checkpoint's existing lines")
-	}
-	if lines := bytes.Count(after, []byte("\n")); lines != 1+grid.NumJobs() {
-		t.Fatalf("checkpoint has %d lines, want a header and one per job", lines)
+	for _, path := range []string{local, ckpt} {
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(after, before) {
+			t.Fatalf("resuming rewrote %s's existing lines", path)
+		}
+		if lines := bytes.Count(after, []byte("\n")); lines != 1+grid.NumJobs() {
+			t.Fatalf("%s has %d lines, want a header and one per job", path, lines)
+		}
 	}
 }
 
-// TestLoadCheckpointValidation pins the checkpoint loader's failure modes:
-// missing file, foreign grid, corrupt interior line, torn final line, failed
-// and duplicate result lines.
-func TestLoadCheckpointValidation(t *testing.T) {
+// TestCoordinatorResumePastTornLine resumes a served grid twice from a
+// checkpoint whose final line a crash tore. Each coordinator must cut the
+// fragment before it appends, so the file loads with every job afterwards,
+// and the report must equal the serial bytes.
+func TestCoordinatorResumePastTornLine(t *testing.T) {
+	golden := serialGolden(t)
 	grid, err := experiments.NewSweepGrid(testSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
-	if res, err := LoadCheckpoint(filepath.Join(dir, "absent.ckpt"), grid); err != nil || res != nil {
-		t.Fatalf("missing file: got %v, %v; want nil, nil", res, err)
-	}
-
-	// Build a real checkpoint with two results to splice test files from.
-	real := filepath.Join(dir, "real.ckpt")
-	ck, err := OpenCheckpoint(real, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	res0 := grid.RunJob(ctx, 0)
-	res1 := grid.RunJob(ctx, 1)
-	if err := ck.Append(res0); err != nil {
-		t.Fatal(err)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	c := startTestCoordinator(t, ctx, CoordinatorConfig{Checkpoint: ckpt})
+	goWorker(t, ctx, c.Addr(), "first")
+	if _, err := c.Wait(ctx); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
-	if err := ck.Append(res1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(real)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) != 3 {
-		t.Fatalf("seed checkpoint has %d lines, want 3", len(lines))
-	}
-	write := func(name string, lines ...[]byte) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+	for round := range 2 {
+		// Keep half the results and tear the next line in two.
+		raw, err := os.ReadFile(ckpt)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return path
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		keep := 1 + grid.NumJobs()/2
+		torn := append(bytes.Join(lines[:keep], nil), lines[keep][:len(lines[keep])/2]...)
+		if err := os.WriteFile(ckpt, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := startTestCoordinator(t, ctx, CoordinatorConfig{Checkpoint: ckpt})
+		goWorker(t, ctx, c.Addr(), fmt.Sprintf("resumer-%d", round+1))
+		rep, err := c.Wait(ctx)
+		if err != nil {
+			t.Fatalf("resume %d: Wait: %v", round+1, err)
+		}
+		if raw, _ := rep.JSON(); !bytes.Equal(golden, raw) {
+			t.Fatalf("resume %d past a torn line diverges from serial:\n%s\nvs\n%s", round+1, raw, golden)
+		}
+		ck, resumed, err := experiments.OpenCheckpoint(ckpt, grid, make([]*experiments.SweepJobResult, grid.NumJobs()))
+		if err != nil {
+			t.Fatalf("resume %d left a checkpoint that does not load: %v", round+1, err)
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resumed != grid.NumJobs() {
+			t.Fatalf("resume %d left a checkpoint with %d of %d jobs", round+1, resumed, grid.NumJobs())
+		}
 	}
+}
 
-	loaded, err := LoadCheckpoint(real, grid)
-	if err != nil || len(loaded) != 2 {
-		t.Fatalf("real checkpoint: %d results, err %v; want 2, nil", len(loaded), err)
-	}
-
-	// A checkpoint from a different grid must be rejected outright.
-	other := testSweep()
-	other.Replicates = 3
-	otherGrid, err := experiments.NewSweepGrid(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(real, otherGrid); err == nil || !strings.Contains(err.Error(), "different grid") {
-		t.Fatalf("foreign grid: err %v, want a different-grid rejection", err)
-	}
-
-	// Torn final line (mid-append crash) is tolerated; that job re-runs.
-	torn := write("torn.ckpt", lines[0], lines[1], lines[2][:len(lines[2])/2])
-	if loaded, err := LoadCheckpoint(torn, grid); err != nil || len(loaded) != 1 {
-		t.Fatalf("torn final line: %d results, err %v; want 1, nil", len(loaded), err)
-	}
-
-	// The same corruption anywhere else is an error.
-	corrupt := write("corrupt.ckpt", lines[0], lines[1][:len(lines[1])/2], lines[2])
-	if _, err := LoadCheckpoint(corrupt, grid); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("corrupt interior line: err %v, want corruption error", err)
-	}
-
-	// Failed results are dropped (resume retries them); duplicates keep the
-	// first occurrence.
-	failed := res0
-	failed.Err = "transient"
-	failedLine, _ := json.Marshal(checkpointResult{Type: "result", SweepJobResult: failed})
-	mixed := write("mixed.ckpt", lines[0], failedLine, lines[2], lines[2])
-	if loaded, err := LoadCheckpoint(mixed, grid); err != nil || len(loaded) != 1 || loaded[0].Cell != res1.Cell || loaded[0].Rep != res1.Rep {
-		t.Fatalf("failed+duplicate lines: %+v, err %v; want just job 1", loaded, err)
+// TestCoordinatorRejectsSweepCheckpoint: the coordinator's checkpoint is
+// CoordinatorConfig.Checkpoint; one set on the sweep config is an error,
+// not silently ignored.
+func TestCoordinatorRejectsSweepCheckpoint(t *testing.T) {
+	sweep := testSweep()
+	sweep.Checkpoint = filepath.Join(t.TempDir(), "sweep.ckpt")
+	_, err := StartCoordinator(context.Background(), CoordinatorConfig{Sweep: sweep, Addr: "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "CoordinatorConfig.Checkpoint") {
+		t.Fatalf("err %v, want a rejection naming CoordinatorConfig.Checkpoint", err)
 	}
 }
 

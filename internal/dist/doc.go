@@ -30,14 +30,12 @@
 //
 // # Checkpoint format
 //
-// The checkpoint is JSON Lines: a header pinning the grid (scenario name,
-// seed, axes, replicate count, quick flag), then one result line per
-// completed job, appended and fsynced as results land. On resume the header
-// must match the grid exactly; completed jobs are trusted and not re-run,
-// failed lines (err set) are dropped so transient failures retry, and a torn
-// final line from a mid-append crash is tolerated. Because encoding/json
-// round-trips float64 bit-exactly, a resumed grid's report matches an
-// uninterrupted run byte for byte.
+// The coordinator's checkpoint is the sweep's JSON Lines checkpoint: a
+// header pinning the grid, then one fsynced result line per completed job.
+// The coordinator opens it with experiments.OpenCheckpoint, exactly as an
+// in-process sweep does, so that function's documentation holds the resume
+// rules, and either kind of run resumes the other's file to the same report
+// bytes.
 //
 // # Determinism contract
 //

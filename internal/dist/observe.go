@@ -11,7 +11,6 @@ var (
 	obsReleased   = obs.NewCounter("dist_released_total", "leases returned to the queue after a worker died or timed out")
 	obsDupResults = obs.NewCounter("dist_duplicate_results_total", "results for already-merged jobs, idempotently dropped")
 	obsBadResults = obs.NewCounter("dist_rejected_results_total", "results that failed grid validation and were discarded")
-	obsResumed    = obs.NewCounter("dist_checkpoint_resumed_total", "jobs restored from the JSONL checkpoint instead of re-run")
 	obsWorkersNow = obs.NewGauge("dist_connected_workers", "workers currently registered with the coordinator")
 
 	// Worker side.

@@ -15,8 +15,9 @@ import (
 // The sweep grid's job layer. A sweep is a flat list of (cell, replicate)
 // jobs whose layout depends only on the axes and the replicate count — never
 // on scheduling — so the same enumeration, execution, and merge code backs
-// the in-process pool (RunSweep), checkpoint resume, and the internal/dist
-// coordinator/worker scale-out. Jobs are identified in cell-major order
+// the in-process pool (RunSweep) and the internal/dist coordinator/worker
+// scale-out, and both resume through the one JSONL checkpoint
+// (OpenCheckpoint, keyed by JobID). Jobs are identified in cell-major order
 // (JobID) but handed out replicate-major (Order), so the cells of one
 // replicate, and within them the defense columns of one (attack,
 // replicate), run back to back. Merge folds any assignment of job

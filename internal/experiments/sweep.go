@@ -60,17 +60,12 @@ type SweepConfig struct {
 	// Log receives per-run progress lines; nil discards them. Writes are
 	// serialized, so any io.Writer is safe under cell concurrency.
 	Log io.Writer
-	// OnResult, when set, receives every freshly-completed job result —
-	// success or failure — as it lands. Calls are serialized, so a
-	// checkpoint writer needs no locking of its own. Preloaded results are
-	// not replayed through it (they are already on disk).
-	OnResult func(SweepJobResult)
-	// Preloaded carries results trusted from a previous run (a JSONL
-	// checkpoint): their jobs are not re-run, and the final report is
-	// byte-identical to a run that computed them fresh. Failed results
-	// (Err != "") are ignored — resume retries failures. Every entry is
-	// validated against the grid; a mismatch aborts before any cell runs.
-	Preloaded []SweepJobResult
+	// Checkpoint, when set, is the JSONL file the sweep resumes from and
+	// appends every freshly-completed job to (OpenCheckpoint): completed
+	// jobs in it are not re-run, failed ones are retried, and the report is
+	// byte-identical to a run that computed every job fresh. An existing
+	// file must describe the same grid.
+	Checkpoint string
 }
 
 // SweepCell is one (attack, defense) grid entry, aggregated over the
@@ -250,18 +245,19 @@ func RunSweep(cfg SweepConfig) (*SweepReport, error) {
 	// Seed the result table with checkpointed work, then dispatch only the
 	// remaining jobs onto the bounded cell-level pool. Each job owns a deep
 	// scenario copy (WithSeed), writes to its own result slot, and
-	// serializes progress/OnResult calls, so jobs never share mutable state.
+	// serializes its progress line and checkpoint append, so jobs never
+	// share mutable state.
 	nJobs := grid.NumJobs()
 	results := make([]*SweepJobResult, nJobs)
-	for _, pre := range cfg.Preloaded {
-		if err := grid.CheckResult(pre); err != nil {
+	var ckpt *Checkpoint
+	if cfg.Checkpoint != "" {
+		var resumed int
+		if ckpt, resumed, err = OpenCheckpoint(cfg.Checkpoint, grid, results); err != nil {
 			return nil, err
 		}
-		if pre.Err != "" {
-			continue // resume retries failed jobs
+		if resumed > 0 && cfg.Log != nil {
+			fmt.Fprintf(cfg.Log, "sweep: resumed %d/%d jobs from %s\n", resumed, nJobs, cfg.Checkpoint)
 		}
-		pre := pre
-		results[grid.JobID(pre.Cell, pre.Rep)] = &pre
 	}
 	todo := make([]int, 0, nJobs)
 	for _, id := range grid.Order() {
@@ -294,9 +290,7 @@ func RunSweep(cfg SweepConfig) (*SweepReport, error) {
 				res := grid.RunJob(ctx, id)
 				results[id] = &res
 				logMu.Lock()
-				if cfg.OnResult != nil {
-					cfg.OnResult(res)
-				}
+				_ = ckpt.Append(res) // the first failure sticks; Close re-reports it
 				if cfg.Log != nil && res.Err == "" {
 					fmt.Fprintf(cfg.Log, "sweep %s × %s [seed %d]: %d recon, PSNR %.1f dB, SSIM %.3f\n",
 						res.Attack, res.Defense, res.Seed, res.Reconstructions, res.PSNR, res.SSIM)
@@ -320,7 +314,11 @@ func RunSweep(cfg SweepConfig) (*SweepReport, error) {
 	// failure in grid order becomes the returned error.
 	_, mergeSpan := obs.Start(ctx, "sweep.merge", obs.Int("cells", grid.NumCells()))
 	defer mergeSpan.End()
-	return grid.Merge(results)
+	report, err := grid.Merge(results)
+	if cerr := ckpt.Close(); err == nil {
+		err = cerr
+	}
+	return report, err
 }
 
 // Sweep runs the attack×defense grid as a registry experiment, emitting the

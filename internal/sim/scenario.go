@@ -246,8 +246,13 @@ func (s Scenario) Validate() error {
 		// The registry resolves the pipeline spec, so every registered
 		// defense kind — built-in or custom — is a valid scenario defense
 		// and unknown-kind errors list defense.Names() without going stale.
-		if _, err := defense.NewPipeline(s.Defense.Kind, defense.Config{}); err != nil {
+		p, err := defense.NewPipeline(s.Defense.Kind, defense.Config{})
+		if err != nil {
 			return fail("%v", err)
+		}
+		if d.Height != d.Width && defense.NeedsSquare(p) {
+			return fail("defense %q rotates images by right angles, which needs square images, got %d×%d",
+				s.Defense.Kind, d.Height, d.Width)
 		}
 	}
 	if s.Attack.Kind != "" && !attack.Known(s.Attack.Kind) {

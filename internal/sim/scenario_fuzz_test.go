@@ -63,6 +63,23 @@ func TestScenarioValidationCorpus(t *testing.T) {
 		{"defense-pipeline-trailing-bar", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "oasis:MR|"} }, "segment 2 is empty"},
 		{"defense-pipeline-only-bar", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "|"} }, "segment 1 is empty"},
 		{"defense-pipeline-bad-tail", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "oasis:MR|dpsgd:1"} }, "segment 2"},
+		// A right-angle rotation maps H×W to W×H: only square images take it.
+		{"defense-mr-non-square", func(s *Scenario) {
+			s.Defense = DefenseSpec{Kind: "oasis:MR"}
+			s.Dataset.Height = 4
+		}, `defense "oasis:MR" rotates images by right angles, which needs square images, got 4×8`},
+		{"defense-ats-mr-non-square", func(s *Scenario) {
+			s.Defense = DefenseSpec{Kind: "ats:MR"}
+			s.Dataset.Width = 4
+		}, "needs square images, got 8×4"},
+		{"defense-pipeline-mr-sh-non-square", func(s *Scenario) {
+			s.Defense = DefenseSpec{Kind: "prune:0.3|oasis:MR+SH"}
+			s.Dataset.Height = 4
+		}, "needs square images"},
+		{"defense-flip-non-square", func(s *Scenario) {
+			s.Defense = DefenseSpec{Kind: "oasis:HFlip|ats:mR"}
+			s.Dataset.Height = 4
+		}, ""},
 		{"partition-quantity-inf", func(s *Scenario) { s.Partition = "quantity:Inf" }, "sigma must be finite"},
 		{"partition-quantity-nan", func(s *Scenario) { s.Partition = "quantity:NaN" }, "sigma must be finite"},
 		{"partition-dirichlet-inf", func(s *Scenario) { s.Partition = "dirichlet:Inf" }, "alpha must be finite"},

@@ -195,6 +195,24 @@ func TestOnePixelHeightScenario(t *testing.T) {
 	}
 }
 
+// TestNonSquareRotationFailsCleanly: the smoke preset at 4×8 keeps its
+// oasis:MR defense, which rotates by right angles and so needs square
+// images. The run must return an error naming the defense and the geometry
+// before any client trains, where it used to panic in a client goroutine
+// and take the process down. A flip defense runs on the same images.
+func TestNonSquareRotationFailsCleanly(t *testing.T) {
+	sc, _ := Preset("smoke")
+	sc.Dataset.Height = 4
+	_, err := Run(sc, Options{Quick: true})
+	if err == nil || !strings.Contains(err.Error(), `"oasis:MR"`) || !strings.Contains(err.Error(), "4×8") {
+		t.Fatalf("err %v, want an error naming oasis:MR and 4×8", err)
+	}
+	sc.Defense.Kind = "oasis:HFlip"
+	if _, err := Run(sc, Options{Quick: true}); err != nil {
+		t.Fatalf("flip defense on 4×8 images: %v", err)
+	}
+}
+
 // TestCrossDevice1kAcceptance is the subsystem's acceptance scenario: 1000
 // clients, Dirichlet(0.1) label skew, 10% dropout, stragglers against a
 // deadline, and an RTF burst — to completion in quick mode, with dropped and
