@@ -319,6 +319,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 		}
 		if err := enc.Encode(wireCoordMsg{Lease: &lease}); err != nil {
 			c.release(id)
+			c.logf("worker %s dropped before its lease (job %d re-queued): %v", hello.WorkerID, id, err)
 			return
 		}
 		// The worker is now computing: allow the full lease window plus

@@ -20,6 +20,13 @@ import (
 //     then Finalize exactly once. Streaming implementations (mean, norm
 //     clipping) fold each update immediately; robust statistics (median,
 //     trimmed mean) may buffer until Finalize.
+//   - A round whose aggregate cannot be applied gets Reset only: no Add and
+//     no Finalize. That is a round whose first update's shapes do not match
+//     the global model's parameters, as when a dishonest server swapped the
+//     dispatched model. The server checks the later updates' shapes itself,
+//     so a mismatch still aborts the round, but nothing else Add would
+//     reject does: a non-finite update does not abort a normclip round
+//     that applies nothing to the global model.
 //   - Add must not mutate or retain u.Grads: the UpdateObserver has seen
 //     the same tensors, and the server releases them to the tensor arena
 //     once Add returns. Clone before folding in place.
@@ -45,17 +52,27 @@ type Aggregator interface {
 	Finalize() ([]*tensor.Tensor, error)
 }
 
-// checkShapes validates an update against the reference tensor list of the
+// shapesOf copies each tensor's shape: the reference a round's later updates
+// are checked against, which outlives the released first update.
+func shapesOf(ts []*tensor.Tensor) [][]int {
+	shapes := make([][]int, len(ts))
+	for i, t := range ts {
+		shapes[i] = t.Shape()
+	}
+	return shapes
+}
+
+// checkShapes validates an update against the reference shapes of the
 // round's first update.
-func checkShapes(ref []*tensor.Tensor, u Update) error {
+func checkShapes(ref [][]int, u Update) error {
 	if len(u.Grads) != len(ref) {
 		return fmt.Errorf("fl: client %s returned %d gradient tensors, want %d",
 			u.ClientID, len(u.Grads), len(ref))
 	}
 	for i, g := range u.Grads {
-		if !g.SameShape(ref[i]) {
+		if !hasShape(g, ref[i]...) {
 			return fmt.Errorf("fl: client %s gradient %d shape %v, want %v",
-				u.ClientID, i, g.Shape(), ref[i].Shape())
+				u.ClientID, i, g.Shape(), ref[i])
 		}
 	}
 	return nil
@@ -64,8 +81,9 @@ func checkShapes(ref []*tensor.Tensor, u Update) error {
 // FedAvgMean is the paper's Eq. 1 aggregator: the arithmetic mean of all
 // client gradients. It streams — memory stays O(model), not O(clients).
 type FedAvgMean struct {
-	sum   []*tensor.Tensor
-	count int
+	sum    []*tensor.Tensor
+	shapes [][]int
+	count  int
 }
 
 var _ Aggregator = (*FedAvgMean)(nil)
@@ -77,7 +95,7 @@ func NewFedAvgMean() *FedAvgMean { return &FedAvgMean{} }
 func (a *FedAvgMean) Name() string { return "mean" }
 
 // Reset clears the running sum.
-func (a *FedAvgMean) Reset() { a.sum, a.count = nil, 0 }
+func (a *FedAvgMean) Reset() { a.sum, a.shapes, a.count = nil, nil, 0 }
 
 // Add folds one update into the running sum.
 func (a *FedAvgMean) Add(u Update) error {
@@ -86,10 +104,11 @@ func (a *FedAvgMean) Add(u Update) error {
 		for i, g := range u.Grads {
 			a.sum[i] = g.ClonePooled()
 		}
+		a.shapes = shapesOf(u.Grads)
 		a.count = 1
 		return nil
 	}
-	if err := checkShapes(a.sum, u); err != nil {
+	if err := checkShapes(a.shapes, u); err != nil {
 		return err
 	}
 	for i, g := range u.Grads {
@@ -176,15 +195,16 @@ func (a *NormClipped) Finalize() ([]*tensor.Tensor, error) {
 // below need every client's value per coordinate before they can decide.
 type bufferedAggregator struct {
 	updates [][]*tensor.Tensor
+	shapes  [][]int
 }
 
-func (b *bufferedAggregator) reset() { b.updates = nil }
+func (b *bufferedAggregator) reset() { b.updates, b.shapes = nil, nil }
 
 func (b *bufferedAggregator) add(u Update) error {
-	if len(b.updates) > 0 {
-		if err := checkShapes(b.updates[0], u); err != nil {
-			return err
-		}
+	if len(b.updates) == 0 {
+		b.shapes = shapesOf(u.Grads)
+	} else if err := checkShapes(b.shapes, u); err != nil {
+		return err
 	}
 	grads := make([]*tensor.Tensor, len(u.Grads))
 	for i, g := range u.Grads {

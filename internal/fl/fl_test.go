@@ -164,10 +164,13 @@ func TestDishonestModifierSwapsModelAndSkipsAggregation(t *testing.T) {
 	}
 	mod := &recordingModifier{spec: malSpec}
 	obs := &recordingObserver{}
+	agg := &countingAggregator{inner: NewFedAvgMean()}
 	server := NewServer(ServerConfig{Rounds: 2, LearningRate: 0.5, Seed: 1}, global, roster)
 	server.Modifier = mod
 	server.Observer = obs
-	if _, err := server.Run(context.Background()); err != nil {
+	server.Aggregator = agg
+	hist, err := server.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if mod.calls != 2 {
@@ -175,6 +178,23 @@ func TestDishonestModifierSwapsModelAndSkipsAggregation(t *testing.T) {
 	}
 	if len(obs.updates) != 4 {
 		t.Errorf("observer saw %d updates, want 4", len(obs.updates))
+	}
+	// A round whose aggregate cannot be applied aggregates nothing, and
+	// still releases every update's gradients.
+	if agg.resets != 2 || agg.adds != 0 || agg.finishes != 0 {
+		t.Errorf("%d resets, %d adds, %d finalizes; want 2, 0, 0", agg.resets, agg.adds, agg.finishes)
+	}
+	for _, r := range hist.Rounds {
+		if len(r.Clients) != 2 || r.GradNorm != 0 {
+			t.Errorf("round %d stats %+v", r.Round, r)
+		}
+	}
+	for _, u := range obs.updates {
+		for i, g := range u.Grads {
+			if g.Data() != nil {
+				t.Fatalf("round %d client %s gradient %d was not released", u.Round, u.ClientID, i)
+			}
+		}
 	}
 	// The malicious architecture (32-neuron layer) reached the clients.
 	for _, shape := range obs.shapes {

@@ -36,10 +36,10 @@ type ModelModifier interface {
 // an Observer therefore does not need internal locking, and its view of a
 // run is reproducible under a fixed seed.
 //
-// Observe must not keep u.Grads past its return: once the Observer and the
-// Aggregator have seen an update, the server releases its gradient tensors
-// to the tensor arena, and a kept tensor is left empty. Copy what must
-// outlive the call.
+// Observe must not keep u.Grads past its return: once the Observer, and the
+// Aggregator when the round's aggregate can be applied, have seen an update,
+// the server releases its gradient tensors to the tensor arena, and a kept
+// tensor is left empty. Copy what must outlive the call.
 type UpdateObserver interface {
 	Observe(round int, u Update)
 }
@@ -151,7 +151,10 @@ type Server struct {
 	// Aggregator folds client updates into the applied gradient; nil means
 	// FedAvgMean (the paper's Eq. 1). The server owns its lifecycle: Reset
 	// at round start, Add per update, Finalize at round end — all from one
-	// goroutine.
+	// goroutine. A round whose first update does not fit the global model's
+	// parameters (a swapped dispatch) cannot apply an aggregate, so it gets
+	// only Reset; what Add would reject there, such as normclip's
+	// non-finite update, does not abort it.
 	Aggregator Aggregator
 
 	rng *rand.Rand
@@ -293,6 +296,15 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	stats := RoundStats{Round: round}
 	lossSum := 0.0
 	var mergeErr error
+	// The first merged update decides whether the round's aggregate can be
+	// applied: every aggregator returns tensors shaped like it, and the step
+	// needs the global parameters' shapes. A dishonest server that swapped
+	// the model is only pretending to train, so such a round aggregates
+	// nothing; it still checks each later update against a copy of the
+	// first one's shapes, as merged updates are released.
+	params := s.Model.Params()
+	applicable := false
+	var refShapes [][]int
 	// merge folds one selection-order result; returning false aborts the
 	// round (dispatch stops feeding results and cancels outstanding work).
 	merge := func(i int, res roundResult) bool {
@@ -316,11 +328,23 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 		for _, g := range update.Grads {
 			stats.UpdateBytes += g.Len()
 		}
-		if err := agg.Add(update); err != nil {
+		if len(stats.Clients) == 1 {
+			applicable = gradsMatchParams(params, update.Grads)
+			if !applicable {
+				refShapes = shapesOf(update.Grads)
+			}
+		}
+		var err error
+		if applicable {
+			err = agg.Add(update)
+		} else {
+			err = checkShapes(refShapes, update)
+		}
+		if err != nil {
 			mergeErr = fmt.Errorf("fl: round %d: %w", round, err)
 			return false
 		}
-		// Observer and Aggregator have both seen the update; its gradient
+		// Everything that reads the update has seen it; its gradient
 		// buffers go back to the pool now instead of at GC's leisure, which
 		// bounds a round's live gradient memory at O(workers × model).
 		for _, g := range update.Grads {
@@ -347,6 +371,9 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 		return stats, nil
 	}
 	stats.MeanLoss = lossSum / float64(ok)
+	if !applicable {
+		return stats, nil
+	}
 
 	_, asp := obs.Start(ctx, "fl.aggregate", obs.Int("updates", ok))
 	defer asp.End()
@@ -354,21 +381,14 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	if err != nil {
 		return RoundStats{}, fmt.Errorf("fl: round %d: %w", round, err)
 	}
-
-	// When the dispatched model matches the global architecture, apply the
-	// aggregated-gradient step (a dishonest server that swapped the model is
-	// only pretending to train; its "update" cannot be applied).
-	params := s.Model.Params()
-	if gradsMatchParams(params, aggregated) {
-		normSq := 0.0
-		for i, p := range params {
-			g := aggregated[i]
-			n := g.L2Norm()
-			normSq += n * n
-			p.W.AddScaledInPlace(-s.Config.LearningRate, g)
-		}
-		stats.GradNorm = math.Sqrt(normSq)
+	normSq := 0.0
+	for i, p := range params {
+		g := aggregated[i]
+		n := g.L2Norm()
+		normSq += n * n
+		p.W.AddScaledInPlace(-s.Config.LearningRate, g)
 	}
+	stats.GradNorm = math.Sqrt(normSq)
 	// Finalize handed the aggregate to the server, and the step is applied.
 	for _, g := range aggregated {
 		g.Release()
@@ -479,14 +499,14 @@ func (s *Server) handleClient(ctx context.Context, round int, c Client, spec Mod
 	return u, err
 }
 
-// gradsMatchParams reports whether every aggregated tensor matches the
+// gradsMatchParams reports whether every gradient tensor matches the
 // corresponding global parameter's shape.
-func gradsMatchParams(params []*nn.Param, sum []*tensor.Tensor) bool {
-	if len(params) != len(sum) {
+func gradsMatchParams(params []*nn.Param, grads []*tensor.Tensor) bool {
+	if len(params) != len(grads) {
 		return false
 	}
 	for i, p := range params {
-		if !p.W.SameShape(sum[i]) {
+		if !p.W.SameShape(grads[i]) {
 			return false
 		}
 	}

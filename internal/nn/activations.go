@@ -19,8 +19,9 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU constructs a ReLU activation layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 
-// Forward clamps negatives to zero, recording the activation mask. The
-// output comes from the tensor arena.
+// Forward clamps negatives to zero, recording the activation mask. A NaN
+// input passes through, as in PyTorch, so it reaches the loss; its gradient
+// is masked like a negative's. The output comes from the tensor arena.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := x.ClonePooled()
 	d := out.Data()
@@ -31,12 +32,11 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		r.mask = r.mask[:len(d)]
 	}
 	for i, v := range d {
-		active := v > 0
-		if !active {
+		if v <= 0 {
 			d[i] = 0
 		}
 		if train {
-			r.mask[i] = active
+			r.mask[i] = v > 0
 		}
 	}
 	return out

@@ -189,6 +189,40 @@ func TestReLUBackwardRequiresForward(t *testing.T) {
 	NewReLU("r").Backward(tensor.New(2, 2))
 }
 
+// TestReLUPassesNaN: ReLU zeroes only inputs <= 0, so a NaN input passes
+// through to the loss (as in PyTorch), every other input keeps its exact
+// bits, −0 included, and the backward mask stays v > 0.
+func TestReLUPassesNaN(t *testing.T) {
+	in := []float64{math.NaN(), -1, math.Copysign(0, -1), 2, math.Inf(1)}
+	x := tensor.New(1, len(in))
+	copy(x.Data(), in)
+	r := NewReLU("r")
+	got := r.Forward(x, true).Data()
+	want := []float64{math.NaN(), 0, 0, 2, math.Inf(1)}
+	for i, w := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+			t.Errorf("ReLU(%g) = %g, want %g", in[i], got[i], w)
+		}
+	}
+	g := tensor.New(1, len(in))
+	g.Fill(1)
+	if back := r.Backward(g).Data(); back[0] != 0 || back[3] != 1 || back[4] != 1 {
+		t.Errorf("ReLU backward mask = %v, want [0 0 0 1 1]", back)
+	}
+
+	rng := RandSource(12, 2)
+	net := NewSequential(
+		NewLinear("fc1", 4, 6, rng),
+		NewReLU("relu"),
+		NewLinear("fc2", 6, 3, rng),
+	)
+	batch := randInput(rng, 2, 4)
+	batch.Data()[5] = math.NaN()
+	if loss := net.Backprop(batch, []int{0, 2}); !math.IsNaN(loss) {
+		t.Errorf("loss over a batch with a NaN pixel = %g, want NaN", loss)
+	}
+}
+
 func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	rng := RandSource(10, 2)
 	bn := NewBatchNorm2D("bn", 2)

@@ -136,8 +136,8 @@
 // per-round buffers recycle through the internal/tensor pool: decoded
 // model weights are released by the client once its gradients are
 // computed, the gradient buffers themselves are uploaded and released by
-// the server once observed and aggregated (as every fl.Server does), and the
-// aggregate is released once the step is applied, holding live tensor
+// the server once merged (as every fl.Server does), and the aggregate, when
+// the round has one, is released once the step is applied, holding live tensor
 // memory to O(workers × model) instead of O(cohort × model).
 //
 // When Options.Workers is zero the per-round concurrency cap comes from a
