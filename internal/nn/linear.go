@@ -75,8 +75,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// The cached activation comes from the workspace arena and is
 		// released by Backward; recycle any orphan from a repeated Forward.
 		l.lastX.Release()
-		l.lastX = tensor.NewPooled(x.Shape()...)
-		copy(l.lastX.Data(), x.Data())
+		l.lastX = x.ClonePooled()
 	}
 	out := tensor.MatMulTransB(x, l.Weight.W) // [B,out]
 	b := l.Bias.W.Data()

@@ -81,11 +81,19 @@ func benchTransB(b *testing.B, m, k, n int) {
 }
 
 // benchTransAStore stores the imprint layer's weight gradient into one reused
-// dst, the way Linear.backwardParams writes its first gradient into G.
-func benchTransAStore(b *testing.B, m, k, n int) {
+// dst, the way Linear.backwardParams writes its first gradient into G. With
+// gated set the coefficients are zeroed like the paper-attack RTF layer's
+// output gradient: about 13% of the neurons fire for no sample and the rest
+// are silent for each sample with probability 0.43, about half zeros in all.
+// Without it they are dense, so the panel path gathers every term and the run
+// shows what the gathering costs when nothing is skipped.
+func benchTransAStore(b *testing.B, m, k, n int, gated bool) {
 	rng := rand.New(rand.NewPCG(17, 18))
 	g := New(k, m)
 	g.FillRandn(rng, 1)
+	if gated {
+		reluGate(g, rng, 0.13, 0.43)
+	}
 	x := New(k, n)
 	x.FillRandn(rng, 1)
 	dst := New(m, n)
@@ -100,8 +108,18 @@ func BenchmarkMatMulTransA_256x32x3072(b *testing.B) { benchTransA(b, 256, 32, 3
 func BenchmarkMatMulTransB_8x3072x256(b *testing.B)  { benchTransB(b, 8, 3072, 256) }
 func BenchmarkMatMulTransB_32x3072x256(b *testing.B) { benchTransB(b, 32, 3072, 256) }
 
-func BenchmarkMatMulTransAInto_store_256x8x3072(b *testing.B)  { benchTransAStore(b, 256, 8, 3072) }
-func BenchmarkMatMulTransAInto_store_256x32x3072(b *testing.B) { benchTransAStore(b, 256, 32, 3072) }
+func BenchmarkMatMulTransAInto_store_256x8x3072(b *testing.B) {
+	benchTransAStore(b, 256, 8, 3072, false)
+}
+func BenchmarkMatMulTransAInto_store_256x32x3072(b *testing.B) {
+	benchTransAStore(b, 256, 32, 3072, false)
+}
+func BenchmarkMatMulTransAInto_store_rtf_256x8x3072(b *testing.B) {
+	benchTransAStore(b, 256, 8, 3072, true)
+}
+func BenchmarkMatMulTransAInto_store_rtf_256x32x3072(b *testing.B) {
+	benchTransAStore(b, 256, 32, 3072, true)
+}
 
 // BenchmarkAddInPlace_256x3072 adds one paper-attack update (the 256×3072
 // imprint weight) into a running sum, as FedAvgMean.Add does per client.

@@ -455,8 +455,10 @@ func TestVectorKernelsRejectShortOperands(t *testing.T) {
 		call func()
 	}{
 		{"axpy short y", func() { axpy(short, 1, long) }},
-		{"axpy4 short x", func() { axpy4(long, 1, 1, 1, 1, rows(31)) }},
-		{"axpy4z short x", func() { axpy4z(long, 1, 1, 1, 1, rows(31)) }},
+		{"axpy4 short x3", func() { axpy4(long, 1, 1, 1, 1, long, long, long, short) }},
+		{"axpy4z short x3", func() { axpy4z(long, 1, 1, 1, 1, long, long, long, short) }},
+		{"axpy4 short x0", func() { axpy4(long, 1, 1, 1, 1, short, long, long, long) }},
+		{"axpy4z short x1", func() { axpy4z(long, 1, 1, 1, 1, long, short, long, long) }},
 		{"addTo short y", func() { addTo(short, long) }},
 		{"dot2x4 short a1", func() { dot2x4(rows(4), rows(4), long, short, rows(32)) }},
 		{"dot2x4 short b", func() { dot2x4(rows(4), rows(4), long, long, rows(31)) }},

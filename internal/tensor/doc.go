@@ -39,13 +39,21 @@
 // scheduling, or Workers(). Two deliberate consequences:
 //
 //   - The old kernels skipped multiply-adds when an A element was exactly
-//     zero. The blocked kernels do not: adding a ±0.0 term never changes a
-//     finite IEEE-754 running sum (and a running sum that started at +0.0
-//     cannot become -0.0), so dropping the branch is bit-identical on finite
-//     inputs while removing a data-dependent mispredict from the innermost
-//     loop (~8% of MatMulTransB's serial runtime on dense Gaussian operands
-//     when toggled in isolation; BenchmarkMatMulTransB_Ref_64x3072x500 keeps
-//     the branch-bearing reference measurable next to the blocked kernel).
+//     zero. Adding a ±0.0 term never changes a finite IEEE-754 running sum
+//     (and a running sum that started at +0.0 cannot become -0.0), so
+//     skipping is a speed choice, never a numerical one. MatMul and
+//     MatMulTransB do not skip: their operands are dense, and dropping the
+//     branch removed a data-dependent mispredict from the innermost loop
+//     (~8% of MatMulTransB's serial runtime on dense Gaussian operands when
+//     toggled in isolation; BenchmarkMatMulTransB_Ref_64x3072x500 keeps the
+//     branch-bearing reference measurable next to the blocked kernel).
+//     MatMulTransAInto's panel path does skip: a weight gradient's
+//     coefficients are a ReLU layer's output gradient, about half exact
+//     zeros on the imprint layers, so each output row gathers its nonzero
+//     coefficients once per column panel, without a branch per element, and
+//     folds only their terms. A panel of B holding an Inf or NaN keeps every
+//     term, so 0·Inf is NaN there as in a dense sum. The small-output path
+//     (m·n ≤ transASmallOut) stays dense.
 //   - dot2 computes two output elements per B-panel pass but evaluates each
 //     one with exactly the same 4-way unrolled partial-sum pattern as dot,
 //     so pairing rows changes nothing in either row's rounding.
@@ -68,6 +76,9 @@
 //     mode into a NaN-filled dst, with one element whose products are all
 //     −0, against ref.go's MatMulTransA; its draws must include panel-path
 //     stores with k < 4 and with a ragged k > 4, and small-path stores.
+//     TestMatMulTransASkipsZeroTermsProperty and FuzzMatMulTransAInto check
+//     the panel path's skip over ReLU-gated coefficients the same way, and
+//     TestMatMulTransANonFiniteKeepsTerms its exception for an Inf or NaN.
 //
 // Simulation reports therefore stay byte-identical for a fixed seed across
 // tensor.SetWorkers values, machine core counts, and the kernel rewrites.

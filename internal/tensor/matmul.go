@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/oasisfl/oasis/internal/obs"
+)
 
 // Matrix kernels: cache-blocked, goroutine-tiled, and bit-identical to the
 // historical serial implementations retained in ref.go.
@@ -15,18 +19,29 @@ import "fmt"
 //  2. Exclusive ownership. Goroutines receive disjoint row spans of the
 //     output (parallelRows); each element is computed start-to-finish by
 //     exactly one goroutine. No atomics, no reductions, no races.
-//  3. Dense inner loops. The historical `av == 0` sparse-skip branches are
-//     gone: operands here are dense Gaussian activations, so the branch was
-//     a mispredict tax on every innermost iteration, and for finite inputs
-//     adding the ±0.0 terms it skipped cannot change an IEEE-754 sum (the
-//     differential tests assert exact equality against the branchy refs).
+//  3. No branch per element. The historical `av == 0` sparse-skip branches
+//     are gone from the inner loops, where they were a mispredict tax on
+//     every iteration. MatMul and MatMulTransB run dense: their operands are
+//     dense activations. MatMulTransAInto's panel path still skips zero
+//     coefficients, because a weight gradient's coefficients are the layer's
+//     output gradient, which a ReLU leaves about half exact zeros on the
+//     imprint layers. Once per output row and column panel it gathers the k
+//     whose a[kk,i] is nonzero, without a branch, and folds only those terms
+//     through the unchanged axpy4z/axpy4/axpy chain. That is exact for a
+//     finite b: a sum that starts at +0 never reaches −0, so adding a ±0
+//     term leaves it unchanged, whichever terms share one axpy4 call. A
+//     panel of b that holds an Inf or NaN keeps every term, so that 0·Inf is
+//     NaN as in the dense sum. The small-output path stays dense: its rows
+//     are too short to pay for a gather. The differential tests assert exact
+//     equality against ref.go, which skips the same terms.
 //
 // Fused accumulate and store: MatMulTransAInto(dst, a, b, add) writes aᵀ·b
 // into dst, which is how the layers form weight gradients. Each output
-// element's sum starts at +0 and takes its k products in ascending order; the
-// first four come from axpy4z, which computes (((+0 + p₀) + p₁) + p₂) + p₃
-// without reading its destination (with k < 4 the destination is cleared and
-// axpy takes every product). With add clear the sum accumulates in dst
+// element's sum starts at +0 and takes its products in ascending order (on
+// the panel path only those of nonzero coefficients, rule 3); the first four
+// come from axpy4z, which computes (((+0 + p₀) + p₁) + p₂) + p₃ without
+// reading its destination (with fewer than four the destination is cleared
+// and axpy takes each one). With add clear the sum accumulates in dst
 // itself, which is never read before that first step, so dst may hold
 // anything, NaN included. That store is bit-identical to adding the sum into
 // a zeroed dst: a sum that starts at +0 can never end at −0, so +0 + Σ is Σ
@@ -101,7 +116,8 @@ func MatMul(a, b *Tensor) *Tensor {
 				orow := od[i*n+jb : i*n+je]
 				kk := 0
 				for ; kk+4 <= k; kk += 4 {
-					axpy4(orow, arow[kk], arow[kk+1], arow[kk+2], arow[kk+3], panel[kk*w:(kk+4)*w])
+					axpy4(orow, arow[kk], arow[kk+1], arow[kk+2], arow[kk+3],
+						panel[kk*w:(kk+1)*w], panel[(kk+1)*w:(kk+2)*w], panel[(kk+2)*w:(kk+3)*w], panel[(kk+3)*w:(kk+4)*w])
 				}
 				for ; kk < k; kk++ {
 					axpy(orow, arow[kk], panel[kk*w:(kk+1)*w])
@@ -123,7 +139,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v × %vᵀ", a.shape, b.shape))
 	}
-	out := NewPooled(m, n)
+	out := NewPooledRaw(m, n)
 	matMulTransBInto(out.data, a.data, b.data, m, k, n)
 	return out
 }
@@ -184,6 +200,7 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 	}
 	ad, bd, od := a.data, b.data, dst.data
 	flops := k * m * n
+	obsTransATerms.Add(int64(flops))
 	if m*n <= transASmallOut {
 		// Small output (conv weight gradients): the whole m×n result is
 		// cache-resident, so keep the historical kk-outer sweep — minus the
@@ -197,9 +214,9 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 			}
 			kk := 0
 			if k >= 4 {
-				brows := bd[:4*n]
+				b0, b1, b2, b3 := bd[:n], bd[n:2*n], bd[2*n:3*n], bd[3*n:4*n]
 				for i := lo; i < hi; i++ {
-					axpy4z(acc[(i-lo)*n:(i-lo+1)*n], ad[i], ad[m+i], ad[2*m+i], ad[3*m+i], brows)
+					axpy4z(acc[(i-lo)*n:(i-lo+1)*n], ad[i], ad[m+i], ad[2*m+i], ad[3*m+i], b0, b1, b2, b3)
 				}
 				kk = 4
 			} else {
@@ -207,9 +224,9 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 			}
 			for ; kk+4 <= k; kk += 4 {
 				arows := ad[kk*m : (kk+4)*m]
-				brows := bd[kk*n : (kk+4)*n]
+				b0, b1, b2, b3 := bd[kk*n:(kk+1)*n], bd[(kk+1)*n:(kk+2)*n], bd[(kk+2)*n:(kk+3)*n], bd[(kk+3)*n:(kk+4)*n]
 				for i := lo; i < hi; i++ {
-					axpy4(acc[(i-lo)*n:(i-lo+1)*n], arows[i], arows[m+i], arows[2*m+i], arows[3*m+i], brows)
+					axpy4(acc[(i-lo)*n:(i-lo+1)*n], arows[i], arows[m+i], arows[2*m+i], arows[3*m+i], b0, b1, b2, b3)
 				}
 			}
 			for ; kk < k; kk++ {
@@ -229,43 +246,131 @@ func MatMulTransAInto(dst, a, b *Tensor, add bool) {
 	// Large output (malicious-layer weight gradients, e.g. 3072×500): tile
 	// output columns and pack B's panel once per span so each output tile
 	// accumulates from L1/L2-resident data into its slice of a dst row (in
-	// add mode, into an L1 accumulator). Per element the k products still
-	// fold in ascending-k order.
+	// add mode, into an L1 accumulator). Each output row folds only its
+	// nonzero coefficients' terms, in ascending k (see rule 3); a panel with
+	// an Inf or NaN keeps every term, so that 0·Inf is NaN as in the dense
+	// sum.
 	parallelRows("matmul_ta", m, flops, func(lo, hi int) {
 		var accBlock [mulColBlock]float64
+		var termBlock [maxStackTerms]int
+		terms := termBlock[:min(k, maxStackTerms)]
+		if k > maxStackTerms {
+			terms = make([]int, k)
+		}
 		w0 := min(mulColBlock, n)
 		panel := getBuf(k * w0)
+		skipped := 0
 		for jb := 0; jb < n; jb += mulColBlock {
 			je := min(jb+mulColBlock, n)
 			w := je - jb
 			for kk := 0; kk < k; kk++ {
 				copy(panel[kk*w:(kk+1)*w], bd[kk*n+jb:kk*n+je])
 			}
+			keepAll := !allFinite(panel, k, accBlock[:w])
 			for i := lo; i < hi; i++ {
 				acc := od[i*n+jb : i*n+je]
 				if add {
 					acc = accBlock[:w]
 				}
-				kk := 0
-				if k >= 4 {
-					axpy4z(acc, ad[i], ad[m+i], ad[2*m+i], ad[3*m+i], panel[:4*w])
-					kk = 4
-				} else {
-					clear(acc)
-				}
-				for ; kk+4 <= k; kk += 4 {
-					axpy4(acc, ad[kk*m+i], ad[(kk+1)*m+i], ad[(kk+2)*m+i], ad[(kk+3)*m+i], panel[kk*w:(kk+4)*w])
-				}
-				for ; kk < k; kk++ {
-					axpy(acc, ad[kk*m+i], panel[kk*w:(kk+1)*w])
-				}
+				t := gatherTerms(terms, ad[i:], m, keepAll)
+				skipped += (k - len(t)) * w
+				foldTerms(acc, ad[i:], m, t, panel)
 				if add {
 					addTo(od[i*n+jb:i*n+je], acc)
 				}
 			}
 		}
 		putBuf(panel)
+		obsTransASkipped.Add(int64(skipped))
 	})
+}
+
+// maxStackTerms is the longest term list the panel path of MatMulTransAInto
+// keeps on the stack; a larger k allocates one list per row span.
+const maxStackTerms = 64
+
+// MatMulTransAInto's work counters, never added to per element: every term
+// a[kk,i]·b[kk,j] of every output sum, once per call, and the terms the panel
+// path left out because their coefficient a[kk,i] is zero, once per row span.
+var (
+	obsTransATerms   = obs.NewCounter("tensor_transa_terms_total", "terms a[k,i]·b[k,j] of the sums MatMulTransAInto forms")
+	obsTransASkipped = obs.NewCounter("tensor_transa_terms_skipped_total", "MatMulTransAInto terms left out for a zero coefficient")
+)
+
+// allFinite reports whether the packed k×len(sum) panel holds no Inf or NaN,
+// using sum as scratch. An Inf or NaN term leaves any IEEE-754 sum Inf or
+// NaN, so a finite total of the column sums proves every element finite. The
+// column sums run through addTo's vector lanes, leaving one scalar pass over
+// a single panel row. A finite panel whose total overflows reads as
+// non-finite, which only makes the caller keep every term.
+func allFinite(panel []float64, k int, sum []float64) bool {
+	w := len(sum)
+	copy(sum, panel[:w])
+	for kk := 1; kk < k; kk++ {
+		addTo(sum, panel[kk*w:(kk+1)*w])
+	}
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		s0 += sum[j]
+		s1 += sum[j+1]
+		s2 += sum[j+2]
+		s3 += sum[j+3]
+	}
+	for ; j < w; j++ {
+		s0 += sum[j]
+	}
+	s := s0 + s1 + s2 + s3
+	return s-s == 0
+}
+
+// gatherTerms writes to terms, in ascending order, every kk < len(terms)
+// whose coefficient col[kk*stride] is nonzero, or every kk when keepAll is
+// set, and returns the prefix it wrote. Each index is stored unconditionally
+// and only the count depends on the coefficient, which the compiler turns
+// into a conditional move rather than a branch.
+func gatherTerms(terms []int, col []float64, stride int, keepAll bool) []int {
+	if keepAll {
+		for kk := range terms {
+			terms[kk] = kk
+		}
+		return terms
+	}
+	nt := 0
+	for kk := range terms {
+		terms[nt] = kk
+		if col[kk*stride] != 0 {
+			nt++
+		}
+	}
+	return terms[:nt]
+}
+
+// foldTerms sets acc to the sum, from +0 in ascending order, of
+// col[kk*stride]·x_kk over the listed terms kk, where x_kk is row kk of the
+// len(acc)-wide packed panel: the first four terms through axpy4z, then
+// groups of four through axpy4 and the rest through axpy. With fewer than
+// four terms acc is cleared and every term goes through axpy; with none it
+// is left at +0. acc is never read before it is written, so it may hold
+// anything, NaN included.
+func foldTerms(acc, col []float64, stride int, terms []int, panel []float64) {
+	w := len(acc)
+	t := terms
+	if len(t) >= 4 {
+		k0, k1, k2, k3 := t[0], t[1], t[2], t[3]
+		axpy4z(acc, col[k0*stride], col[k1*stride], col[k2*stride], col[k3*stride],
+			panel[k0*w:(k0+1)*w], panel[k1*w:(k1+1)*w], panel[k2*w:(k2+1)*w], panel[k3*w:(k3+1)*w])
+		for t = t[4:]; len(t) >= 4; t = t[4:] {
+			k0, k1, k2, k3 = t[0], t[1], t[2], t[3]
+			axpy4(acc, col[k0*stride], col[k1*stride], col[k2*stride], col[k3*stride],
+				panel[k0*w:(k0+1)*w], panel[k1*w:(k1+1)*w], panel[k2*w:(k2+1)*w], panel[k3*w:(k3+1)*w])
+		}
+	} else {
+		clear(acc)
+	}
+	for _, kk := range t {
+		axpy(acc, col[kk*stride], panel[kk*w:(kk+1)*w])
+	}
 }
 
 // transADims checks the operands of aᵀ·b for a (k×m) and b (k×n) and returns
@@ -377,13 +482,13 @@ func axpy(y []float64, a float64, x []float64) {
 	}
 }
 
-// axpy4 is four axpy calls in ascending order over the consecutive
-// len(y)-long rows x_0..x_3 of x: y[j] = (((y[j] + a0·x_0[j]) + a1·x_1[j]) +
-// a2·x_2[j]) + a3·x_3[j], the same four roundings per element, with y[j]
-// loaded and stored once instead of four times.
-func axpy4(y []float64, a0, a1, a2, a3 float64, x []float64) {
+// axpy4 is four axpy calls in ascending order over the len(y)-long rows
+// x0..x3: y[j] = (((y[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j],
+// the same four roundings per element, with y[j] loaded and stored once
+// instead of four times.
+func axpy4(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64) {
 	n := len(y)
-	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	j := 0
 	if useAVX2 {
 		j = n &^ 3
@@ -398,11 +503,11 @@ func axpy4(y []float64, a0, a1, a2, a3 float64, x []float64) {
 }
 
 // axpy4z is axpy4 into a y whose old contents are ignored: y[j] = (((+0 +
-// a0·x_0[j]) + a1·x_1[j]) + a2·x_2[j]) + a3·x_3[j], the roundings of axpy4
+// a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j], the roundings of axpy4
 // over a zeroed y. y is never read, so it may hold anything, NaN included.
-func axpy4z(y []float64, a0, a1, a2, a3 float64, x []float64) {
+func axpy4z(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64) {
 	n := len(y)
-	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	j := 0
 	if useAVX2 {
 		j = n &^ 3

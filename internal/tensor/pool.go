@@ -97,9 +97,9 @@ func NewPooled(shape ...int) *Tensor {
 
 // NewPooledRaw is NewPooled without the zero fill: a recycled backing array
 // keeps its stale contents, so the caller must write every element before it
-// reads any. Kernels that overwrite their whole output (MatMulTransA) and
-// gradients formed by a store before they are read (nn.NewLinearFrom) use it
-// to skip a pass over the tensor.
+// reads any. Kernels that overwrite their whole output (MatMulTransA,
+// MatMulTransB), ClonePooled, and gradients formed by a store before they
+// are read (nn.NewLinearFrom) use it to skip a pass over the tensor.
 func NewPooledRaw(shape ...int) *Tensor {
 	n := checkShape(shape)
 	data, _ := getRawBuf(n)

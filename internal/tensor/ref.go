@@ -7,12 +7,16 @@ package tensor
 // value is being the fixed point the fast kernels are measured against.
 //
 // The sparse-skip `av == 0` branches are kept here exactly as they shipped.
-// For finite operands they are pure control flow: skipping a zero term and
-// adding av*bv = ±0.0 produce the same IEEE-754 sum (+0.0 + -0.0 = +0.0, and
-// a running sum that ever held a nonzero value is unaffected by adding a
-// signed zero), which is why the production kernels could drop the branch —
-// measured at ~8% of MatMul wall clock in mispredictions — without changing a
-// single output bit. The differential tests exercise exactly this equality.
+// For finite operands skipping a zero term and adding av*bv = ±0.0 produce
+// the same IEEE-754 sum (+0.0 + -0.0 = +0.0, and a running sum that ever
+// held a nonzero value is unaffected by adding a signed zero). So MatMul and
+// MatMulTransB dropped the branch (measured at ~8% of MatMul wall clock in
+// mispredictions) without changing a single output bit, and MatMulTransAInto's
+// panel path skips the same terms through a branch-free gather per output
+// row. The differential tests exercise exactly this equality. With an Inf or
+// NaN in b the references diverge from the kernels on purpose: 0·Inf is NaN,
+// so the kernels keep every term and tests compare them against a dense loop
+// instead.
 
 // matMulRef is the historical MatMul: ikj loop order, sparse-skip branch.
 func matMulRef(a, b *Tensor) *Tensor {
